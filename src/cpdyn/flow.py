@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chart import ChartPoint, from_chart, normalization, select_pivot, transition
+from .observables import energy
 from .pauli import require_hermitian
 from .quantum import NumericFailure, TimeGrid
 
@@ -53,7 +54,6 @@ class FlowSettings:
 
     dt: float | None = None
     switch_threshold: float = 0.2
-    method: str = "rk4"
 
     def __post_init__(self):
         if self.dt is not None and not (self.dt > 0 and math.isfinite(self.dt)):
@@ -62,8 +62,6 @@ class FlowSettings:
             raise ValueError(
                 f"switch_threshold must lie in (0, 1), got {self.switch_threshold}"
             )
-        if self.method != "rk4":
-            raise ValueError(f"unknown integration method {self.method!r}")
 
 
 @dataclass
@@ -92,6 +90,15 @@ class ClassicalTrajectory:
 
     def point(self, k: int) -> ChartPoint:
         return ChartPoint(pivot=int(self.pivots[k]), coords=self.coords[k])
+
+    def states(self) -> np.ndarray:
+        """(S, N) unit states: `from_chart` applied to every sample at once."""
+        x = self.coords
+        at_pivot = np.arange(self.dimension) == self.pivots[:, None]
+        u = np.ones(at_pivot.shape, dtype=complex)
+        u[~at_pivot] = x.ravel()
+        nfac = 1.0 + np.sum(x.real**2 + x.imag**2, axis=1)
+        return u / np.sqrt(nfac)[:, None]
 
 
 def _pivot_last(H: np.ndarray, pivot: int):
@@ -224,15 +231,13 @@ def integrate_classical(
 
     half, sixth = dt / 2.0, dt / 6.0
     sample_at = set(grid.sample_indices().tolist())
-    times, coords, pivots, energies, cum = [], [], [], [], []
+    times, coords, pivots, cum = [], [], [], []
     switch_times: list[float] = []
 
     def record(step: int):
-        pt = ChartPoint(pivot=pivot, coords=x)
         times.append(step * grid.dt)
         coords.append(x.copy())
         pivots.append(pivot)
-        energies.append(classical_hamiltonian(H, pt))
         cum.append(len(switch_times))
 
     if 0 in sample_at:
@@ -259,11 +264,13 @@ def integrate_classical(
         if step in sample_at:
             record(step)
 
-    return ClassicalTrajectory(
+    traj = ClassicalTrajectory(
         times=np.asarray(times),
         coords=np.asarray(coords),
         pivots=np.asarray(pivots, dtype=int),
-        energies=np.asarray(energies),
+        energies=np.empty(0),
         n_switches_cum=np.asarray(cum, dtype=int),
         switch_times=np.asarray(switch_times),
     )
+    traj.energies = energy(H, traj.states())
+    return traj

@@ -2,7 +2,9 @@
 
 Every quantity has a quantum form (function of the state vector) and a
 classical form (function of the chart point); the two agree exactly through
-`from_chart` because all of them are phase-invariant.
+`from_chart` because all of them are phase-invariant.  The quantum forms
+also take a stack of states (S, N) and then return one value per row, which
+is how trajectories on either side are evaluated.
 """
 
 from __future__ import annotations
@@ -25,10 +27,14 @@ __all__ = [
 SEPARABILITY_EPS = 1e-8
 
 
+def _per_state(values: np.ndarray) -> float | np.ndarray:
+    """A float for a single state, the array for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
 def populations_quantum(psi: np.ndarray) -> np.ndarray:
     """Squared moduli of the amplitudes."""
-    psi = np.asarray(psi)
-    return (psi.real**2 + psi.imag**2).astype(float)
+    return np.abs(np.asarray(psi, dtype=complex)) ** 2
 
 
 def populations_classical(point: ChartPoint) -> np.ndarray:
@@ -45,13 +51,12 @@ def _require_two_qubits(n: int, what: str):
         raise ValueError(f"{what} is defined for two qubits (N=4), got N={n}")
 
 
-def quaternionic_z_quantum(psi: np.ndarray) -> float:
+def quaternionic_z_quantum(psi: np.ndarray) -> float | np.ndarray:
     """Population difference between the first and second amplitude pair,
     z = |a|^2 + |b|^2 - |c|^2 - |d|^2 (two qubits only)."""
-    psi = np.asarray(psi)
-    _require_two_qubits(psi.shape[0], "quaternionic population difference")
     p = populations_quantum(psi)
-    return float(p[0] + p[1] - p[2] - p[3])
+    _require_two_qubits(p.shape[-1], "quaternionic population difference")
+    return _per_state(p[..., 0] + p[..., 1] - p[..., 2] - p[..., 3])
 
 
 def quaternionic_z_classical(point: ChartPoint) -> float:
@@ -62,11 +67,13 @@ def quaternionic_z_classical(point: ChartPoint) -> float:
     return float(p[0] + p[1] - p[2] - p[3])
 
 
-def concurrence_quantum(psi: np.ndarray) -> float:
+def concurrence_quantum(psi: np.ndarray) -> float | np.ndarray:
     """Two-qubit pure-state concurrence 2|ad - bc|."""
     psi = np.asarray(psi)
-    _require_two_qubits(psi.shape[0], "concurrence")
-    return float(2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2]))
+    _require_two_qubits(psi.shape[-1], "concurrence")
+    return _per_state(
+        2.0 * np.abs(psi[..., 0] * psi[..., 3] - psi[..., 1] * psi[..., 2])
+    )
 
 
 def concurrence_classical(point: ChartPoint) -> float:
@@ -94,8 +101,9 @@ def is_separable(point: ChartPoint, eps: float = SEPARABILITY_EPS) -> bool:
     return concurrence_classical(point) < eps
 
 
-def energy(H: np.ndarray, state) -> float:
-    """Expectation value of H for a state vector or a chart point.
+def energy(H: np.ndarray, state) -> float | np.ndarray:
+    """Expectation value of H for a state vector, a stack of them or a
+    chart point.
 
     Chart points are evaluated directly in homogeneous coordinates as
     (u^dag H u)/nfac, without reconstructing the state vector.
@@ -110,6 +118,6 @@ def energy(H: np.ndarray, state) -> float:
         u = state.homogeneous()
         return float(np.vdot(u, H @ u).real / normalization(state))
     psi = np.asarray(state, dtype=complex)
-    if H.shape[0] != psi.shape[0]:
-        raise ValueError(f"dimension mismatch: H is {H.shape}, state has {psi.shape[0]}")
-    return float(np.vdot(psi, H @ psi).real)
+    if H.shape[0] != psi.shape[-1]:
+        raise ValueError(f"dimension mismatch: H is {H.shape}, state has {psi.shape[-1]}")
+    return _per_state(np.sum(psi.conj() * (psi @ H.T), axis=-1).real)

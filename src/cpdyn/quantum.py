@@ -60,11 +60,15 @@ class TimeGrid:
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
+        # tolerate t_end = k*dt held with float error, nothing more
+        if abs(self.t_end / self.dt - self.n_steps) > 1e-9 * self.n_steps:
+            raise ValueError(
+                f"t_end={self.t_end} is not a whole number of dt={self.dt} steps"
+            )
 
     @property
     def n_steps(self) -> int:
-        # tolerate t_end = k*dt held with float error
-        return int(math.floor(self.t_end / self.dt + 1e-9))
+        return round(self.t_end / self.dt)
 
     def sample_indices(self) -> np.ndarray:
         idx = list(range(0, self.n_steps + 1, self.output_stride))

@@ -120,13 +120,12 @@ def _parse_flow(node) -> flow.FlowSettings:
     if node is None:
         return flow.FlowSettings()
     _require(isinstance(node, dict), "flow: expected an object")
-    unknown = set(node) - {"dt", "switch_threshold", "method"}
+    unknown = set(node) - {"dt", "switch_threshold"}
     _require(not unknown, f"flow: unknown fields {sorted(unknown)}")
     try:
         return flow.FlowSettings(
             dt=None if node.get("dt") is None else float(node["dt"]),
             switch_threshold=float(node.get("switch_threshold", 0.2)),
-            method=node.get("method", "rk4"),
         )
     except ValueError as exc:
         raise ConfigError(f"flow: {exc}") from exc
@@ -260,75 +259,38 @@ def run(config: ScenarioConfig, method: str = "both") -> RunResult:
     return result
 
 
-def _quantum_columns(result: RunResult) -> dict[str, np.ndarray]:
+# observable -> (prefix of its `_q`/`_c` column pair, function of H and a
+# state stack); populations are handled apart, with one column per level
+_PAIRED = {
+    "z": ("z", lambda H, states: observables.quaternionic_z_quantum(states)),
+    "concurrence": ("C", lambda H, states: observables.concurrence_quantum(states)),
+    "energy": ("E", observables.energy),
+}
+
+
+def _columns(result: RunResult, q, c) -> dict[str, np.ndarray]:
+    """All CSV columns, in CSV order, from the quantum and classical state
+    stacks (S, N); either stack is None when that side was not run.  Both
+    sides go through the same observable functions."""
     cfg = result.config
-    traj = result.quantum_trajectory
-    states = traj.states
-    if cfg.renormalize_before_observables:
-        states = states / np.linalg.norm(states, axis=1, keepdims=True)
-    cols: dict[str, np.ndarray] = {}
+    if q is not None and cfg.renormalize_before_observables:
+        q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    sides = [(side, states) for side, states in (("q", q), ("c", c)) if states is not None]
+    cols: dict[str, np.ndarray] = {"t": result.times}
     if "populations" in cfg.observables:
-        pops = np.abs(states) ** 2
-        for i in range(cfg.dimension):
-            cols[f"p{i}_q"] = pops[:, i]
-    if "z" in cfg.observables:
-        cols["z_q"] = np.array([observables.quaternionic_z_quantum(s) for s in states])
-    if "concurrence" in cfg.observables:
-        cols["C_q"] = np.array([observables.concurrence_quantum(s) for s in states])
-    if "energy" in cfg.observables:
-        cols["E_q"] = np.array(
-            [observables.energy(cfg.hamiltonian, s) for s in states]
-        )
-    if "norm" in cfg.observables:
-        cols["norm_drift_q"] = traj.norm_drift
-    return cols
-
-
-def _classical_columns(result: RunResult) -> dict[str, np.ndarray]:
-    cfg = result.config
-    traj = result.classical_trajectory
-    points = [traj.point(k) for k in range(len(traj.times))]
-    cols: dict[str, np.ndarray] = {}
-    if "populations" in cfg.observables:
-        pops = np.array([observables.populations_classical(p) for p in points])
-        for i in range(cfg.dimension):
-            cols[f"p{i}_c"] = pops[:, i]
-    if "z" in cfg.observables:
-        cols["z_c"] = np.array(
-            [observables.quaternionic_z_classical(p) for p in points]
-        )
-    if "concurrence" in cfg.observables:
-        cols["C_c"] = np.array(
-            [observables.concurrence_classical(p) for p in points]
-        )
-    if "energy" in cfg.observables:
-        cols["E_c"] = traj.energies
-    cols["pivot"] = traj.pivots
-    cols["n_switches_cum"] = traj.n_switches_cum
-    return cols
-
-
-def _column_order(result: RunResult) -> list[str]:
-    cfg = result.config
-    has_q = result.quantum_trajectory is not None
-    has_c = result.classical_trajectory is not None
-    order = ["t"]
-    if "populations" in cfg.observables:
-        if has_q:
-            order += [f"p{i}_q" for i in range(cfg.dimension)]
-        if has_c:
-            order += [f"p{i}_c" for i in range(cfg.dimension)]
-    for name, col in (("z", "z"), ("concurrence", "C"), ("energy", "E")):
+        for side, states in sides:
+            pops = observables.populations_quantum(states)
+            cols.update((f"p{i}_{side}", p) for i, p in enumerate(pops.T))
+    for name, (prefix, func) in _PAIRED.items():
         if name in cfg.observables:
-            if has_q:
-                order.append(f"{col}_q")
-            if has_c:
-                order.append(f"{col}_c")
-    if "norm" in cfg.observables and has_q:
-        order.append("norm_drift_q")
-    if has_c:
-        order += ["pivot", "n_switches_cum"]
-    return order
+            for side, states in sides:
+                cols[f"{prefix}_{side}"] = func(cfg.hamiltonian, states)
+    if "norm" in cfg.observables and q is not None:
+        cols["norm_drift_q"] = result.quantum_trajectory.norm_drift
+    if c is not None:
+        cols["pivot"] = result.classical_trajectory.pivots
+        cols["n_switches_cum"] = result.classical_trajectory.n_switches_cum
+    return cols
 
 
 def emit_csv(result: RunResult, path) -> None:
@@ -337,21 +299,16 @@ def emit_csv(result: RunResult, path) -> None:
     First line is the schema comment ``# schema=1``; floats carry 17
     significant digits so values round-trip exactly.
     """
-    cols: dict[str, np.ndarray] = {"t": result.times}
-    if result.quantum_trajectory is not None:
-        cols.update(_quantum_columns(result))
-    if result.classical_trajectory is not None:
-        cols.update(_classical_columns(result))
-    order = _column_order(result)
+    q, c = result.quantum_trajectory, result.classical_trajectory
+    cols = _columns(result, q and q.states, c and c.states())
 
-    def fmt(name: str, v) -> str:
-        if name in ("pivot", "n_switches_cum"):
-            return str(int(v))
-        return f"{float(v):.17g}"
+    def fmt(col: np.ndarray) -> list[str]:
+        if col.dtype.kind == "i":
+            return [str(v) for v in col.tolist()]
+        return [f"{v:.17g}" for v in col.tolist()]
 
-    lines = [f"# schema={CSV_SCHEMA_VERSION}", ",".join(order)]
-    for k in range(len(result.times)):
-        lines.append(",".join(fmt(name, cols[name][k]) for name in order))
+    lines = [f"# schema={CSV_SCHEMA_VERSION}", ",".join(cols)]
+    lines += map(",".join, zip(*map(fmt, cols.values())))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -423,38 +380,25 @@ def compare(config: ScenarioConfig, tolerance: float = 1e-6) -> ComparisonReport
     qtraj = result.quantum_trajectory
     ctraj = result.classical_trajectory
 
-    qcols = _quantum_columns(result)
-    ccols = _classical_columns(result)
+    cstates = ctraj.states()
+    cols = _columns(result, qtraj.states, cstates)
     deviation: dict[str, float] = {}
     for name in config.observables:
         if name == "norm":
             continue
-        if name == "populations":
-            devs = [
-                float(np.max(np.abs(qcols[f"p{i}_q"] - ccols[f"p{i}_c"])))
-                for i in range(config.dimension)
-            ]
-            deviation["populations"] = max(devs)
-        else:
-            col = {"z": "z", "concurrence": "C", "energy": "E"}[name]
-            deviation[name] = float(
-                np.max(np.abs(qcols[f"{col}_q"] - ccols[f"{col}_c"]))
-            )
+        n = config.dimension
+        prefixes = [f"p{i}" for i in range(n)] if name == "populations" else [_PAIRED[name][0]]
+        deviation[name] = max(
+            float(np.max(np.abs(cols[f"{p}_q"] - cols[f"{p}_c"]))) for p in prefixes
+        )
 
-    gaps = np.empty(len(qtraj.times))
-    for k in range(len(qtraj.times)):
-        psi_c = chart.from_chart(ctraj.point(k))
-        gaps[k] = 1.0 - abs(np.vdot(qtraj.states[k], psi_c))
-    fidelity_gap_max = float(np.max(gaps))
-
-    energies_q = np.array(
-        [observables.energy(config.hamiltonian, s) for s in qtraj.states]
-    )
+    gaps = 1.0 - np.abs(np.sum(qtraj.states.conj() * cstates, axis=1))
+    energies_q = observables.energy(config.hamiltonian, qtraj.states)
     return ComparisonReport(
         scenario=config.name,
         tolerance=tolerance,
         observable_deviation=deviation,
-        fidelity_gap_max=fidelity_gap_max,
+        fidelity_gap_max=float(np.max(gaps)),
         energy_drift_quantum=float(np.max(np.abs(energies_q - energies_q[0]))),
         energy_drift_classical=float(
             np.max(np.abs(ctraj.energies - ctraj.energies[0]))

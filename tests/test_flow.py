@@ -113,8 +113,6 @@ class TestFlowSettings:
             FlowSettings(switch_threshold=0.0)
         with pytest.raises(ValueError):
             FlowSettings(switch_threshold=1.0)
-        with pytest.raises(ValueError):
-            FlowSettings(method="leapfrog")
 
 
 class TestIntegrateClassical:
@@ -213,6 +211,18 @@ class TestIntegrateClassical:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NumericFailure):
                 integrate_classical(H, point0, TimeGrid(1.0, 0.1))
+
+    def test_large_scale_hamiltonian(self):
+        # an exactly Hermitian H with entries of order 1e6, time scaled to match
+        rng = np.random.default_rng(7)
+        H = random_hermitian(rng, 8) * 1e6
+        assert np.array_equal(H, H.conj().T)
+        psi0 = random_state(rng, 8)
+        grid = TimeGrid(t_end=1e-5, dt=1e-9, output_stride=20)
+        traj = integrate_classical(H, to_chart(psi0, select_pivot(psi0)), grid)
+        quantum = evolve_exact_grid(H, psi0, grid)
+        overlaps = np.sum(quantum.states.conj() * traj.states(), axis=1)
+        assert np.max(1.0 - np.abs(overlaps)) < 1e-6
 
     def test_rejects_non_hermitian(self):
         H = np.zeros((4, 4))

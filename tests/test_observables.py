@@ -147,9 +147,12 @@ def test_representation_agreement_along_trajectory(rng):
         H, to_chart(np.array([0, 0, 0, 1.0]), 3), TimeGrid(10.0, 1e-3, 50)
     )
     assert traj.n_switches >= 1
+    states = traj.states()
+    assert states.shape == (len(traj.times), 4)
     for k in range(len(traj.times)):
         point = traj.point(k)
         psi = from_chart(point)
+        np.testing.assert_allclose(states[k], psi, rtol=0, atol=1e-15)
         np.testing.assert_allclose(
             populations_classical(point), populations_quantum(psi), atol=1e-12
         )
@@ -159,6 +162,17 @@ def test_representation_agreement_along_trajectory(rng):
         assert quaternionic_z_classical(point) == pytest.approx(
             quaternionic_z_quantum(psi), abs=1e-12
         )
+    # the stacked (S, N) forms agree with the per-point chart forms
+    points = [traj.point(k) for k in range(len(traj.times))]
+    stacked_vs_points = [
+        (populations_quantum(states), populations_classical),
+        (quaternionic_z_quantum(states), quaternionic_z_classical),
+        (concurrence_quantum(states), concurrence_classical),
+        (energy(H, states), lambda point: energy(H, point)),
+    ]
+    for stacked, per_point in stacked_vs_points:
+        expected = np.array([per_point(point) for point in points])
+        np.testing.assert_allclose(stacked, expected, rtol=0, atol=1e-12)
 
 
 def test_concurrence_invariant_under_local_rotations(rng):

@@ -40,6 +40,8 @@ class TestTimeGrid:
             TimeGrid(t_end=1.0, dt=2.0)
         with pytest.raises(ValueError):
             TimeGrid(t_end=1.0, dt=0.1, output_stride=0)
+        with pytest.raises(ValueError, match="whole number"):
+            TimeGrid(t_end=1.0, dt=0.3)
 
     def test_step_count_tolerates_float_noise(self):
         assert TimeGrid(t_end=10.0, dt=1e-3).n_steps == 10000
