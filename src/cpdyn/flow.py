@@ -11,24 +11,30 @@ symplectic form:
 
     dx^j/dt = -i nfac sum_k (delta_{jk} + x^j xbar^k) dh0/dxbar^k.
 
-The N quantum amplitude equations reduce to these N-1 complex ODEs.  The
-integrator is fixed-step RK4 (the Kahler geometry admits no standard
-symplectic splitting here; energy drift is recorded as the quality signal)
-and hops to a better-anchored chart whenever the implied pivot amplitude
-1/sqrt(nfac) falls below a threshold.
+The N quantum amplitude equations reduce to these N-1 complex ODEs.  For a
+Hermitian H they are exactly the projective (matrix-Riccati) form of the
+Schrodinger equation on the homogeneous vector u, u[pivot] = 1:
+
+    du/dt = -i (Hu - (Hu)[pivot] u),
+
+whose pivot component vanishes identically.  The integrator is fixed-step
+RK4 on u (the Kahler geometry admits no standard symplectic splitting here;
+energy drift is recorded as the quality signal).  After a step it hops to
+the chart anchored at the largest |u_i|, rescaling u so that u[new] = 1,
+whenever the implied pivot amplitude 1/|u| = 1/sqrt(nfac) falls below a
+threshold.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import ChartPoint, from_chart, normalization, select_pivot, transition
+from .chart import ChartPoint, select_pivot
 from .observables import energy
 from .pauli import require_hermitian
-from .quantum import NumericFailure, TimeGrid
+from .quantum import NumericFailure, TimeGrid, rk4_step
 
 __all__ = [
     "FlowSettings",
@@ -45,19 +51,14 @@ _NSQ_GUARD = 1e300
 
 @dataclass(frozen=True)
 class FlowSettings:
-    """Classical-integrator knobs.
-
-    `dt` overrides the grid step when set (it must divide the grid step, so
-    samples stay aligned); `switch_threshold` is the pivot-amplitude modulus
-    below which the integrator changes chart.
+    """Classical-integrator knobs: `switch_threshold` is the pivot-amplitude
+    modulus below which the integrator changes chart.  The step is the grid
+    step; a finer one is a smaller `TimeGrid.dt` with a larger stride.
     """
 
-    dt: float | None = None
     switch_threshold: float = 0.2
 
     def __post_init__(self):
-        if self.dt is not None and not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 < self.switch_threshold < 1.0:
             raise ValueError(
                 f"switch_threshold must lie in (0, 1), got {self.switch_threshold}"
@@ -101,60 +102,27 @@ class ClassicalTrajectory:
         return u / np.sqrt(nfac)[:, None]
 
 
-def _pivot_last(H: np.ndarray, pivot: int):
-    """Static per-chart data: H in the basis order (non-pivot..., pivot).
+def _rhs(H: np.ndarray, u: np.ndarray, pivot: int) -> np.ndarray:
+    """Hamilton right-hand side in one chart, on the homogeneous vector u
+    (u[pivot] == 1): the projective Schrodinger equation
 
-    Returns (A, b) with A the N x (N-1) block acting on the chart
-    coordinates and b the column belonging to the pivot slot; rows follow
-    the same (non-pivot..., pivot) order.
+        du/dt = -i (Hu - (Hu)[pivot] u).
+
+    The pivot component is exactly 0, so u[pivot] stays exactly 1 through
+    every RK4 stage; the other components are `hamilton_rhs` for a
+    Hermitian H.
     """
-    n = H.shape[0]
-    order = [i for i in range(n) if i != pivot] + [pivot]
-    Hp = H[np.ix_(order, order)]
-    return np.ascontiguousarray(Hp[:, :-1]), np.ascontiguousarray(Hp[:, -1])
-
-
-def _rhs(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Hamilton right-hand side in one chart, pivot ordered last.
-
-    Evaluates the contraction -i nfac (g + x <x, g>) of the inverse
-    symplectic form with g_k = ((Hu)_k nfac - D x_k)/nfac^2, with g and
-    <x, g> eliminated symbolically (the nfac factors cancel exactly):
-
-        <x, g> = (<x, hk> - D (nfac - 1)/nfac) / nfac
-        dx     = -i (hk + (<x, hk> - D) x)
-
-    which is the same expression with fewer rounding steps.
-    """
-    hu = A @ x
-    hu += b
-    hk = hu[:-1]
-    w = np.vdot(x, hk)
-    d = (w + hu[-1]).real
-    return -1j * (hk + (w - d) * x)
+    hu = H @ u
+    return -1j * (hu - hu[pivot] * u)
 
 
 def classical_hamiltonian(H: np.ndarray, point: ChartPoint) -> float:
     """h0 = <psi|H|psi> evaluated in chart coordinates as D/nfac.
 
-    The value is computed as a complex number first; a residual imaginary
-    part above 1e-10 means H was not Hermitian, so it raises rather than
-    being silently discarded.
+    H must be Hermitian to 1e-10; otherwise D would carry an imaginary
+    part that is silently discarded, so it raises instead.
     """
-    H = np.asarray(H)
-    if H.shape[0] != point.dimension:
-        raise ValueError(
-            f"dimension mismatch: H is {H.shape}, chart point has "
-            f"dimension {point.dimension}"
-        )
-    u = point.homogeneous()
-    d = np.vdot(u, H @ u)
-    if abs(d.imag) > 1e-10:
-        raise ValueError(
-            f"expectation value has imaginary part {d.imag:.3e}; "
-            "Hamiltonian is not Hermitian"
-        )
-    return d.real / normalization(point)
+    return energy(require_hermitian(H, tol=1e-10), point)
 
 
 def grad_conj(H: np.ndarray, point: ChartPoint) -> np.ndarray:
@@ -183,7 +151,10 @@ def hamilton_rhs(H: np.ndarray, point: ChartPoint) -> np.ndarray:
 
         dx^j/dt = -i nfac [ g_j + x^j sum_k xbar^k g_k ],  g = grad_conj.
 
-    The integrator uses an algebraically identical reduction (`_rhs`).
+    For a Hermitian H this equals, component by component, the non-pivot
+    part of the projective Schrodinger right-hand side -i (Hu - (Hu)[pivot] u)
+    that the integrator uses (`_rhs`); the reduction needs D = u^dag H u to
+    be real.
     """
     x = point.coords
     g = grad_conj(H, point)
@@ -197,13 +168,14 @@ def integrate_classical(
     grid: TimeGrid,
     settings: FlowSettings | None = None,
 ) -> ClassicalTrajectory:
-    """Fixed-step RK4 on hamilton_rhs with automatic chart switching.
+    """Fixed-step RK4 on the homogeneous vector u with automatic chart
+    switching.
 
-    After every step, if the implied pivot amplitude 1/sqrt(nfac) has
-    dropped below settings.switch_threshold, the state hops to the chart
-    anchored at the maximum-modulus amplitude and integration continues.
-    Chart switches happen between steps, never inside RK4 stages.  Raises
-    NumericFailure on the first non-finite step.
+    After every step, if the implied pivot amplitude 1/|u| has dropped below
+    settings.switch_threshold, the state hops to the chart anchored at the
+    maximum-modulus amplitude and integration continues.  Chart switches
+    happen between steps, never inside RK4 stages.  Raises NumericFailure on
+    the first non-finite step.
     """
     settings = settings or FlowSettings()
     H = require_hermitian(H, tol=1e-10)
@@ -213,63 +185,46 @@ def integrate_classical(
             f"dimension {point0.dimension}"
         )
 
-    dt = grid.dt if settings.dt is None else settings.dt
-    n_sub = 1
-    if settings.dt is not None:
-        n_sub = max(1, round(grid.dt / settings.dt))
-        if abs(grid.dt - n_sub * settings.dt) > 1e-12 * grid.dt:
-            raise ValueError(
-                f"flow dt {settings.dt} does not divide grid dt {grid.dt}"
-            )
-
-    # switch when nfac - 1 = sum|x|^2 exceeds 1/threshold^2 - 1
-    nsq_switch = 1.0 / settings.switch_threshold**2 - 1.0
+    # switch when nfac = |u|^2 exceeds 1/threshold^2
+    usq_switch = 1.0 / settings.switch_threshold**2
 
     pivot = point0.pivot
-    x = np.array(point0.coords, dtype=complex)
-    A, b = _pivot_last(H, pivot)
+    u = point0.homogeneous()
 
-    half, sixth = dt / 2.0, dt / 6.0
-    sample_at = set(grid.sample_indices().tolist())
-    times, coords, pivots, cum = [], [], [], []
+    def rhs(v):
+        return _rhs(H, v, pivot)
+
+    sample_steps = grid.sample_indices()
+    us = np.empty((sample_steps.size, u.size), dtype=complex)
+    pivots = np.empty(sample_steps.size, dtype=int)
+    cum = np.empty(sample_steps.size, dtype=int)
     switch_times: list[float] = []
 
-    def record(step: int):
-        times.append(step * grid.dt)
-        coords.append(x.copy())
-        pivots.append(pivot)
-        cum.append(len(switch_times))
-
-    if 0 in sample_at:
-        record(0)
-    for step in range(1, grid.n_steps + 1):
-        for sub in range(n_sub):
-            k1 = _rhs(A, b, x)
-            k2 = _rhs(A, b, x + half * k1)
-            k3 = _rhs(A, b, x + half * k2)
-            k4 = _rhs(A, b, x + dt * k3)
-            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            nsq = np.vdot(x, x).real
-            if not nsq < _NSQ_GUARD:
+    k = 0
+    for step in range(grid.n_steps + 1):
+        if step > 0:
+            u = rk4_step(rhs, u, grid.dt)
+            usq = np.vdot(u, u).real
+            if not usq < _NSQ_GUARD:
                 raise NumericFailure("non-finite chart coordinates", step)
-            if nsq > nsq_switch:
-                pt = ChartPoint(pivot=pivot, coords=x)
-                new_pivot = select_pivot(from_chart(pt))
+            if usq > usq_switch:
+                new_pivot = select_pivot(u)
                 if new_pivot != pivot:
-                    pt = transition(pt, new_pivot)
+                    u = u / u[new_pivot]
+                    u[new_pivot] = 1.0
                     pivot = new_pivot
-                    x = np.array(pt.coords)
-                    A, b = _pivot_last(H, pivot)
-                    switch_times.append((step - 1) * grid.dt + (sub + 1) * dt)
-        if step in sample_at:
-            record(step)
+                    switch_times.append(step * grid.dt)
+        if step == sample_steps[k]:
+            us[k], pivots[k], cum[k] = u, pivot, len(switch_times)
+            k += 1
 
+    at_pivot = np.arange(u.size) == pivots[:, None]
     traj = ClassicalTrajectory(
-        times=np.asarray(times),
-        coords=np.asarray(coords),
-        pivots=np.asarray(pivots, dtype=int),
+        times=sample_steps * grid.dt,
+        coords=us[~at_pivot].reshape(sample_steps.size, u.size - 1),
+        pivots=pivots,
         energies=np.empty(0),
-        n_switches_cum=np.asarray(cum, dtype=int),
+        n_switches_cum=cum,
         switch_times=np.asarray(switch_times),
     )
     traj.energies = energy(H, traj.states())

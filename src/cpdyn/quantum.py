@@ -29,6 +29,7 @@ __all__ = [
     "evolve_exact",
     "evolve_exact_grid",
     "evolve_rk4",
+    "rk4_step",
 ]
 
 STATE_NORM_TOL = 1e-10
@@ -138,6 +139,16 @@ def evolve_exact_grid(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> Quantu
     return QuantumTrajectory(times=times, states=states, norm_drift=drift)
 
 
+def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical 4th-order Runge-Kutta step of dy/dt = f(y)."""
+    half = dt / 2.0
+    k1 = f(y)
+    k2 = f(y + half * k1)
+    k3 = f(y + half * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajectory:
     """Fixed-step RK4 on the Schrodinger equation.
 
@@ -145,29 +156,27 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     callers can judge integration quality.  Raises NumericFailure on the
     first non-finite step.
     """
-    H = np.asarray(H, dtype=complex)
-    psi = np.asarray(psi0, dtype=complex).copy()
+    H = require_hermitian(H, tol=1e-10)
+    psi = np.asarray(psi0, dtype=complex)
     if H.shape[1] != psi.shape[0]:
         raise ValueError(f"dimension mismatch: H is {H.shape}, psi has {psi.shape[0]}")
 
+    def rhs(y):
+        return -1j * (H @ y)
+
     dt = grid.dt
-    half, sixth = dt / 2.0, dt / 6.0
     sample_at = set(grid.sample_indices().tolist())
     times, states, drifts = [], [], []
 
     def record(step: int):
         times.append(step * dt)
-        states.append(psi.copy())
+        states.append(psi)
         drifts.append(abs(np.linalg.norm(psi) - 1.0))
 
     if 0 in sample_at:
         record(0)
     for step in range(1, grid.n_steps + 1):
-        k1 = -1j * (H @ psi)
-        k2 = -1j * (H @ (psi + half * k1))
-        k3 = -1j * (H @ (psi + half * k2))
-        k4 = -1j * (H @ (psi + dt * k3))
-        psi += sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        psi = rk4_step(rhs, psi, dt)
         nsq = np.vdot(psi, psi).real
         if not nsq < np.inf:  # catches NaN (comparison false) and Inf
             raise NumericFailure("non-finite state in RK4", step)

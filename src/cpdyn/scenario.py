@@ -92,13 +92,10 @@ def _parse_hamiltonian(node) -> np.ndarray:
             raise ConfigError(f"hamiltonian.pauli: {exc}") from exc
     if "dense" in node:
         H = _complex_array(node["dense"], "hamiltonian.dense", ndim=2)
-        _require(
-            H.shape[0] == H.shape[1] and H.shape[0] >= 2,
-            f"hamiltonian.dense: must be square with N >= 2, got {H.shape}",
-        )
-        dev = float(np.max(np.abs(H - H.conj().T)))
-        _require(dev <= 1e-9, f"hamiltonian.dense: not Hermitian, max|H - H^dag| = {dev:.3e}")
-        return H
+        try:
+            return pauli.require_hermitian(H, tol=1e-9)
+        except ValueError as exc:
+            raise ConfigError(f"hamiltonian.dense: {exc}") from exc
     raise ConfigError("hamiltonian: needs either a 'pauli' string or a 'dense' matrix")
 
 
@@ -120,13 +117,10 @@ def _parse_flow(node) -> flow.FlowSettings:
     if node is None:
         return flow.FlowSettings()
     _require(isinstance(node, dict), "flow: expected an object")
-    unknown = set(node) - {"dt", "switch_threshold"}
+    unknown = set(node) - {"switch_threshold"}
     _require(not unknown, f"flow: unknown fields {sorted(unknown)}")
     try:
-        return flow.FlowSettings(
-            dt=None if node.get("dt") is None else float(node["dt"]),
-            switch_threshold=float(node.get("switch_threshold", 0.2)),
-        )
+        return flow.FlowSettings(float(node.get("switch_threshold", 0.2)))
     except ValueError as exc:
         raise ConfigError(f"flow: {exc}") from exc
 

@@ -4,13 +4,13 @@ import pytest
 from cpdyn.chart import ChartPoint, from_chart, select_pivot, to_chart
 from cpdyn.flow import (
     FlowSettings,
-    _pivot_last,
     _rhs,
     classical_hamiltonian,
     grad_conj,
     hamilton_rhs,
     integrate_classical,
 )
+from cpdyn.observables import energy
 from cpdyn.pauli import build_two_qubit_hamiltonian
 from cpdyn.quantum import NumericFailure, TimeGrid, evolve_exact_grid
 
@@ -40,8 +40,20 @@ class TestClassicalHamiltonian:
         not_hermitian = np.block(
             [[not_hermitian, np.zeros((2, 2))], [np.zeros((2, 2)), np.zeros((2, 2))]]
         )
-        with pytest.raises(ValueError, match="imaginary"):
+        with pytest.raises(ValueError, match="not Hermitian"):
             classical_hamiltonian(not_hermitian, ChartPoint(3, np.ones(3)))
+
+    def test_large_exactly_hermitian_accepted(self):
+        # u^dag H u of an exactly Hermitian H picks up rounding in its
+        # imaginary part that grows with |H|; that is not a Hermiticity error
+        rng = np.random.default_rng(7)
+        H = random_hermitian(rng, 8) * 1e6
+        for _ in range(200):
+            psi = random_state(rng, 8)
+            point = to_chart(psi, select_pivot(psi))
+            assert classical_hamiltonian(H, point) == pytest.approx(
+                energy(H, psi), abs=1e-12 * np.max(np.abs(H))
+            )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -96,9 +108,10 @@ class TestHamiltonRhs:
             n = int(rng.integers(2, 9))
             H = random_hermitian(rng, n)
             point = ChartPoint(int(rng.integers(0, n)), random_coords(rng, n - 1))
-            A, b = _pivot_last(H, point.pivot)
+            du = _rhs(H, point.homogeneous(), point.pivot)
+            assert du[point.pivot] == 0
             np.testing.assert_allclose(
-                _rhs(A, b, point.coords),
+                np.delete(du, point.pivot),
                 hamilton_rhs(H, point),
                 rtol=1e-12,
                 atol=1e-12,
@@ -107,8 +120,6 @@ class TestHamiltonRhs:
 
 class TestFlowSettings:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FlowSettings(dt=-1.0)
         with pytest.raises(ValueError):
             FlowSettings(switch_threshold=0.0)
         with pytest.raises(ValueError):
@@ -184,26 +195,6 @@ class TestIntegrateClassical:
             runs.append(pops)
         for other in runs[1:]:
             np.testing.assert_allclose(other, runs[0], atol=1e-8)
-
-    def test_substep_override_matches_fine_grid(self):
-        H = build_two_qubit_hamiltonian(1.0, 0.7, 0, 0.4, 0)
-        psi0 = np.array([0.5, 0.5, 0.5, 0.5])
-        coarse = TimeGrid(1.0, 1e-2, 10)
-        fine = TimeGrid(1.0, 2e-3, 50)
-        sub = integrate_classical(
-            H, to_chart(psi0, 3), coarse, FlowSettings(dt=2e-3)
-        )
-        ref = integrate_classical(H, to_chart(psi0, 3), fine)
-        np.testing.assert_allclose(sub.times, ref.times)
-        np.testing.assert_allclose(sub.coords, ref.coords, atol=1e-13)
-
-    def test_substep_must_divide_grid_step(self):
-        H = build_two_qubit_hamiltonian(1.0, 0, 0, 0, 0)
-        point0 = ChartPoint(3, np.ones(3))
-        with pytest.raises(ValueError, match="divide"):
-            integrate_classical(
-                H, point0, TimeGrid(1.0, 1e-2), FlowSettings(dt=3e-3)
-            )
 
     def test_non_finite_aborts(self):
         H = np.diag([1e200, -1e200, 0.0, 0.0])

@@ -111,6 +111,8 @@ class TestEvolveExact:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             evolve_exact(np.array([[0, 1], [0, 0]]), make_state([1, 0]), 1.0)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            evolve_rk4(np.array([[0, 1], [0, 0]]), make_state([1, 0]), TimeGrid(1.0, 0.1))
 
 
 class TestEvolveRk4:

@@ -71,6 +71,9 @@ class TestLoadScenario:
         )
         with pytest.raises(ConfigError, match="not Hermitian"):
             scenario_from_dict(doc)
+        doc["hamiltonian"] = {"dense": {"real": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]}}
+        with pytest.raises(ConfigError, match="hamiltonian.dense: .*square"):
+            scenario_from_dict(doc)
 
     def test_dense_hamiltonian_accepted(self):
         dense = {"real": [[1.0, 0.0], [0.0, -1.0]]}
@@ -93,6 +96,8 @@ class TestLoadScenario:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError, match="unknown fields"):
             scenario_from_dict(minimal_doc(extra=1))
+        with pytest.raises(ConfigError, match="unknown fields"):
+            scenario_from_dict(minimal_doc(flow={"dt": 1e-3}))
 
     def test_unknown_observable_rejected(self):
         with pytest.raises(ConfigError, match="unknown names"):
@@ -230,8 +235,8 @@ class TestCompare:
         # comparison must blow through any sane tolerance
         real_rhs = cpdyn.flow._rhs
 
-        def sabotaged(A, b, x):
-            return -real_rhs(A, b, x)
+        def sabotaged(H, u, pivot):
+            return -real_rhs(H, u, pivot)
 
         monkeypatch.setattr(cpdyn.flow, "_rhs", sabotaged)
         config = load_scenario(SCENARIO_DIR / "fig1_left.json")
