@@ -19,10 +19,15 @@ Schrodinger equation on the homogeneous vector u, u[pivot] = 1:
 
 whose pivot component vanishes identically.  The integrator is fixed-step
 RK4 on u (the Kahler geometry admits no standard symplectic splitting here;
-energy drift is recorded as the quality signal).  After a step it hops to
-the chart anchored at the largest |u_i|, rescaling u so that u[new] = 1,
-whenever the implied pivot amplitude 1/|u| = 1/sqrt(nfac) falls below a
-threshold.
+energy drift is recorded as the quality signal).  With B = -i dt H the
+step-scaled right-hand side is Bu - (Bu)[pivot] u, so every RK4 stage lies
+in span{u, Bu, ..., B^4 u} and a step is computed exactly from those
+vectors: [Bu; B^2 u] is one product with the stacked matrix [B; B^2],
+[B^3 u; B^4 u] a second one, and `quantum.rk4_weights` turns their pivot
+entries into the weights of the increment.  After a step the integrator
+hops to the chart anchored at the largest |u_i|, rescaling u so that
+u[new] = 1, whenever the implied pivot amplitude 1/|u| = 1/sqrt(nfac)
+falls below a threshold.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 from .chart import ChartPoint, select_pivot
 from .observables import energy
 from .pauli import require_hermitian
-from .quantum import NumericFailure, TimeGrid, rk4_step
+from .quantum import NumericFailure, TimeGrid, rk4_weights
 
 __all__ = [
     "FlowSettings",
@@ -80,6 +85,7 @@ class ClassicalTrajectory:
     energies: np.ndarray
     n_switches_cum: np.ndarray = field(repr=False)
     switch_times: np.ndarray = field(repr=False)
+    _states: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -93,27 +99,36 @@ class ClassicalTrajectory:
         return ChartPoint(pivot=int(self.pivots[k]), coords=self.coords[k])
 
     def states(self) -> np.ndarray:
-        """(S, N) unit states: `from_chart` applied to every sample at once."""
-        x = self.coords
-        at_pivot = np.arange(self.dimension) == self.pivots[:, None]
-        u = np.ones(at_pivot.shape, dtype=complex)
-        u[~at_pivot] = x.ravel()
-        nfac = 1.0 + np.sum(x.real**2 + x.imag**2, axis=1)
-        return u / np.sqrt(nfac)[:, None]
+        """(S, N) unit states: `from_chart` applied to every sample at once.
+
+        Built on the first call and returned (read-only) by every later one.
+        """
+        if self._states is None:
+            x = self.coords
+            at_pivot = np.arange(self.dimension) == self.pivots[:, None]
+            u = np.ones(at_pivot.shape, dtype=complex)
+            u[~at_pivot] = x.ravel()
+            nfac = 1.0 + np.sum(x.real**2 + x.imag**2, axis=1)
+            self._states = u / np.sqrt(nfac)[:, None]
+            self._states.setflags(write=False)
+        return self._states
 
 
-def _rhs(H: np.ndarray, u: np.ndarray, pivot: int) -> np.ndarray:
-    """Hamilton right-hand side in one chart, on the homogeneous vector u
-    (u[pivot] == 1): the projective Schrodinger equation
+def _rk4_increment(M: np.ndarray, K: np.ndarray, pivot: int) -> np.ndarray:
+    """u_new - u for one RK4 step of the projective Schrodinger equation
 
-        du/dt = -i (Hu - (Hu)[pivot] u).
+        du/dt = -i (Hu - (Hu)[pivot] u),   u = K[0], u[pivot] == 1.
 
-    The pivot component is exactly 0, so u[pivot] stays exactly 1 through
-    every RK4 stage; the other components are `hamilton_rhs` for a
-    Hermitian H.
+    M is the stacked (2N, N) matrix [B; B^2], B = -i dt H.  Fills the rows
+    K[1:5] of the (5, N) work array with Bu, ..., B^4 u and returns
+    sum_j d_j K[j] with the `rk4_weights` of their pivot entries.  The
+    pivot component of the increment is 0 up to rounding.
     """
-    hu = H @ u
-    return -1j * (hu - hu[pivot] * u)
+    n = K.shape[1]
+    # rows 1-2 and 3-4 of K are contiguous, so both reshapes are views
+    np.matmul(M, K[0], out=K[1:3].reshape(2 * n))
+    np.matmul(M, K[2], out=K[3:5].reshape(2 * n))
+    return np.dot(rk4_weights(*K[1:, pivot].tolist()), K)
 
 
 def classical_hamiltonian(H: np.ndarray, point: ChartPoint) -> float:
@@ -153,8 +168,8 @@ def hamilton_rhs(H: np.ndarray, point: ChartPoint) -> np.ndarray:
 
     For a Hermitian H this equals, component by component, the non-pivot
     part of the projective Schrodinger right-hand side -i (Hu - (Hu)[pivot] u)
-    that the integrator uses (`_rhs`); the reduction needs D = u^dag H u to
-    be real.
+    that the integrator steps (`_rk4_increment`); the reduction needs
+    D = u^dag H u to be real.
     """
     x = point.coords
     g = grad_conj(H, point)
@@ -189,39 +204,44 @@ def integrate_classical(
     usq_switch = 1.0 / settings.switch_threshold**2
 
     pivot = point0.pivot
-    u = point0.homogeneous()
-
-    def rhs(v):
-        return _rhs(H, v, pivot)
+    n = point0.dimension
+    M = np.empty((2 * n, n), dtype=complex)
+    np.multiply(-1j * grid.dt, H, out=M[:n])
+    np.matmul(M[:n], M[:n], out=M[n:])
+    K = np.zeros((5, n), dtype=complex)
+    u = K[0]
+    u[:] = point0.homogeneous()
 
     sample_steps = grid.sample_indices()
-    us = np.empty((sample_steps.size, u.size), dtype=complex)
-    pivots = np.empty(sample_steps.size, dtype=int)
-    cum = np.empty(sample_steps.size, dtype=int)
+    samples = sample_steps.tolist()
+    us = np.empty((len(samples), n), dtype=complex)
+    pivots = np.empty(len(samples), dtype=int)
+    cum = np.empty(len(samples), dtype=int)
     switch_times: list[float] = []
 
     k = 0
     for step in range(grid.n_steps + 1):
         if step > 0:
-            u = rk4_step(rhs, u, grid.dt)
+            u += _rk4_increment(M, K, pivot)
+            u[pivot] = 1.0  # the exact step keeps it at 1; rounding may not
             usq = np.vdot(u, u).real
             if not usq < _NSQ_GUARD:
                 raise NumericFailure("non-finite chart coordinates", step)
             if usq > usq_switch:
                 new_pivot = select_pivot(u)
                 if new_pivot != pivot:
-                    u = u / u[new_pivot]
+                    u /= u[new_pivot]
                     u[new_pivot] = 1.0
                     pivot = new_pivot
                     switch_times.append(step * grid.dt)
-        if step == sample_steps[k]:
+        if step == samples[k]:
             us[k], pivots[k], cum[k] = u, pivot, len(switch_times)
             k += 1
 
-    at_pivot = np.arange(u.size) == pivots[:, None]
+    at_pivot = np.arange(n) == pivots[:, None]
     traj = ClassicalTrajectory(
         times=sample_steps * grid.dt,
-        coords=us[~at_pivot].reshape(sample_steps.size, u.size - 1),
+        coords=us[~at_pivot].reshape(sample_steps.size, n - 1),
         pivots=pivots,
         energies=np.empty(0),
         n_switches_cum=cum,

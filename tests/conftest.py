@@ -1,5 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests integrate trajectories: no per-example deadline (their run
+# time follows the host's load), and a fixed example sequence so that a
+# failure always reproduces.
+settings.register_profile("cpdyn", deadline=None, derandomize=True)
+settings.load_profile("cpdyn")
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 2.0) -> np.ndarray:

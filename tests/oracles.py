@@ -4,7 +4,8 @@ These deliberately avoid the analytic formulas they are checking: the
 Hessian oracle differentiates the Kahler potential by central differences,
 the gradient oracle differentiates the scalar Hamiltonian, and the
 chart-velocity oracle applies the quotient rule to the Schrodinger
-right-hand side.
+right-hand side.  The RK4 oracle evaluates the four stages one by one,
+against the Krylov form the package integrates with.
 """
 
 import numpy as np
@@ -83,6 +84,25 @@ def quotient_rule_velocity(H: np.ndarray, psi: np.ndarray, pivot: int) -> np.nda
     sel = [i for i in range(psi.size) if i != pivot]
     p = psi[pivot]
     return (dpsi[sel] * p - psi[sel] * dpsi[pivot]) / (p * p)
+
+
+def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical 4th-order Runge-Kutta step of dy/dt = f(y), stage by
+    stage."""
+    half = dt / 2.0
+    k1 = f(y)
+    k2 = f(y + half * k1)
+    k3 = f(y + half * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _rhs(H: np.ndarray, u: np.ndarray, pivot: int) -> np.ndarray:
+    """Projective Schrodinger right-hand side on the homogeneous vector u
+    (u[pivot] == 1): du/dt = -i (Hu - (Hu)[pivot] u).  Its pivot component
+    is exactly 0."""
+    hu = H @ u
+    return -1j * (hu - hu[pivot] * u)
 
 
 def count_zero_crossings(values: np.ndarray) -> int:

@@ -4,7 +4,6 @@ import pytest
 from cpdyn.chart import ChartPoint, from_chart, select_pivot, to_chart
 from cpdyn.flow import (
     FlowSettings,
-    _rhs,
     classical_hamiltonian,
     grad_conj,
     hamilton_rhs,
@@ -15,7 +14,7 @@ from cpdyn.pauli import build_two_qubit_hamiltonian
 from cpdyn.quantum import NumericFailure, TimeGrid, evolve_exact_grid
 
 from conftest import random_coords, random_hermitian, random_state
-from oracles import fd_grad_conj, quotient_rule_velocity
+from oracles import _rhs, fd_grad_conj, quotient_rule_velocity, rk4_step
 
 
 class TestClassicalHamiltonian:
@@ -127,12 +126,41 @@ class TestFlowSettings:
 
 
 class TestIntegrateClassical:
+    @pytest.mark.parametrize("scale, dt", [(1.0, 1e-3), (1e6, 1e-9)])
+    def test_step_matches_stage_form(self, rng, scale, dt):
+        # the Krylov-form step is the RK4 step of the projective equation,
+        # in every chart and at any scale of H (B = -i dt H is what counts)
+        for n in range(2, 9):
+            H = random_hermitian(rng, n) * scale
+            for pivot in range(n):
+                point = ChartPoint(pivot, random_coords(rng, n - 1, radius=0.5))
+                traj = integrate_classical(H, point, TimeGrid(dt, dt))
+                assert traj.n_switches == 0
+                want = rk4_step(lambda v: _rhs(H, v, pivot), point.homogeneous(), dt)
+                np.testing.assert_allclose(
+                    traj.coords[-1],
+                    np.delete(want, pivot),
+                    rtol=1e-13,
+                    atol=1e-13 * np.max(np.abs(want)),
+                )
+
     def test_zero_hamiltonian_is_constant(self):
         point0 = ChartPoint(3, np.array([1.0, 0.5j, -0.25]))
         traj = integrate_classical(np.zeros((4, 4)), point0, TimeGrid(1.0, 0.01, 10))
         assert traj.n_switches == 0
         np.testing.assert_allclose(traj.coords, np.tile(point0.coords, (11, 1)))
         np.testing.assert_array_equal(traj.pivots, 3)
+
+    def test_states_built_once(self, rng):
+        # compare and emit_csv reuse the stack the integrator built for the
+        # energies instead of rebuilding it from coords
+        psi = random_state(rng, 4)
+        traj = integrate_classical(
+            random_hermitian(rng, 4), to_chart(psi, select_pivot(psi)), TimeGrid(0.5, 0.01)
+        )
+        states = traj.states()
+        assert traj.states() is states
+        assert not states.flags.writeable
 
     def test_carries_reduced_coordinate_count(self, rng):
         for n in (2, 3, 5):

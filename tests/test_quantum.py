@@ -9,10 +9,12 @@ from cpdyn.quantum import (
     evolve_exact_grid,
     evolve_rk4,
     make_state,
+    rk4_weights,
     schrodinger_rhs,
 )
 
 from conftest import random_hermitian, random_state
+from oracles import rk4_step
 
 
 class TestMakeState:
@@ -115,7 +117,33 @@ class TestEvolveExact:
             evolve_rk4(np.array([[0, 1], [0, 0]]), make_state([1, 0]), TimeGrid(1.0, 0.1))
 
 
+class TestRk4Weights:
+    def test_linear_case_is_taylor_polynomial(self):
+        assert rk4_weights(0, 0, 0, 0) == (0, 1, 1 / 2, 1 / 6, 1 / 24)
+
+
 class TestEvolveRk4:
+    def test_matches_stage_form(self, rng):
+        # same states as the stage-by-stage RK4 step to rounding, and no more
+        # norm drift over 10k steps than it has (stepping with I + D as one
+        # matrix repeats that matrix's rounding every step and drifts ~100x
+        # further)
+        grid = TimeGrid(10.0, 1e-3, 1000)
+        samples = set(grid.sample_indices().tolist())
+        for n in range(2, 9):
+            H = random_hermitian(rng, n)
+            psi = random_state(rng, n)
+            traj = evolve_rk4(H, psi, grid)
+            stage = [psi]
+            for step in range(1, grid.n_steps + 1):
+                psi = rk4_step(lambda y: -1j * (H @ y), psi, grid.dt)
+                if step in samples:
+                    stage.append(psi)
+            stage = np.array(stage)
+            np.testing.assert_allclose(traj.states, stage, rtol=0, atol=1e-13)
+            stage_drift = np.max(np.abs(np.linalg.norm(stage, axis=1) - 1.0))
+            assert np.max(traj.norm_drift) <= 1.1 * stage_drift + 1e-15, n
+
     def test_zero_hamiltonian_constant(self):
         psi0 = make_state([0.6, 0.8])
         traj = evolve_rk4(np.zeros((2, 2)), psi0, TimeGrid(1.0, 0.01, 10))

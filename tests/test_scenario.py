@@ -231,14 +231,14 @@ class TestCompare:
         }
 
     def test_corrupted_dynamics_fails_loudly(self, monkeypatch):
-        # harness self-test: flip a sign in the integrator kernel and the
-        # comparison must blow through any sane tolerance
-        real_rhs = cpdyn.flow._rhs
+        # harness self-test: flip the sign of the integrator's step increment
+        # and the comparison must blow through any sane tolerance
+        real_increment = cpdyn.flow._rk4_increment
 
-        def sabotaged(H, u, pivot):
-            return -real_rhs(H, u, pivot)
+        def sabotaged(M, K, pivot):
+            return -real_increment(M, K, pivot)
 
-        monkeypatch.setattr(cpdyn.flow, "_rhs", sabotaged)
+        monkeypatch.setattr(cpdyn.flow, "_rk4_increment", sabotaged)
         config = load_scenario(SCENARIO_DIR / "fig1_left.json")
         report = compare(config, tolerance=1e-6)
         assert not report.passed
