@@ -84,14 +84,14 @@ def select_pivot(psi: np.ndarray) -> int:
     return int(np.argmax(np.abs(np.asarray(psi))))
 
 
-def to_chart(psi: np.ndarray, pivot: int, floor: float = PIVOT_FLOOR) -> ChartPoint:
+def to_chart(psi: np.ndarray, pivot: int) -> ChartPoint:
     """Inhomogeneous coordinates of the ray through psi, dividing by
     psi[pivot].  Invariant under global rephasing of psi."""
     psi = np.asarray(psi, dtype=complex)
     div = psi[pivot]
-    if abs(div) < floor:
+    if abs(div) < PIVOT_FLOOR:
         raise ZeroPivotError(
-            f"pivot amplitude |psi[{pivot}]| = {abs(div):.3e} below floor {floor}"
+            f"pivot amplitude |psi[{pivot}]| = {abs(div):.3e} below floor {PIVOT_FLOOR}"
         )
     coords = np.delete(psi, pivot) / div
     return ChartPoint(pivot=pivot, coords=coords)
@@ -144,13 +144,11 @@ def symplectic_inverse(point: ChartPoint) -> np.ndarray:
     return -1j * nfac * (np.eye(x.size) + np.outer(np.conj(x), x))
 
 
-def transition(
-    point: ChartPoint, new_pivot: int, floor: float = PIVOT_FLOOR
-) -> ChartPoint:
+def transition(point: ChartPoint, new_pivot: int) -> ChartPoint:
     """Re-express the same ray in the chart anchored at `new_pivot`.
 
     Pure ratio arithmetic on the homogeneous representative; raises
-    ZeroPivotError when the would-be divisor is below `floor`.
+    ZeroPivotError when the would-be divisor is below PIVOT_FLOOR.
     """
     if new_pivot == point.pivot:
         return point
@@ -158,9 +156,9 @@ def transition(
     if not 0 <= new_pivot < u.size:
         raise ValueError(f"pivot {new_pivot} out of range for dimension {u.size}")
     div = u[new_pivot]
-    if abs(div) < floor:
+    if abs(div) < PIVOT_FLOOR:
         raise ZeroPivotError(
             f"homogeneous coordinate {new_pivot} has modulus {abs(div):.3e}, "
-            f"below floor {floor}"
+            f"below floor {PIVOT_FLOOR}"
         )
     return ChartPoint(pivot=new_pivot, coords=np.delete(u, new_pivot) / div)

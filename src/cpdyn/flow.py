@@ -134,10 +134,10 @@ def _rk4_increment(M: np.ndarray, K: np.ndarray, pivot: int) -> np.ndarray:
 def classical_hamiltonian(H: np.ndarray, point: ChartPoint) -> float:
     """h0 = <psi|H|psi> evaluated in chart coordinates as D/nfac.
 
-    H must be Hermitian to 1e-10; otherwise D would carry an imaginary
-    part that is silently discarded, so it raises instead.
+    H must pass `pauli.require_hermitian`; otherwise D would carry an
+    imaginary part that is silently discarded, so it raises instead.
     """
-    return energy(require_hermitian(H, tol=1e-10), point)
+    return energy(require_hermitian(H), point)
 
 
 def grad_conj(H: np.ndarray, point: ChartPoint) -> np.ndarray:
@@ -193,7 +193,7 @@ def integrate_classical(
     the first non-finite step.
     """
     settings = settings or FlowSettings()
-    H = require_hermitian(H, tol=1e-10)
+    H = require_hermitian(H)
     if H.shape[0] != point0.dimension:
         raise ValueError(
             f"dimension mismatch: H is {H.shape}, initial point has "

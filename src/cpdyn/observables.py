@@ -89,16 +89,14 @@ def concurrence_classical(point: ChartPoint) -> float:
     return float(2.0 * abs(det) / normalization(point))
 
 
-def is_separable(point: ChartPoint, eps: float = SEPARABILITY_EPS) -> bool:
+def is_separable(point: ChartPoint) -> bool:
     """Numerical witness that the ray lies on the product-state submanifold:
-    classical concurrence below `eps`.
+    classical concurrence below SEPARABILITY_EPS.
 
     Zero concurrence picks out the Segre variety CP^1 x CP^1 inside CP^3,
     the image of pairs of independent single-qubit rays.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return concurrence_classical(point) < eps
+    return concurrence_classical(point) < SEPARABILITY_EPS
 
 
 def energy(H: np.ndarray, state) -> float | np.ndarray:

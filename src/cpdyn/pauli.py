@@ -42,8 +42,12 @@ PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# Dense 2^n x 2^n matrices; 12 qubits (4096 x 4096) is the default ceiling.
-DEFAULT_MAX_QUBITS = 12
+# Dense 2^n x 2^n matrices; 12 qubits (4096 x 4096) is the ceiling.
+MAX_QUBITS = 12
+
+# Hermiticity is judged relative to eps N max|H|: rounding in N-term sums
+# grows like N eps (Higham, Accuracy and Stability, 2nd ed., 2002, sec. 3.1).
+HERMITIAN_RTOL = 16
 
 
 class PauliSyntaxError(ValueError):
@@ -90,16 +94,16 @@ def pauli_matrix(label: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli label {label!r}; expected one of I, X, Y, Z")
 
 
-def tensor_term(term: PauliTerm, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
+def tensor_term(term: PauliTerm) -> np.ndarray:
     """Dense matrix of one term: coefficient times the Kronecker product of
     its labels, leftmost label outermost.  Dimension is 2**n_qubits.
 
-    Raises ValueError when the term exceeds `max_qubits` (dense-size guard).
+    Raises ValueError above MAX_QUBITS qubits (dense-size guard).
     """
-    if term.n_qubits > max_qubits:
+    if term.n_qubits > MAX_QUBITS:
         raise ValueError(
             f"term acts on {term.n_qubits} qubits, above the dense-matrix cap "
-            f"of {max_qubits}; raise max_qubits explicitly if this is intended"
+            f"of {MAX_QUBITS}"
         )
     mat = reduce(np.kron, (PAULI_MATRICES[s] for s in term.labels))
     return term.coefficient * mat
@@ -185,9 +189,7 @@ def format_terms(terms: list[PauliTerm]) -> str:
     return " ".join(parts)
 
 
-def build_hamiltonian(
-    terms: list[PauliTerm], max_qubits: int = DEFAULT_MAX_QUBITS
-) -> np.ndarray:
+def build_hamiltonian(terms: list[PauliTerm]) -> np.ndarray:
     """Sum the dense matrices of `terms` into one Hermitian operator."""
     if not terms:
         raise ValueError("cannot build a Hamiltonian from zero terms")
@@ -199,7 +201,7 @@ def build_hamiltonian(
     dim = 2 ** terms[0].n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     for t in terms:
-        out += tensor_term(t, max_qubits=max_qubits)
+        out += tensor_term(t)
     return out
 
 
@@ -222,14 +224,22 @@ def build_two_qubit_hamiltonian(
     )
 
 
-def require_hermitian(H: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate that H is square, 2D and Hermitian to `tol`; returns H."""
+def require_hermitian(H: np.ndarray) -> np.ndarray:
+    """Validate that H is a finite square matrix of dimension N >= 2 with
+    max|H - H^dag| <= HERMITIAN_RTOL eps N max|H| entrywise (eps the float64
+    machine epsilon); returns H as a complex array."""
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {H.shape}")
     if H.shape[0] < 2:
         raise ValueError("operator dimension must be at least 2")
+    if not np.all(np.isfinite(H)):
+        raise ValueError("operator entries must be finite")
     dev = np.max(np.abs(H - H.conj().T))
-    if dev > tol:
-        raise ValueError(f"operator is not Hermitian: max|H - H^dag| = {dev:.3e}")
+    bound = HERMITIAN_RTOL * np.finfo(float).eps * H.shape[0] * np.max(np.abs(H))
+    if dev > bound:
+        raise ValueError(
+            f"operator is not Hermitian: max|H - H^dag| = {dev:.3e} exceeds "
+            f"{bound:.3e}"
+        )
     return H

@@ -102,7 +102,7 @@ class QuantumTrajectory:
         return self.states.shape[1]
 
 
-def make_state(amplitudes, norm_tol: float = STATE_NORM_TOL) -> np.ndarray:
+def make_state(amplitudes) -> np.ndarray:
     """Validate and return a unit-norm complex state vector (read-only)."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if psi.size < 2:
@@ -110,8 +110,8 @@ def make_state(amplitudes, norm_tol: float = STATE_NORM_TOL) -> np.ndarray:
     if not (np.all(np.isfinite(psi.real)) and np.all(np.isfinite(psi.imag))):
         raise ValueError("state amplitudes must be finite")
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > norm_tol:
-        raise ValueError(f"state norm is {nrm!r}, not 1 within {norm_tol}")
+    if abs(nrm - 1.0) > STATE_NORM_TOL:
+        raise ValueError(f"state norm is {nrm!r}, not 1 within {STATE_NORM_TOL}")
     psi = psi.copy()
     psi.setflags(write=False)
     return psi
@@ -126,22 +126,23 @@ def schrodinger_rhs(H: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return -1j * (H @ psi)
 
 
+def _propagate(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
+    """Rows exp(-iHt) psi0 for t in `times` (or a scalar t), one eigh of H."""
+    evals, vecs = np.linalg.eigh(require_hermitian(H))
+    coeffs = vecs.conj().T @ np.asarray(psi0, dtype=complex)
+    phases = np.exp(-1j * np.outer(times, evals))  # (S, N)
+    return (vecs @ (phases * coeffs).T).T
+
+
 def evolve_exact(H: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     """Propagate psi0 by exp(-iHt) through the eigendecomposition of H."""
-    H = require_hermitian(H, tol=1e-10)
-    evals, vecs = np.linalg.eigh(H)
-    coeffs = vecs.conj().T @ np.asarray(psi0, dtype=complex)
-    return vecs @ (np.exp(-1j * evals * t) * coeffs)
+    return _propagate(H, psi0, t)[0]
 
 
 def evolve_exact_grid(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajectory:
     """Spectral propagation sampled on a TimeGrid (one eigh, all times)."""
-    H = require_hermitian(H, tol=1e-10)
-    evals, vecs = np.linalg.eigh(H)
-    coeffs = vecs.conj().T @ np.asarray(psi0, dtype=complex)
     times = grid.sample_times()
-    phases = np.exp(-1j * np.outer(times, evals))  # (S, N)
-    states = (vecs @ (phases * coeffs).T).T
+    states = _propagate(H, psi0, times)
     drift = np.abs(np.linalg.norm(states, axis=1) - 1.0)
     return QuantumTrajectory(times=times, states=states, norm_drift=drift)
 
@@ -199,7 +200,7 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     per sample is recorded so callers can judge integration quality.
     Raises NumericFailure on the first non-finite step.
     """
-    H = require_hermitian(H, tol=1e-10)
+    H = require_hermitian(H)
     psi = np.array(psi0, dtype=complex)
     if H.shape[1] != psi.shape[0]:
         raise ValueError(f"dimension mismatch: H is {H.shape}, psi has {psi.shape[0]}")

@@ -21,7 +21,7 @@ the file format needs no complex literals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -87,13 +87,13 @@ def _parse_hamiltonian(node) -> np.ndarray:
     if "pauli" in node:
         try:
             terms = pauli.parse_hamiltonian(node["pauli"])
-            return pauli.build_hamiltonian(terms)
+            return pauli.require_hermitian(pauli.build_hamiltonian(terms))
         except ValueError as exc:
             raise ConfigError(f"hamiltonian.pauli: {exc}") from exc
     if "dense" in node:
         H = _complex_array(node["dense"], "hamiltonian.dense", ndim=2)
         try:
-            return pauli.require_hermitian(H, tol=1e-9)
+            return pauli.require_hermitian(H)
         except ValueError as exc:
             raise ConfigError(f"hamiltonian.dense: {exc}") from exc
     raise ConfigError("hamiltonian: needs either a 'pauli' string or a 'dense' matrix")
@@ -331,19 +331,12 @@ class ComparisonReport:
         return self.max_deviation <= self.tolerance
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "tolerance": self.tolerance,
-            "observable_deviation": dict(self.observable_deviation),
-            "fidelity_gap_max": self.fidelity_gap_max,
-            "energy_drift_quantum": self.energy_drift_quantum,
-            "energy_drift_classical": self.energy_drift_classical,
-            "norm_drift_quantum": self.norm_drift_quantum,
-            "n_switches": self.n_switches,
-            "switch_times": [float(t) for t in self.switch_times],
-            "max_deviation": self.max_deviation,
-            "passed": self.passed,
-        }
+        """The fields in declaration order, then `max_deviation` and `passed`."""
+        out = asdict(self)
+        out["switch_times"] = [float(t) for t in self.switch_times]
+        out["max_deviation"] = self.max_deviation
+        out["passed"] = self.passed
+        return out
 
     def summary_lines(self) -> list[str]:
         lines = [f"scenario: {self.scenario}"]

@@ -33,6 +33,22 @@ def test_validate_invalid_config_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"hamiltonian": {"pauli": "1*ZI"}}))
     assert main(["validate", "--config", str(path)]) == 2
     assert "missing required field" in capsys.readouterr().err
+    # a file that validates also runs: a dense H off by a 5e-10 residue or
+    # holding a NaN is refused by validate and by compare alike
+    for dense in (
+        {"real": [[1.0, 0.0], [0.0, -1.0]], "imag": [[0.0, 5e-10], [0.0, 0.0]]},
+        {"real": [[float("nan"), 0.0], [0.0, -1.0]]},
+    ):
+        doc = {
+            "hamiltonian": {"dense": dense},
+            "initial_state": {"real": [1.0, 0.0]},
+            "grid": {"t_end": 1.0, "dt": 0.1},
+            "observables": ["populations"],
+        }
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "compare"):
+            assert main([command, "--config", str(path)]) == 2
+            assert "error: hamiltonian.dense:" in capsys.readouterr().err
 
 
 def test_simulate_writes_csv(tmp_path, capsys):

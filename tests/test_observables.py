@@ -135,10 +135,6 @@ class TestSeparability:
             point = to_chart(psi, select_pivot(psi))
             assert is_separable(point)
 
-    def test_eps_must_be_positive(self):
-        with pytest.raises(ValueError):
-            is_separable(ChartPoint(3, np.ones(3)), eps=0.0)
-
 
 def test_representation_agreement_along_trajectory(rng):
     # the agreement holds at every sample of an actual switching trajectory

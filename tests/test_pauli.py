@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpdyn.chart import ChartPoint
+from cpdyn.flow import classical_hamiltonian, integrate_classical
 from cpdyn.pauli import (
+    HERMITIAN_RTOL,
     MixedLabelLengthError,
     PauliSyntaxError,
     PauliTerm,
@@ -15,9 +18,16 @@ from cpdyn.pauli import (
     require_hermitian,
     tensor_term,
 )
-from cpdyn.quantum import schrodinger_rhs
+from cpdyn.quantum import (
+    TimeGrid,
+    evolve_exact,
+    evolve_exact_grid,
+    evolve_rk4,
+    schrodinger_rhs,
+)
+from cpdyn.scenario import scenario_from_dict
 
-from conftest import random_state
+from conftest import random_hermitian, random_state
 
 
 def test_pauli_matrix_standard_convention():
@@ -53,7 +63,6 @@ def test_tensor_term_qubit_cap():
     term = PauliTerm(1.0, tuple("I" * 13))
     with pytest.raises(ValueError, match="dense-matrix cap"):
         tensor_term(term)
-    assert tensor_term(term, max_qubits=13).shape == (2**13, 2**13)
 
 
 def test_pauli_term_invariants():
@@ -191,3 +200,61 @@ def test_require_hermitian_rejects_bad_input():
         require_hermitian(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="at least 2"):
         require_hermitian(np.ones((1, 1)))
+    with pytest.raises(ValueError, match="finite"):
+        require_hermitian(np.array([[np.nan, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="finite"):
+        require_hermitian(np.array([[1, np.inf], [np.inf, 1]]))
+
+
+def residue_hamiltonian(factor: float, scale: float) -> np.ndarray:
+    """N=4 with max|H| = scale and max|H - H^dag| = `factor` times the
+    bound; exact in float64 for a power-of-two scale."""
+    r = factor * HERMITIAN_RTOL * np.finfo(float).eps * 4
+    H = np.diag([1.0, -1.0, 0.5, 0.0]).astype(complex)
+    H[0, 1] = H[1, 0] = 0.25 + 0.5j * r
+    return H * scale
+
+
+def _start(H):
+    return np.eye(len(H))[0]
+
+
+_GRID = TimeGrid(t_end=1e-3, dt=1e-3)
+
+# every public entry that validates H, as a function of H alone
+ENTRY_POINTS = {
+    "evolve_exact": lambda H: evolve_exact(H, _start(H), 1e-3),
+    "evolve_exact_grid": lambda H: evolve_exact_grid(H, _start(H), _GRID),
+    "evolve_rk4": lambda H: evolve_rk4(H, _start(H), _GRID),
+    "integrate_classical": lambda H: integrate_classical(
+        H, ChartPoint(0, np.zeros(len(H) - 1)), _GRID
+    ),
+    "classical_hamiltonian": lambda H: classical_hamiltonian(
+        H, ChartPoint(0, np.zeros(len(H) - 1))
+    ),
+    "scenario_from_dict": lambda H: scenario_from_dict(
+        {
+            "hamiltonian": {"dense": {"real": H.real.tolist(), "imag": H.imag.tolist()}},
+            "initial_state": {"real": _start(H).tolist()},
+            "grid": {"t_end": 1e-3, "dt": 1e-3},
+            "observables": ["populations"],
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_one_hermiticity_rule(entry, rng):
+    call = ENTRY_POINTS[entry]
+    for scale in (2.0**-10, 1.0, 2.0**20):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            call(residue_hamiltonian(1.01, scale))
+        call(residue_hamiltonian(0.99, scale))
+    for scale in (1e-3, 1.0, 1e6):
+        call(random_hermitian(rng, 8) * scale)
+    # eigenbasis-built H carries rounding residue; it must not count
+    n = 256
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    H = (q * rng.uniform(-1, 1, n)) @ q.conj().T
+    assert np.max(np.abs(H - H.conj().T)) > 0
+    call(H)

@@ -74,6 +74,14 @@ class TestLoadScenario:
         doc["hamiltonian"] = {"dense": {"real": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]}}
         with pytest.raises(ConfigError, match="hamiltonian.dense: .*square"):
             scenario_from_dict(doc)
+        # a 5e-10 residue at unit scale is far above 16 eps N max|H|
+        residue = {"real": [[1.0, 0.0], [0.0, -1.0]], "imag": [[0.0, 5e-10], [0.0, 0.0]]}
+        doc["hamiltonian"] = {"dense": residue}
+        with pytest.raises(ConfigError, match="hamiltonian.dense: .*not Hermitian"):
+            scenario_from_dict(doc)
+        doc["hamiltonian"] = {"dense": {"real": [[np.nan, 0.0], [0.0, -1.0]]}}
+        with pytest.raises(ConfigError, match="hamiltonian.dense: .*finite"):
+            scenario_from_dict(doc)
 
     def test_dense_hamiltonian_accepted(self):
         dense = {"real": [[1.0, 0.0], [0.0, -1.0]]}
@@ -106,6 +114,11 @@ class TestLoadScenario:
     def test_bad_pauli_string_message(self):
         with pytest.raises(ConfigError, match="hamiltonian.pauli"):
             scenario_from_dict(minimal_doc(hamiltonian={"pauli": "1*ZI + *X"}))
+        # finite coefficients whose sum overflows
+        with np.errstate(over="ignore"), pytest.raises(
+            ConfigError, match="hamiltonian.pauli: .*finite"
+        ):
+            scenario_from_dict(minimal_doc(hamiltonian={"pauli": "1e308*ZI + 1e308*IZ"}))
 
     def test_mixed_term_length_rejected(self):
         with pytest.raises(ConfigError, match="qubit counts"):
