@@ -88,6 +88,8 @@ def to_chart(psi: np.ndarray, pivot: int) -> ChartPoint:
     """Inhomogeneous coordinates of the ray through psi, dividing by
     psi[pivot].  Invariant under global rephasing of psi."""
     psi = np.asarray(psi, dtype=complex)
+    if not 0 <= pivot < psi.size:
+        raise ValueError(f"pivot {pivot} out of range for dimension {psi.size}")
     div = psi[pivot]
     if abs(div) < PIVOT_FLOOR:
         raise ZeroPivotError(
@@ -107,7 +109,7 @@ def from_chart(point: ChartPoint) -> np.ndarray:
 def normalization(point: ChartPoint) -> float:
     """nfac = 1 + sum_i |x^i|^2."""
     x = point.coords
-    return 1.0 + np.vdot(x, x).real
+    return float(1.0 + np.vdot(x, x).real)
 
 
 def kahler_potential(point: ChartPoint) -> float:
@@ -147,18 +149,9 @@ def symplectic_inverse(point: ChartPoint) -> np.ndarray:
 def transition(point: ChartPoint, new_pivot: int) -> ChartPoint:
     """Re-express the same ray in the chart anchored at `new_pivot`.
 
-    Pure ratio arithmetic on the homogeneous representative; raises
-    ZeroPivotError when the would-be divisor is below PIVOT_FLOOR.
+    `to_chart` of the homogeneous representative; raises ZeroPivotError
+    when the would-be divisor is below PIVOT_FLOOR.
     """
     if new_pivot == point.pivot:
         return point
-    u = point.homogeneous()
-    if not 0 <= new_pivot < u.size:
-        raise ValueError(f"pivot {new_pivot} out of range for dimension {u.size}")
-    div = u[new_pivot]
-    if abs(div) < PIVOT_FLOOR:
-        raise ZeroPivotError(
-            f"homogeneous coordinate {new_pivot} has modulus {abs(div):.3e}, "
-            f"below floor {PIVOT_FLOOR}"
-        )
-    return ChartPoint(pivot=new_pivot, coords=np.delete(u, new_pivot) / div)
+    return to_chart(point.homogeneous(), new_pivot)

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 comparison tolerance breach, 2 configuration error,
-3 numeric failure during integration.
+Exit codes: 0 success, 1 comparison tolerance breach, 2 configuration or
+output-path error (checked before integrating where possible), 3 numeric
+failure during integration.
 """
 
 from __future__ import annotations
@@ -62,13 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None) or getattr(args, "report", None)
     try:
         config = load_scenario(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if out is not None and not Path(out).parent.is_dir():
+            raise FileNotFoundError(f"output directory {Path(out).parent} does not exist")
 
-    try:
         if args.command == "validate":
             print(f"ok: {args.config} ({config.name}, N={config.dimension})")
             return EXIT_OK
@@ -87,6 +87,11 @@ def main(argv=None) -> int:
                 Path(args.report).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
                 print(f"report written to {args.report}")
             return EXIT_OK if report.passed else EXIT_TOLERANCE
+    except (ConfigError, OSError) as exc:
+        # scenario files are read inside load_scenario, so an OSError here
+        # comes from the output path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -27,7 +27,8 @@ vectors: [Bu; B^2 u] is one product with the stacked matrix [B; B^2],
 entries into the weights of the increment.  After a step the integrator
 hops to the chart anchored at the largest |u_i|, rescaling u so that
 u[new] = 1, whenever the implied pivot amplitude 1/|u| = 1/sqrt(nfac)
-falls below a threshold.
+falls below a threshold.  The trajectory keeps the sampled u; everything
+else it reports (coordinates, nfac = |u|^2, states, h0) is read from them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import ChartPoint, select_pivot
+from .chart import ChartPoint, normalization, select_pivot, to_chart
 from .observables import energy
 from .pauli import require_hermitian
 from .quantum import NumericFailure, TimeGrid, rk4_weights
@@ -72,46 +73,45 @@ class FlowSettings:
 
 @dataclass
 class ClassicalTrajectory:
-    """Sampled chart-coordinate flow.
+    """Sampled flow on the homogeneous vector.
 
-    `coords[k]` (length N-1) lives in the chart anchored at `pivots[k]`;
-    `energies[k]` is h0 there and `n_switches_cum[k]` counts chart switches
-    up to and including that sample time.
+    `u[k]` (read-only) lives in the chart anchored at `pivots[k]`, so
+    `u[k, pivots[k]] == 1`; `energies[k]` is h0 there and `n_switches_cum[k]`
+    counts chart switches up to and including that sample time.
     """
 
     times: np.ndarray
-    coords: np.ndarray
+    u: np.ndarray
     pivots: np.ndarray
     energies: np.ndarray
     n_switches_cum: np.ndarray = field(repr=False)
     switch_times: np.ndarray = field(repr=False)
-    _states: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
-        return self.coords.shape[1] + 1
+        return self.u.shape[1]
 
     @property
     def n_switches(self) -> int:
         return len(self.switch_times)
 
+    @property
+    def coords(self) -> np.ndarray:
+        """(S, N-1) chart coordinates: `u` without the pivot slot."""
+        off_pivot = np.arange(self.dimension) != self.pivots[:, None]
+        return self.u[off_pivot].reshape(len(self.u), -1)
+
+    @property
+    def nfac(self) -> np.ndarray:
+        """(S,) normalization factors |u|^2 = 1 + |x|^2."""
+        return np.sum(self.u.real**2 + self.u.imag**2, axis=1)
+
     def point(self, k: int) -> ChartPoint:
-        return ChartPoint(pivot=int(self.pivots[k]), coords=self.coords[k])
+        return to_chart(self.u[k], int(self.pivots[k]))
 
     def states(self) -> np.ndarray:
-        """(S, N) unit states: `from_chart` applied to every sample at once.
-
-        Built on the first call and returned (read-only) by every later one.
-        """
-        if self._states is None:
-            x = self.coords
-            at_pivot = np.arange(self.dimension) == self.pivots[:, None]
-            u = np.ones(at_pivot.shape, dtype=complex)
-            u[~at_pivot] = x.ravel()
-            nfac = 1.0 + np.sum(x.real**2 + x.imag**2, axis=1)
-            self._states = u / np.sqrt(nfac)[:, None]
-            self._states.setflags(write=False)
-        return self._states
+        """(S, N) unit states: `from_chart` applied to every sample at once."""
+        return self.u / np.sqrt(self.nfac)[:, None]
 
 
 def _rk4_increment(M: np.ndarray, K: np.ndarray, pivot: int) -> np.ndarray:
@@ -155,7 +155,7 @@ def grad_conj(H: np.ndarray, point: ChartPoint) -> np.ndarray:
     x = point.coords
     u = point.homogeneous()
     hu = H @ u
-    nfac = 1.0 + np.vdot(x, x).real
+    nfac = normalization(point)
     d = np.vdot(u, hu).real
     hk = np.delete(hu, point.pivot)
     return (hk * nfac - d * x) / nfac**2
@@ -173,7 +173,7 @@ def hamilton_rhs(H: np.ndarray, point: ChartPoint) -> np.ndarray:
     """
     x = point.coords
     g = grad_conj(H, point)
-    nfac = 1.0 + np.vdot(x, x).real
+    nfac = normalization(point)
     return (-1j * nfac) * (g + x * np.vdot(x, g))
 
 
@@ -238,14 +238,14 @@ def integrate_classical(
             us[k], pivots[k], cum[k] = u, pivot, len(switch_times)
             k += 1
 
-    at_pivot = np.arange(n) == pivots[:, None]
+    us.setflags(write=False)
     traj = ClassicalTrajectory(
         times=sample_steps * grid.dt,
-        coords=us[~at_pivot].reshape(sample_steps.size, n - 1),
+        u=us,
         pivots=pivots,
         energies=np.empty(0),
         n_switches_cum=cum,
         switch_times=np.asarray(switch_times),
     )
-    traj.energies = energy(H, traj.states())
+    traj.energies = energy(H, us) / traj.nfac
     return traj

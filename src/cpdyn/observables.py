@@ -1,10 +1,12 @@
 """Physical observables in both representations.
 
-Every quantity has a quantum form (function of the state vector) and a
-classical form (function of the chart point); the two agree exactly through
-`from_chart` because all of them are phase-invariant.  The quantum forms
-also take a stack of states (S, N) and then return one value per row, which
-is how trajectories on either side are evaluated.
+Every quantity has a quantum form, a function of the state vector that also
+takes a stack of states (S, N) and then returns one value per row.  Its
+classical form on CP^{N-1} follows from one rule (the Kibble /
+Ashtekar-Schilling classicalization): evaluate the quantum form at the
+homogeneous vector u of the chart point and divide by nfac = |u|^2.  The
+rule is exact because every observable here is phase-invariant and scales
+as |c|^2 under psi -> c psi, the concurrence 2|ad - bc| included.
 """
 
 from __future__ import annotations
@@ -37,13 +39,15 @@ def populations_quantum(psi: np.ndarray) -> np.ndarray:
     return np.abs(np.asarray(psi, dtype=complex)) ** 2
 
 
+def _classical(quantum_form, point: ChartPoint):
+    """The classical form of `quantum_form` at `point`: f(u)/nfac."""
+    return quantum_form(point.homogeneous()) / normalization(point)
+
+
 def populations_classical(point: ChartPoint) -> np.ndarray:
     """Populations from chart coordinates: |x^i|^2/nfac off-pivot, 1/nfac
     at the pivot slot."""
-    nfac = normalization(point)
-    x = point.coords
-    out = np.insert((x.real**2 + x.imag**2), point.pivot, 1.0)
-    return out / nfac
+    return _classical(populations_quantum, point)
 
 
 def _require_two_qubits(n: int, what: str):
@@ -62,9 +66,7 @@ def quaternionic_z_quantum(psi: np.ndarray) -> float | np.ndarray:
 def quaternionic_z_classical(point: ChartPoint) -> float:
     """Classical z from chart populations; slot membership {0,1} vs {2,3}
     fixes the signs in any chart."""
-    _require_two_qubits(point.dimension, "quaternionic population difference")
-    p = populations_classical(point)
-    return float(p[0] + p[1] - p[2] - p[3])
+    return _classical(quaternionic_z_quantum, point)
 
 
 def concurrence_quantum(psi: np.ndarray) -> float | np.ndarray:
@@ -83,10 +85,7 @@ def concurrence_classical(point: ChartPoint) -> float:
     the 2x2 amplitude matrix.  In the chart anchored at the last amplitude
     this reduces to 2|x^0 - x^1 x^2|/nfac.
     """
-    _require_two_qubits(point.dimension, "concurrence")
-    u = point.homogeneous()
-    det = u[0] * u[3] - u[1] * u[2]
-    return float(2.0 * abs(det) / normalization(point))
+    return _classical(concurrence_quantum, point)
 
 
 def is_separable(point: ChartPoint) -> bool:
@@ -108,13 +107,7 @@ def energy(H: np.ndarray, state) -> float | np.ndarray:
     """
     H = np.asarray(H)
     if isinstance(state, ChartPoint):
-        if H.shape[0] != state.dimension:
-            raise ValueError(
-                f"dimension mismatch: H is {H.shape}, point has "
-                f"dimension {state.dimension}"
-            )
-        u = state.homogeneous()
-        return float(np.vdot(u, H @ u).real / normalization(state))
+        return _classical(lambda u: energy(H, u), state)
     psi = np.asarray(state, dtype=complex)
     if H.shape[0] != psi.shape[-1]:
         raise ValueError(f"dimension mismatch: H is {H.shape}, state has {psi.shape[-1]}")

@@ -262,28 +262,34 @@ _PAIRED = {
 }
 
 
-def _columns(result: RunResult, q, c) -> dict[str, np.ndarray]:
-    """All CSV columns, in CSV order, from the quantum and classical state
-    stacks (S, N); either stack is None when that side was not run.  Both
-    sides go through the same observable functions."""
+def _columns(result: RunResult) -> dict[str, np.ndarray]:
+    """All CSV columns, in CSV order, for the sides that were run.  Each
+    observable column is f(v)/|v|^2 for one quantum form f (the rule of
+    `observables`): v is u with |u|^2 = nfac on the classical side, the
+    states with |v|^2 = 1 (or their computed norm^2) on the quantum side."""
     cfg = result.config
-    if q is not None and cfg.renormalize_before_observables:
-        q = q / np.linalg.norm(q, axis=1, keepdims=True)
-    sides = [(side, states) for side, states in (("q", q), ("c", c)) if states is not None]
+    q, c = result.quantum_trajectory, result.classical_trajectory
+    sides = []
+    if q is not None:
+        renorm = cfg.renormalize_before_observables
+        norm_sq = np.sum(np.abs(q.states) ** 2, axis=1) if renorm else 1.0
+        sides.append(("q", q.states, norm_sq))
+    if c is not None:
+        sides.append(("c", c.u, c.nfac))
     cols: dict[str, np.ndarray] = {"t": result.times}
     if "populations" in cfg.observables:
-        for side, states in sides:
-            pops = observables.populations_quantum(states)
-            cols.update((f"p{i}_{side}", p) for i, p in enumerate(pops.T))
+        for side, v, vsq in sides:
+            pops = observables.populations_quantum(v)
+            cols.update((f"p{i}_{side}", p / vsq) for i, p in enumerate(pops.T))
     for name, (prefix, func) in _PAIRED.items():
         if name in cfg.observables:
-            for side, states in sides:
-                cols[f"{prefix}_{side}"] = func(cfg.hamiltonian, states)
+            for side, v, vsq in sides:
+                cols[f"{prefix}_{side}"] = func(cfg.hamiltonian, v) / vsq
     if "norm" in cfg.observables and q is not None:
-        cols["norm_drift_q"] = result.quantum_trajectory.norm_drift
+        cols["norm_drift_q"] = q.norm_drift
     if c is not None:
-        cols["pivot"] = result.classical_trajectory.pivots
-        cols["n_switches_cum"] = result.classical_trajectory.n_switches_cum
+        cols["pivot"] = c.pivots
+        cols["n_switches_cum"] = c.n_switches_cum
     return cols
 
 
@@ -293,8 +299,7 @@ def emit_csv(result: RunResult, path) -> None:
     First line is the schema comment ``# schema=1``; floats carry 17
     significant digits so values round-trip exactly.
     """
-    q, c = result.quantum_trajectory, result.classical_trajectory
-    cols = _columns(result, q and q.states, c and c.states())
+    cols = _columns(result)
 
     def fmt(col: np.ndarray) -> list[str]:
         if col.dtype.kind == "i":
@@ -367,8 +372,7 @@ def compare(config: ScenarioConfig, tolerance: float = 1e-6) -> ComparisonReport
     qtraj = result.quantum_trajectory
     ctraj = result.classical_trajectory
 
-    cstates = ctraj.states()
-    cols = _columns(result, qtraj.states, cstates)
+    cols = _columns(result)
     deviation: dict[str, float] = {}
     for name in config.observables:
         if name == "norm":
@@ -379,7 +383,7 @@ def compare(config: ScenarioConfig, tolerance: float = 1e-6) -> ComparisonReport
             float(np.max(np.abs(cols[f"{p}_q"] - cols[f"{p}_c"]))) for p in prefixes
         )
 
-    gaps = 1.0 - np.abs(np.sum(qtraj.states.conj() * cstates, axis=1))
+    gaps = 1.0 - np.abs(np.sum(qtraj.states.conj() * ctraj.states(), axis=1))
     energies_q = observables.energy(config.hamiltonian, qtraj.states)
     return ComparisonReport(
         scenario=config.name,

@@ -54,6 +54,12 @@ class TestToFromChart:
         with pytest.raises(ZeroPivotError):
             to_chart(np.array([1.0, 0, 0, 0]), pivot=2)
 
+    def test_out_of_range_pivot_rejected(self):
+        psi = np.array([0.5, 0.5, 0.5, 0.5])
+        for pivot in (4, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                to_chart(psi, pivot)
+
     def test_from_chart_examples(self):
         np.testing.assert_allclose(
             from_chart(ChartPoint(3, np.zeros(3))), [0, 0, 0, 1]

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import cpdyn.cli
 from cpdyn import __version__
 from cpdyn.cli import main
 
@@ -109,3 +110,33 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
         )
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_missing_output_directory_exits_2_before_integrating(
+    tmp_path, capsys, monkeypatch
+):
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated before checking the output path")
+
+    monkeypatch.setattr(cpdyn.cli, "run", integrate)
+    monkeypatch.setattr(cpdyn.cli, "compare", integrate)
+    missing = tmp_path / "missing"
+    for argv in (
+        ["simulate", "--config", FIG1_LEFT, "--out", str(missing / "x.csv")],
+        ["compare", "--config", FIG1_LEFT, "--report", str(missing / "r.json")],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(missing) in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    # the path names a directory, so the write itself fails
+    for argv in (
+        ["simulate", "--config", FIG1_LEFT, "--method", "quantum", "--out", str(tmp_path)],
+        ["compare", "--config", FIG1_LEFT, "--report", str(tmp_path)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -151,16 +151,25 @@ class TestIntegrateClassical:
         np.testing.assert_allclose(traj.coords, np.tile(point0.coords, (11, 1)))
         np.testing.assert_array_equal(traj.pivots, 3)
 
-    def test_states_built_once(self, rng):
-        # compare and emit_csv reuse the stack the integrator built for the
-        # energies instead of rebuilding it from coords
-        psi = random_state(rng, 4)
+    def test_samples_are_homogeneous(self):
+        # the trajectory keeps the integrator's homogeneous vectors: 1 at
+        # the pivot, the chart coordinates in the other slots
+        H = build_two_qubit_hamiltonian(0.0, 1.0, 0.5, 0.3, 0.0)
         traj = integrate_classical(
-            random_hermitian(rng, 4), to_chart(psi, select_pivot(psi)), TimeGrid(0.5, 0.01)
+            H, to_chart(np.array([0, 0, 0, 1.0]), 3), TimeGrid(10.0, 1e-3, 50)
         )
+        assert traj.n_switches >= 1
+        assert not traj.u.flags.writeable
+        rows = np.arange(len(traj.times))
+        np.testing.assert_array_equal(traj.u[rows, traj.pivots], 1.0)
         states = traj.states()
-        assert traj.states() is states
-        assert not states.flags.writeable
+        for k in rows:
+            np.testing.assert_array_equal(
+                traj.coords[k], np.delete(traj.u[k], traj.pivots[k])
+            )
+            np.testing.assert_allclose(
+                states[k], from_chart(traj.point(k)), rtol=0, atol=1e-15
+            )
 
     def test_carries_reduced_coordinate_count(self, rng):
         for n in (2, 3, 5):

@@ -256,3 +256,17 @@ class TestCompare:
         report = compare(config, tolerance=1e-6)
         assert not report.passed
         assert report.max_deviation > 1e-2
+
+    def test_corrupted_classicalization_fails_loudly(self, monkeypatch):
+        # harness self-test: every classical column divides by the sampled
+        # nfac; corrupt it and the comparison must fail
+        real_nfac = cpdyn.flow.ClassicalTrajectory.nfac
+        monkeypatch.setattr(
+            cpdyn.flow.ClassicalTrajectory,
+            "nfac",
+            property(lambda traj: real_nfac.fget(traj) + 1),
+        )
+        config = load_scenario(SCENARIO_DIR / "fig1_right.json")
+        report = compare(config, tolerance=1e-6)
+        assert report.passed is False
+        assert report.observable_deviation["populations"] > 1e-2
