@@ -65,4 +65,4 @@ from .scenario import (
     run,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -28,7 +28,7 @@ entries into the weights of the increment.  After a step the integrator
 hops to the chart anchored at the largest |u_i|, rescaling u so that
 u[new] = 1, whenever the implied pivot amplitude 1/|u| = 1/sqrt(nfac)
 falls below a threshold.  The trajectory keeps the sampled u; everything
-else it reports (coordinates, nfac = |u|^2, states, h0) is read from them.
+else it reports (coordinates, nfac = |u|^2, states) is read from them.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ __all__ = [
     "integrate_classical",
 ]
 
-# Guard against runaway coordinates when no chart switching is configured.
+# |u|^2 at or above this (or NaN) after a step means the step diverged;
+# chart switching keeps |u|^2 <= N between steps, far below it.
 _NSQ_GUARD = 1e300
 
 
@@ -76,15 +77,13 @@ class ClassicalTrajectory:
     """Sampled flow on the homogeneous vector.
 
     `u[k]` (read-only) lives in the chart anchored at `pivots[k]`, so
-    `u[k, pivots[k]] == 1`; `energies[k]` is h0 there and `n_switches_cum[k]`
-    counts chart switches up to and including that sample time.
+    `u[k, pivots[k]] == 1`.  Every other per-sample quantity is derived
+    from these fields; h0 at the samples is `energy(H, u) / nfac`.
     """
 
     times: np.ndarray
     u: np.ndarray
     pivots: np.ndarray
-    energies: np.ndarray
-    n_switches_cum: np.ndarray = field(repr=False)
     switch_times: np.ndarray = field(repr=False)
 
     @property
@@ -94,6 +93,12 @@ class ClassicalTrajectory:
     @property
     def n_switches(self) -> int:
         return len(self.switch_times)
+
+    @property
+    def n_switches_cum(self) -> np.ndarray:
+        """(S,) chart switches up to and including each sample time.  Exact:
+        both time arrays are whole step counts times the same grid step."""
+        return np.searchsorted(self.switch_times, self.times, side="right")
 
     @property
     def coords(self) -> np.ndarray:
@@ -212,11 +217,9 @@ def integrate_classical(
     u = K[0]
     u[:] = point0.homogeneous()
 
-    sample_steps = grid.sample_indices()
-    samples = sample_steps.tolist()
+    samples = grid.sample_indices().tolist()
     us = np.empty((len(samples), n), dtype=complex)
     pivots = np.empty(len(samples), dtype=int)
-    cum = np.empty(len(samples), dtype=int)
     switch_times: list[float] = []
 
     k = 0
@@ -235,17 +238,13 @@ def integrate_classical(
                     pivot = new_pivot
                     switch_times.append(step * grid.dt)
         if step == samples[k]:
-            us[k], pivots[k], cum[k] = u, pivot, len(switch_times)
+            us[k], pivots[k] = u, pivot
             k += 1
 
     us.setflags(write=False)
-    traj = ClassicalTrajectory(
-        times=sample_steps * grid.dt,
+    return ClassicalTrajectory(
+        times=grid.sample_times(),
         u=us,
         pivots=pivots,
-        energies=np.empty(0),
-        n_switches_cum=cum,
         switch_times=np.asarray(switch_times),
     )
-    traj.energies = energy(H, us) / traj.nfac
-    return traj

@@ -5,8 +5,9 @@ Two integration routes are provided on purpose:
 * `evolve_exact`: spectral propagator exp(-iHt) via eigendecomposition,
   exact up to floating point.  This is the trusted oracle.
 * `evolve_rk4`: classical fixed-step 4th-order Runge-Kutta on the
-  Schrodinger right-hand side.  Norm drift is recorded, not corrected:
-  it is a quality signal for the step size.
+  Schrodinger right-hand side.  Norm drift is left in, not corrected:
+  `QuantumTrajectory.norm_drift` reports it as a quality signal for the
+  step size.
 
 Hamiltonians are time-independent dense Hermitian matrices.  For such an
 H every RK4 stage lies in the Krylov space span{u, Bu, ..., B^4 u} with
@@ -21,7 +22,8 @@ its projective form in `cpdyn.flow`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,8 +68,9 @@ class TimeGrid:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.dt > self.t_end:
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
-        if self.output_stride < 1:
-            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
+        stride = self.output_stride
+        if not isinstance(stride, numbers.Integral) or stride < 1:
+            raise ValueError(f"output_stride must be an integer >= 1, got {stride!r}")
         # tolerate t_end = k*dt held with float error, nothing more
         if abs(self.t_end / self.dt - self.n_steps) > 1e-9 * self.n_steps:
             raise ValueError(
@@ -90,16 +93,19 @@ class TimeGrid:
 
 @dataclass
 class QuantumTrajectory:
-    """Sampled Schrodinger evolution: `states[k]` at `times[k]`;
-    `norm_drift[k]` = | ||psi|| - 1 | at that sample."""
+    """Sampled Schrodinger evolution: `states[k]` at `times[k]`."""
 
     times: np.ndarray
     states: np.ndarray
-    norm_drift: np.ndarray = field(repr=False)
 
     @property
     def dimension(self) -> int:
         return self.states.shape[1]
+
+    @property
+    def norm_drift(self) -> np.ndarray:
+        """(S,) | ||psi|| - 1 | at each sample."""
+        return np.abs(np.linalg.norm(self.states, axis=1) - 1.0)
 
 
 def make_state(amplitudes) -> np.ndarray:
@@ -142,9 +148,7 @@ def evolve_exact(H: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
 def evolve_exact_grid(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajectory:
     """Spectral propagation sampled on a TimeGrid (one eigh, all times)."""
     times = grid.sample_times()
-    states = _propagate(H, psi0, times)
-    drift = np.abs(np.linalg.norm(states, axis=1) - 1.0)
-    return QuantumTrajectory(times=times, states=states, norm_drift=drift)
+    return QuantumTrajectory(times=times, states=_propagate(H, psi0, times))
 
 
 def rk4_weights(s1: complex, s2: complex, s3: complex, s4: complex) -> tuple:
@@ -196,8 +200,8 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     The step is psi += D psi, with D = sum_j d_j B^j (`rk4_weights` at
     s = 0, B = -i dt H) built once in Horner form.  Adding the increment
     rather than applying I + D keeps the rounding error of the propagator
-    from repeating every step.  The state is never renormalized; norm drift
-    per sample is recorded so callers can judge integration quality.
+    from repeating every step.  The state is never renormalized, so the
+    trajectory's `norm_drift` shows the integration quality.
     Raises NumericFailure on the first non-finite step.
     """
     H = require_hermitian(H)
@@ -210,8 +214,7 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     eye = np.eye(psi.size)
     D = d0 * eye + B @ (d1 * eye + B @ (d2 * eye + B @ (d3 * eye + d4 * B)))
 
-    sample_steps = grid.sample_indices()
-    samples = sample_steps.tolist()
+    samples = grid.sample_indices().tolist()
     states = np.empty((len(samples), psi.size), dtype=complex)
     states[0] = psi
     k = 1
@@ -224,8 +227,4 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
             states[k] = psi
             k += 1
 
-    return QuantumTrajectory(
-        times=sample_steps * grid.dt,
-        states=states,
-        norm_drift=np.abs(np.linalg.norm(states, axis=1) - 1.0),
-    )
+    return QuantumTrajectory(times=grid.sample_times(), states=states)

@@ -21,6 +21,7 @@ the file format needs no complex literals.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -57,7 +58,6 @@ class ScenarioConfig:
     grid: quantum.TimeGrid
     flow: flow.FlowSettings = field(default_factory=flow.FlowSettings)
     observables: tuple[str, ...] = ("populations", "energy", "norm")
-    renormalize_before_observables: bool = False
     quantum_method: str = "exact"
 
     @property
@@ -68,6 +68,18 @@ class ScenarioConfig:
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
+
+
+@contextmanager
+def _as_config_error(key: str):
+    """Re-raise a ValueError/TypeError from parsing or from a library
+    validator as a ConfigError naming `key`; a ConfigError passes as is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _complex_array(node, key: str, ndim: int) -> np.ndarray:
@@ -85,32 +97,25 @@ def _complex_array(node, key: str, ndim: int) -> np.ndarray:
 def _parse_hamiltonian(node) -> np.ndarray:
     _require(isinstance(node, dict), "hamiltonian: expected an object")
     if "pauli" in node:
-        try:
+        with _as_config_error("hamiltonian.pauli"):
             terms = pauli.parse_hamiltonian(node["pauli"])
             return pauli.require_hermitian(pauli.build_hamiltonian(terms))
-        except ValueError as exc:
-            raise ConfigError(f"hamiltonian.pauli: {exc}") from exc
     if "dense" in node:
-        H = _complex_array(node["dense"], "hamiltonian.dense", ndim=2)
-        try:
+        with _as_config_error("hamiltonian.dense"):
+            H = _complex_array(node["dense"], "hamiltonian.dense", ndim=2)
             return pauli.require_hermitian(H)
-        except ValueError as exc:
-            raise ConfigError(f"hamiltonian.dense: {exc}") from exc
     raise ConfigError("hamiltonian: needs either a 'pauli' string or a 'dense' matrix")
 
 
 def _parse_grid(node) -> quantum.TimeGrid:
     _require(isinstance(node, dict), "grid: expected an object")
+    values = {}
     for key in ("t_end", "dt"):
         _require(key in node, f"grid: missing required field '{key}'")
-    try:
-        return quantum.TimeGrid(
-            t_end=float(node["t_end"]),
-            dt=float(node["dt"]),
-            output_stride=int(node.get("output_stride", 1)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+        with _as_config_error(f"grid.{key}"):
+            values[key] = float(node[key])
+    with _as_config_error("grid"):
+        return quantum.TimeGrid(**values, output_stride=node.get("output_stride", 1))
 
 
 def _parse_flow(node) -> flow.FlowSettings:
@@ -119,10 +124,8 @@ def _parse_flow(node) -> flow.FlowSettings:
     _require(isinstance(node, dict), "flow: expected an object")
     unknown = set(node) - {"switch_threshold"}
     _require(not unknown, f"flow: unknown fields {sorted(unknown)}")
-    try:
+    with _as_config_error("flow.switch_threshold"):
         return flow.FlowSettings(float(node.get("switch_threshold", 0.2)))
-    except ValueError as exc:
-        raise ConfigError(f"flow: {exc}") from exc
 
 
 def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
@@ -135,7 +138,6 @@ def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
         "grid",
         "flow",
         "observables",
-        "renormalize_before_observables",
         "quantum_method",
     }
     _require(not unknown, f"scenario: unknown fields {sorted(unknown)}")
@@ -143,16 +145,14 @@ def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
         _require(key in data, f"scenario: missing required field '{key}'")
 
     H = _parse_hamiltonian(data["hamiltonian"])
-    psi0 = _complex_array(data["initial_state"], "initial_state", ndim=1)
+    with _as_config_error("initial_state"):
+        psi0 = quantum.make_state(
+            _complex_array(data["initial_state"], "initial_state", ndim=1)
+        )
     _require(
         psi0.shape[0] == H.shape[0],
         f"initial_state: has {psi0.shape[0]} amplitudes but the Hamiltonian "
         f"dimension is {H.shape[0]}",
-    )
-    nrm = float(np.linalg.norm(psi0))
-    _require(
-        abs(nrm - 1.0) <= 1e-9,
-        f"initial_state: norm is {nrm!r}, not 1 within 1e-9",
     )
 
     grid = _parse_grid(data["grid"])
@@ -185,9 +185,6 @@ def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
         grid=grid,
         flow=flow_settings,
         observables=tuple(obs),
-        renormalize_before_observables=bool(
-            data.get("renormalize_before_observables", False)
-        ),
         quantum_method=qmethod,
     )
 
@@ -215,7 +212,6 @@ class RunResult:
     the requested method."""
 
     config: ScenarioConfig
-    method: str
     quantum_trajectory: quantum.QuantumTrajectory | None = None
     classical_trajectory: flow.ClassicalTrajectory | None = None
 
@@ -233,7 +229,7 @@ def run(config: ScenarioConfig, method: str = "both") -> RunResult:
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    result = RunResult(config=config, method=method)
+    result = RunResult(config=config)
     if method in ("quantum", "both"):
         if config.quantum_method == "rk4":
             result.quantum_trajectory = quantum.evolve_rk4(
@@ -262,30 +258,28 @@ _PAIRED = {
 }
 
 
-def _columns(result: RunResult) -> dict[str, np.ndarray]:
-    """All CSV columns, in CSV order, for the sides that were run.  Each
-    observable column is f(v)/|v|^2 for one quantum form f (the rule of
-    `observables`): v is u with |u|^2 = nfac on the classical side, the
-    states with |v|^2 = 1 (or their computed norm^2) on the quantum side."""
-    cfg = result.config
+def _columns(result: RunResult, names) -> dict[str, np.ndarray]:
+    """The columns of the observables in `names`, in CSV order, for the
+    sides that were run.  Each observable column is f(v)/|v|^2 for one
+    quantum form f (the rule of `observables`): v is u with |u|^2 = nfac
+    on the classical side, the unit states on the quantum side."""
+    H = result.config.hamiltonian
     q, c = result.quantum_trajectory, result.classical_trajectory
     sides = []
     if q is not None:
-        renorm = cfg.renormalize_before_observables
-        norm_sq = np.sum(np.abs(q.states) ** 2, axis=1) if renorm else 1.0
-        sides.append(("q", q.states, norm_sq))
+        sides.append(("q", q.states, 1.0))
     if c is not None:
         sides.append(("c", c.u, c.nfac))
     cols: dict[str, np.ndarray] = {"t": result.times}
-    if "populations" in cfg.observables:
+    if "populations" in names:
         for side, v, vsq in sides:
             pops = observables.populations_quantum(v)
             cols.update((f"p{i}_{side}", p / vsq) for i, p in enumerate(pops.T))
     for name, (prefix, func) in _PAIRED.items():
-        if name in cfg.observables:
+        if name in names:
             for side, v, vsq in sides:
-                cols[f"{prefix}_{side}"] = func(cfg.hamiltonian, v) / vsq
-    if "norm" in cfg.observables and q is not None:
+                cols[f"{prefix}_{side}"] = func(H, v) / vsq
+    if "norm" in names and q is not None:
         cols["norm_drift_q"] = q.norm_drift
     if c is not None:
         cols["pivot"] = c.pivots
@@ -299,7 +293,7 @@ def emit_csv(result: RunResult, path) -> None:
     First line is the schema comment ``# schema=1``; floats carry 17
     significant digits so values round-trip exactly.
     """
-    cols = _columns(result)
+    cols = _columns(result, result.config.observables)
 
     def fmt(col: np.ndarray) -> list[str]:
         if col.dtype.kind == "i":
@@ -372,7 +366,7 @@ def compare(config: ScenarioConfig, tolerance: float = 1e-6) -> ComparisonReport
     qtraj = result.quantum_trajectory
     ctraj = result.classical_trajectory
 
-    cols = _columns(result)
+    cols = _columns(result, {*config.observables, "energy", "norm"})
     deviation: dict[str, float] = {}
     for name in config.observables:
         if name == "norm":
@@ -384,17 +378,15 @@ def compare(config: ScenarioConfig, tolerance: float = 1e-6) -> ComparisonReport
         )
 
     gaps = 1.0 - np.abs(np.sum(qtraj.states.conj() * ctraj.states(), axis=1))
-    energies_q = observables.energy(config.hamiltonian, qtraj.states)
+    e_q, e_c = cols["E_q"], cols["E_c"]
     return ComparisonReport(
         scenario=config.name,
         tolerance=tolerance,
         observable_deviation=deviation,
         fidelity_gap_max=float(np.max(gaps)),
-        energy_drift_quantum=float(np.max(np.abs(energies_q - energies_q[0]))),
-        energy_drift_classical=float(
-            np.max(np.abs(ctraj.energies - ctraj.energies[0]))
-        ),
-        norm_drift_quantum=float(np.max(qtraj.norm_drift)),
+        energy_drift_quantum=float(np.max(np.abs(e_q - e_q[0]))),
+        energy_drift_classical=float(np.max(np.abs(e_c - e_c[0]))),
+        norm_drift_quantum=float(np.max(cols["norm_drift_q"])),
         n_switches=ctraj.n_switches,
         switch_times=ctraj.switch_times,
     )

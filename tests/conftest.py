@@ -26,6 +26,19 @@ def random_coords(rng: np.random.Generator, m: int, radius: float = 1.0) -> np.n
     return radius * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
 
 
+def minimal_doc(**overrides):
+    """A valid two-qubit scenario document; keywords replace its fields."""
+    doc = {
+        "name": "test",
+        "hamiltonian": {"pauli": "1*ZI + 1*XI"},
+        "initial_state": {"real": [0.5, 0.5, 0.5, 0.5]},
+        "grid": {"t_end": 1.0, "dt": 0.01, "output_stride": 10},
+        "observables": ["populations", "z", "concurrence", "energy", "norm"],
+    }
+    doc.update(overrides)
+    return doc
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260808)

@@ -7,8 +7,22 @@ import cpdyn.cli
 from cpdyn import __version__
 from cpdyn.cli import main
 
+from conftest import minimal_doc
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FIG1_LEFT = str(SCENARIO_DIR / "fig1_left.json")
+
+# (section, malformed value, key the error names): each escaped the parser
+# as a bare TypeError/ValueError, or (the stride) was truncated and accepted
+MALFORMED = [
+    ("grid", {"t_end": None, "dt": 0.01}, "grid.t_end"),
+    ("grid", {"t_end": [1], "dt": 0.01}, "grid.t_end"),
+    ("flow", {"switch_threshold": None}, "flow.switch_threshold"),
+    ("initial_state", {"real": [[1, 0], [1]]}, "initial_state"),
+    ("initial_state", {"real": "ab"}, "initial_state"),
+    ("hamiltonian", {"pauli": 5}, "hamiltonian.pauli"),
+    ("grid", {"t_end": 1.0, "dt": 0.01, "output_stride": 2.5}, "grid"),
+]
 
 
 def test_version_flag(capsys):
@@ -50,6 +64,15 @@ def test_validate_invalid_config_exits_2(tmp_path, capsys):
         for command in ("validate", "compare"):
             assert main([command, "--config", str(path)]) == 2
             assert "error: hamiltonian.dense:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, node, key", MALFORMED, ids=[m[2] for m in MALFORMED])
+def test_validate_malformed_field_exits_2(tmp_path, capsys, section, node, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(minimal_doc(**{section: node})))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key}: "), err
 
 
 def test_simulate_writes_csv(tmp_path, capsys):

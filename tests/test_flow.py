@@ -200,7 +200,8 @@ class TestIntegrateClassical:
         traj = integrate_classical(
             H, to_chart(psi, select_pivot(psi)), TimeGrid(20.0, 1e-3, 500)
         )
-        assert np.max(np.abs(traj.energies - traj.energies[0])) < 1e-8
+        h0 = energy(H, traj.u) / traj.nfac
+        assert np.max(np.abs(h0 - h0[0])) < 1e-8
 
     def test_switches_through_chart_singularity(self):
         # X (x) I rotation drives the initial pivot amplitude through zero
@@ -216,6 +217,12 @@ class TestIntegrateClassical:
         # the trajectory never lingers in a badly anchored chart
         nfacs = 1 + np.sum(np.abs(traj.coords) ** 2, axis=1)
         assert np.all(1 / np.sqrt(nfacs) > 0.2 * 0.9)
+        # with every step sampled, each switch is a pivot change between
+        # consecutive samples, which counts n_switches_cum independently
+        fine = integrate_classical(H, to_chart(psi0, 3), TimeGrid(10.0, 1e-3, 1))
+        changes = np.cumsum(np.concatenate([[0], fine.pivots[1:] != fine.pivots[:-1]]))
+        np.testing.assert_array_equal(fine.n_switches_cum, changes)
+        assert fine.n_switches_cum[-1] == fine.n_switches >= 1
 
     def test_chart_covariance_of_observables(self, rng):
         # same ray, different admissible starting charts -> same populations

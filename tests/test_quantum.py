@@ -42,6 +42,8 @@ class TestTimeGrid:
             TimeGrid(t_end=1.0, dt=2.0)
         with pytest.raises(ValueError):
             TimeGrid(t_end=1.0, dt=0.1, output_stride=0)
+        with pytest.raises(ValueError, match="integer"):
+            TimeGrid(t_end=1.0, dt=0.1, output_stride=2.5)
         with pytest.raises(ValueError, match="whole number"):
             TimeGrid(t_end=1.0, dt=0.3)
 

@@ -14,19 +14,9 @@ from cpdyn.scenario import (
     scenario_from_dict,
 )
 
+from conftest import minimal_doc
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-
-
-def minimal_doc(**overrides):
-    doc = {
-        "name": "test",
-        "hamiltonian": {"pauli": "1*ZI + 1*XI"},
-        "initial_state": {"real": [0.5, 0.5, 0.5, 0.5]},
-        "grid": {"t_end": 1.0, "dt": 0.01, "output_stride": 10},
-        "observables": ["populations", "z", "concurrence", "energy", "norm"],
-    }
-    doc.update(overrides)
-    return doc
 
 
 def write_scenario(tmp_path, doc, name="scn.json"):
@@ -61,6 +51,10 @@ class TestLoadScenario:
         doc = minimal_doc(initial_state={"real": [1.0, 1.0, 0.0, 0.0]})
         with pytest.raises(ConfigError, match="norm"):
             load_scenario(write_scenario(tmp_path, doc))
+        # the parser applies the library's own norm rule, `make_state`'s 1e-10
+        doc = minimal_doc(initial_state={"real": [1.0 + 5e-10, 0.0, 0.0, 0.0]})
+        with pytest.raises(ConfigError, match="initial_state: .*norm"):
+            scenario_from_dict(doc)
 
     def test_non_hermitian_dense_rejected(self):
         dense = {"real": np.zeros((2, 2)).tolist(), "imag": [[0.0, 1.0], [1.0, 0.0]]}
@@ -106,6 +100,8 @@ class TestLoadScenario:
             scenario_from_dict(minimal_doc(extra=1))
         with pytest.raises(ConfigError, match="unknown fields"):
             scenario_from_dict(minimal_doc(flow={"dt": 1e-3}))
+        with pytest.raises(ConfigError, match="unknown fields"):
+            scenario_from_dict(minimal_doc(renormalize_before_observables=True))
 
     def test_unknown_observable_rejected(self):
         with pytest.raises(ConfigError, match="unknown names"):
@@ -147,26 +143,6 @@ class TestRun:
         config = scenario_from_dict(minimal_doc(quantum_method="rk4"))
         result = run(config, method="quantum")
         assert np.max(result.quantum_trajectory.norm_drift) < 1e-8
-
-    def test_renormalize_before_observables(self, tmp_path):
-        def population_sums(doc):
-            out = tmp_path / "out.csv"
-            emit_csv(run(scenario_from_dict(doc), method="quantum"), out)
-            lines = out.read_text().splitlines()
-            header = lines[1].split(",")
-            cols = [header.index(f"p{i}_q") for i in range(4)]
-            rows = [line.split(",") for line in lines[2:]]
-            return np.array([sum(float(row[j]) for j in cols) for row in rows])
-
-        doc = minimal_doc(
-            quantum_method="rk4",
-            grid={"t_end": 5.0, "dt": 0.05, "output_stride": 10},
-        )
-        raw_sum = population_sums(doc)
-        assert np.max(np.abs(raw_sum - 1.0)) > 1e-10  # drift visible by default
-
-        doc["renormalize_before_observables"] = True
-        np.testing.assert_allclose(population_sums(doc), 1.0, atol=1e-14)
 
     def test_bad_method_rejected(self):
         config = scenario_from_dict(minimal_doc())
