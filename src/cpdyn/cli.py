@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 comparison tolerance breach, 2 configuration or
-output-path error (checked before integrating where possible), 3 numeric
-failure during integration.
+Exit codes: 0 success, 1 comparison tolerance breach, 2 configuration,
+tolerance or output-path error (checked before integrating where
+possible), 3 numeric failure during integration.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance",
         type=float,
         default=1e-6,
-        help="maximum allowed deviation (default: 1e-6)",
+        help="maximum allowed deviation, finite and > 0 (default: 1e-6)",
     )
     p_cmp.add_argument("--report", help="optional JSON report output path")
 

@@ -24,11 +24,15 @@ step-scaled right-hand side is Bu - (Bu)[pivot] u, so every RK4 stage lies
 in span{u, Bu, ..., B^4 u} and a step is computed exactly from those
 vectors: [Bu; B^2 u] is one product with the stacked matrix [B; B^2],
 [B^3 u; B^4 u] a second one, and `quantum.rk4_weights` turns their pivot
-entries into the weights of the increment.  After a step the integrator
-hops to the chart anchored at the largest |u_i|, rescaling u so that
-u[new] = 1, whenever the implied pivot amplitude 1/|u| = 1/sqrt(nfac)
-falls below a threshold.  The trajectory keeps the sampled u; everything
-else it reports (coordinates, nfac = |u|^2, states) is read from them.
+entries into the weights of the increment.  The work array holding
+u, Bu, ..., B^4 u, its product views, the weights and the increment are
+built once per run, so a step allocates no array: it writes only into
+those buffers and into the preallocated sample buffer.  After a step the
+integrator hops to the chart anchored at the largest |u_i|, rescaling u
+so that u[new] = 1, whenever the implied pivot amplitude
+1/|u| = 1/sqrt(nfac) falls below a threshold.  The trajectory keeps the
+sampled u; everything else it reports (coordinates, nfac = |u|^2, states)
+is read from them.
 """
 
 from __future__ import annotations
@@ -119,23 +123,6 @@ class ClassicalTrajectory:
         return self.u / np.sqrt(self.nfac)[:, None]
 
 
-def _rk4_increment(M: np.ndarray, K: np.ndarray, pivot: int) -> np.ndarray:
-    """u_new - u for one RK4 step of the projective Schrodinger equation
-
-        du/dt = -i (Hu - (Hu)[pivot] u),   u = K[0], u[pivot] == 1.
-
-    M is the stacked (2N, N) matrix [B; B^2], B = -i dt H.  Fills the rows
-    K[1:5] of the (5, N) work array with Bu, ..., B^4 u and returns
-    sum_j d_j K[j] with the `rk4_weights` of their pivot entries.  The
-    pivot component of the increment is 0 up to rounding.
-    """
-    n = K.shape[1]
-    # rows 1-2 and 3-4 of K are contiguous, so both reshapes are views
-    np.matmul(M, K[0], out=K[1:3].reshape(2 * n))
-    np.matmul(M, K[2], out=K[3:5].reshape(2 * n))
-    return np.dot(rk4_weights(*K[1:, pivot].tolist()), K)
-
-
 def classical_hamiltonian(H: np.ndarray, point: ChartPoint) -> float:
     """h0 = <psi|H|psi> evaluated in chart coordinates as D/nfac.
 
@@ -173,8 +160,8 @@ def hamilton_rhs(H: np.ndarray, point: ChartPoint) -> np.ndarray:
 
     For a Hermitian H this equals, component by component, the non-pivot
     part of the projective Schrodinger right-hand side -i (Hu - (Hu)[pivot] u)
-    that the integrator steps (`_rk4_increment`); the reduction needs
-    D = u^dag H u to be real.
+    that `integrate_classical` steps in Krylov form (`quantum.rk4_weights`);
+    the reduction needs D = u^dag H u to be real.
     """
     x = point.coords
     g = grad_conj(H, point)
@@ -213,30 +200,45 @@ def integrate_classical(
     M = np.empty((2 * n, n), dtype=complex)
     np.multiply(-1j * grid.dt, H, out=M[:n])
     np.matmul(M[:n], M[:n], out=M[n:])
+    # K holds u, Bu, ..., B^4 u; rows 1-2 and 3-4 are contiguous, so both
+    # product targets are views.  s views the pivot entries of rows 1-4.
     K = np.zeros((5, n), dtype=complex)
-    u = K[0]
+    u, b2u = K[0], K[2]
+    k12, k34 = K[1:3].reshape(2 * n), K[3:5].reshape(2 * n)
+    s = K[1:, pivot]
+    w = np.empty(5, dtype=complex)
+    inc = np.empty(n, dtype=complex)
     u[:] = point0.homogeneous()
+    # np.dot into `out` runs the same BLAS product as np.matmul, with less
+    # dispatch per call
+    dot, vdot = np.dot, np.vdot
 
     samples = grid.sample_indices().tolist()
     us = np.empty((len(samples), n), dtype=complex)
     pivots = np.empty(len(samples), dtype=int)
     switch_times: list[float] = []
 
-    k = 0
-    for step in range(grid.n_steps + 1):
-        if step > 0:
-            u += _rk4_increment(M, K, pivot)
-            u[pivot] = 1.0  # the exact step keeps it at 1; rounding may not
-            usq = np.vdot(u, u).real
-            if not usq < _NSQ_GUARD:
-                raise NumericFailure("non-finite chart coordinates", step)
-            if usq > usq_switch:
-                new_pivot = select_pivot(u)
-                if new_pivot != pivot:
-                    u /= u[new_pivot]
-                    u[new_pivot] = 1.0
-                    pivot = new_pivot
-                    switch_times.append(step * grid.dt)
+    us[0], pivots[0] = u, pivot
+    k = 1
+    for step in range(1, grid.n_steps + 1):
+        # [Bu; B^2 u] = M u, [B^3 u; B^4 u] = M B^2 u, u += sum_j d_j B^j u
+        dot(M, u, out=k12)
+        dot(M, b2u, out=k34)
+        w[:] = rk4_weights(*s.tolist())
+        dot(w, K, out=inc)
+        u += inc
+        u[pivot] = 1.0  # the exact step keeps it at 1; rounding may not
+        usq = vdot(u, u).real
+        if not usq < _NSQ_GUARD:
+            raise NumericFailure("non-finite chart coordinates", step)
+        if usq > usq_switch:
+            new_pivot = select_pivot(u)
+            if new_pivot != pivot:
+                u /= u[new_pivot]
+                u[new_pivot] = 1.0
+                pivot = new_pivot
+                s = K[1:, pivot]
+                switch_times.append(step * grid.dt)
         if step == samples[k]:
             us[k], pivots[k] = u, pivot
             k += 1

@@ -62,6 +62,10 @@ class TimeGrid:
     output_stride: int = 1
 
     def __post_init__(self):
+        for name in ("t_end", "dt"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
@@ -69,7 +73,11 @@ class TimeGrid:
         if self.dt > self.t_end:
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
         stride = self.output_stride
-        if not isinstance(stride, numbers.Integral) or stride < 1:
+        if (
+            isinstance(stride, bool)
+            or not isinstance(stride, numbers.Integral)
+            or stride < 1
+        ):
             raise ValueError(f"output_stride must be an integer >= 1, got {stride!r}")
         # tolerate t_end = k*dt held with float error, nothing more
         if abs(self.t_end / self.dt - self.n_steps) > 1e-9 * self.n_steps:
@@ -167,30 +175,30 @@ def rk4_weights(s1: complex, s2: complex, s3: complex, s4: complex) -> tuple:
 
     Below, y holds the coefficients of a stage point and a, b, c, e those
     of dt k1, ..., dt k4.  A stage point of degree m gives a dt k of degree
-    m + 1; coefficients known to be 0 are left out.
+    m + 1; coefficients known to be 0 are left out, and the leading ones,
+    known exactly (a1 = 1, y1 = b2 = 1/2, then 1/4 up to e4), are written
+    as constants.
     """
-    # stage 1 at y = u
-    a0, a1 = -s1, 1.0
-    # stage 2 at y = u + dt k1 / 2
-    y0, y1 = 1.0 + 0.5 * a0, 0.5 * a1
-    beta = y0 * s1 + y1 * s2
-    b0, b1, b2 = -beta * y0, y0 - beta * y1, y1
-    # stage 3 at y = u + dt k2 / 2
-    y0, y1, y2 = 1.0 + 0.5 * b0, 0.5 * b1, 0.5 * b2
-    beta = y0 * s1 + y1 * s2 + y2 * s3
-    c0, c1, c2, c3 = -beta * y0, y0 - beta * y1, y1 - beta * y2, y2
-    # stage 4 at y = u + dt k3
-    y0, y1, y2, y3 = 1.0 + c0, c1, c2, c3
-    beta = y0 * s1 + y1 * s2 + y2 * s3 + y3 * s4
-    e0, e1, e2, e3, e4 = (
-        -beta * y0, y0 - beta * y1, y1 - beta * y2, y2 - beta * y3, y3
-    )
+    # stage 1 at y = u: a1 = 1
+    a0 = -s1
+    # stage 2 at y = u + dt k1 / 2: y1 = b2 = 1/2
+    y0 = 1.0 + 0.5 * a0
+    beta = y0 * s1 + 0.5 * s2
+    b0, b1 = -beta * y0, y0 - beta * 0.5
+    # stage 3 at y = u + dt k2 / 2: y2 = c3 = 1/4
+    y0, y1 = 1.0 + 0.5 * b0, 0.5 * b1
+    beta = y0 * s1 + y1 * s2 + 0.25 * s3
+    c0, c1, c2 = -beta * y0, y0 - beta * y1, y1 - beta * 0.25
+    # stage 4 at y = u + dt k3 = (1 + c0, c1, c2, 1/4): e4 = 1/4
+    y0 = 1.0 + c0
+    beta = y0 * s1 + c1 * s2 + c2 * s3 + 0.25 * s4
+    e0, e1, e2, e3 = -beta * y0, y0 - beta * c1, c1 - beta * c2, c2 - beta * 0.25
     return (
         (a0 + 2.0 * (b0 + c0) + e0) / 6.0,
-        (a1 + 2.0 * (b1 + c1) + e1) / 6.0,
-        (2.0 * (b2 + c2) + e2) / 6.0,
-        (2.0 * c3 + e3) / 6.0,
-        e4 / 6.0,
+        (1.0 + 2.0 * (b1 + c1) + e1) / 6.0,
+        (2.0 * (0.5 + c2) + e2) / 6.0,
+        (0.5 + e3) / 6.0,
+        1.0 / 24.0,
     )
 
 

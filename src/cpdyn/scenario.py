@@ -21,6 +21,8 @@ the file format needs no complex literals.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -47,7 +49,8 @@ METHODS = ("quantum", "classical", "both")
 
 
 class ConfigError(ValueError):
-    """Scenario file rejected; the message names the violated rule."""
+    """Scenario file or comparison setting rejected; the message names the
+    violated rule."""
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,18 @@ def _as_config_error(key: str):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _number(value, key: str) -> float:
+    """A JSON number as a float; a string or a boolean is refused."""
+    _require(
+        isinstance(value, numbers.Real) and not isinstance(value, bool),
+        f"{key}: expected a number, got {value!r}",
+    )
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _complex_array(node, key: str, ndim: int) -> np.ndarray:
     _require(isinstance(node, dict), f"{key}: expected an object with 'real'/'imag'")
     _require("real" in node, f"{key}: missing 'real' array")
@@ -112,8 +127,7 @@ def _parse_grid(node) -> quantum.TimeGrid:
     values = {}
     for key in ("t_end", "dt"):
         _require(key in node, f"grid: missing required field '{key}'")
-        with _as_config_error(f"grid.{key}"):
-            values[key] = float(node[key])
+        values[key] = _number(node[key], f"grid.{key}")
     with _as_config_error("grid"):
         return quantum.TimeGrid(**values, output_stride=node.get("output_stride", 1))
 
@@ -124,8 +138,10 @@ def _parse_flow(node) -> flow.FlowSettings:
     _require(isinstance(node, dict), "flow: expected an object")
     unknown = set(node) - {"switch_threshold"}
     _require(not unknown, f"flow: unknown fields {sorted(unknown)}")
-    with _as_config_error("flow.switch_threshold"):
-        return flow.FlowSettings(float(node.get("switch_threshold", 0.2)))
+    key = "flow.switch_threshold"
+    threshold = _number(node.get("switch_threshold", 0.2), key)
+    with _as_config_error(key):
+        return flow.FlowSettings(threshold)
 
 
 def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
@@ -360,8 +376,14 @@ def compare(config: ScenarioConfig, tolerance: float = 1e-6) -> ComparisonReport
     """Run quantum and classical on the same grid and report deviations.
 
     The report fails (passed=False) when any observable deviation or the
-    trajectory fidelity gap exceeds `tolerance`; nothing is clamped.
+    trajectory fidelity gap exceeds `tolerance`; nothing is clamped.  A
+    tolerance that is not finite and > 0 cannot gate and raises a
+    ConfigError before anything is integrated.
     """
+    _require(
+        math.isfinite(tolerance) and tolerance > 0,
+        f"tolerance: must be finite and > 0, got {tolerance}",
+    )
     result = run(config, method="both")
     qtraj = result.quantum_trajectory
     ctraj = result.classical_trajectory

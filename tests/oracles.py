@@ -6,12 +6,20 @@ the gradient oracle differentiates the scalar Hamiltonian, and the
 chart-velocity oracle applies the quotient rule to the Schrodinger
 right-hand side.  The RK4 oracle evaluates the four stages one by one,
 against the Krylov form the package integrates with.
+
+`rk4_weights_reference` and `integrate_classical_reference` are the
+Krylov-form weight recurrence and chart-switching loop in their plain
+form: every stage coefficient computed, every view and array built afresh
+in each step.  The package's buffered loop and folded recurrence must
+reproduce them bit for bit.
 """
 
 import numpy as np
 
-from cpdyn.chart import ChartPoint, normalization
-from cpdyn.flow import classical_hamiltonian
+from cpdyn.chart import ChartPoint, normalization, select_pivot
+from cpdyn.flow import _NSQ_GUARD, ClassicalTrajectory, FlowSettings, classical_hamiltonian
+from cpdyn.pauli import require_hermitian
+from cpdyn.quantum import NumericFailure, TimeGrid
 
 FD_STEP = 1e-5
 
@@ -115,3 +123,92 @@ def count_zero_crossings(values: np.ndarray) -> int:
         if sign[i] == 0:
             sign[i] = sign[i - 1]
     return int(np.sum(sign[1:] * sign[:-1] < 0))
+
+
+def rk4_weights_reference(s1, s2, s3, s4) -> tuple:
+    """`quantum.rk4_weights` with every coefficient of the stage recurrence
+    computed, the known constants included."""
+    # stage 1 at y = u
+    a0, a1 = -s1, 1.0
+    # stage 2 at y = u + dt k1 / 2
+    y0, y1 = 1.0 + 0.5 * a0, 0.5 * a1
+    beta = y0 * s1 + y1 * s2
+    b0, b1, b2 = -beta * y0, y0 - beta * y1, y1
+    # stage 3 at y = u + dt k2 / 2
+    y0, y1, y2 = 1.0 + 0.5 * b0, 0.5 * b1, 0.5 * b2
+    beta = y0 * s1 + y1 * s2 + y2 * s3
+    c0, c1, c2, c3 = -beta * y0, y0 - beta * y1, y1 - beta * y2, y2
+    # stage 4 at y = u + dt k3
+    y0, y1, y2, y3 = 1.0 + c0, c1, c2, c3
+    beta = y0 * s1 + y1 * s2 + y2 * s3 + y3 * s4
+    e0, e1, e2, e3, e4 = (
+        -beta * y0, y0 - beta * y1, y1 - beta * y2, y2 - beta * y3, y3
+    )
+    return (
+        (a0 + 2.0 * (b0 + c0) + e0) / 6.0,
+        (a1 + 2.0 * (b1 + c1) + e1) / 6.0,
+        (2.0 * (b2 + c2) + e2) / 6.0,
+        (2.0 * c3 + e3) / 6.0,
+        e4 / 6.0,
+    )
+
+
+def _rk4_increment_reference(M: np.ndarray, K: np.ndarray, pivot: int) -> np.ndarray:
+    """u_new - u for one Krylov-form RK4 step, with fresh views and a fresh
+    increment array: M = [B; B^2], K[0] = u, rows 1-4 filled with B^j u."""
+    n = K.shape[1]
+    np.matmul(M, K[0], out=K[1:3].reshape(2 * n))
+    np.matmul(M, K[2], out=K[3:5].reshape(2 * n))
+    return np.dot(rk4_weights_reference(*K[1:, pivot].tolist()), K)
+
+
+def integrate_classical_reference(
+    H: np.ndarray,
+    point0: ChartPoint,
+    grid: TimeGrid,
+    settings: FlowSettings | None = None,
+) -> ClassicalTrajectory:
+    """`flow.integrate_classical` written as a plain per-step loop."""
+    settings = settings or FlowSettings()
+    H = require_hermitian(H)
+    usq_switch = 1.0 / settings.switch_threshold**2
+
+    pivot = point0.pivot
+    n = point0.dimension
+    M = np.empty((2 * n, n), dtype=complex)
+    np.multiply(-1j * grid.dt, H, out=M[:n])
+    np.matmul(M[:n], M[:n], out=M[n:])
+    K = np.zeros((5, n), dtype=complex)
+    u = K[0]
+    u[:] = point0.homogeneous()
+
+    samples = grid.sample_indices().tolist()
+    us = np.empty((len(samples), n), dtype=complex)
+    pivots = np.empty(len(samples), dtype=int)
+    switch_times: list[float] = []
+
+    k = 0
+    for step in range(grid.n_steps + 1):
+        if step > 0:
+            u += _rk4_increment_reference(M, K, pivot)
+            u[pivot] = 1.0
+            usq = np.vdot(u, u).real
+            if not usq < _NSQ_GUARD:
+                raise NumericFailure("non-finite chart coordinates", step)
+            if usq > usq_switch:
+                new_pivot = select_pivot(u)
+                if new_pivot != pivot:
+                    u /= u[new_pivot]
+                    u[new_pivot] = 1.0
+                    pivot = new_pivot
+                    switch_times.append(step * grid.dt)
+        if step == samples[k]:
+            us[k], pivots[k] = u, pivot
+            k += 1
+
+    return ClassicalTrajectory(
+        times=grid.sample_times(),
+        u=us,
+        pivots=pivots,
+        switch_times=np.asarray(switch_times),
+    )

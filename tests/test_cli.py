@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import cpdyn.cli
+import cpdyn.scenario
 from cpdyn import __version__
 from cpdyn.cli import main
 
@@ -12,8 +13,9 @@ from conftest import minimal_doc
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FIG1_LEFT = str(SCENARIO_DIR / "fig1_left.json")
 
-# (section, malformed value, key the error names): each escaped the parser
-# as a bare TypeError/ValueError, or (the stride) was truncated and accepted
+# (section, malformed value, key the error names[, test id]): each escaped
+# the parser as a bare TypeError/ValueError/OverflowError, or was converted
+# and accepted (the stride truncated, strings and booleans read as numbers)
 MALFORMED = [
     ("grid", {"t_end": None, "dt": 0.01}, "grid.t_end"),
     ("grid", {"t_end": [1], "dt": 0.01}, "grid.t_end"),
@@ -22,6 +24,22 @@ MALFORMED = [
     ("initial_state", {"real": "ab"}, "initial_state"),
     ("hamiltonian", {"pauli": 5}, "hamiltonian.pauli"),
     ("grid", {"t_end": 1.0, "dt": 0.01, "output_stride": 2.5}, "grid"),
+    ("grid", {"t_end": "1", "dt": 0.01}, "grid.t_end", "grid.t_end-string"),
+    ("grid", {"t_end": True, "dt": 0.01}, "grid.t_end", "grid.t_end-bool"),
+    ("grid", {"t_end": 1.0, "dt": "0.01"}, "grid.dt", "grid.dt-string"),
+    ("grid", {"t_end": 10**400, "dt": 0.01}, "grid.t_end", "grid.t_end-overflow"),
+    (
+        "flow",
+        {"switch_threshold": "0.3"},
+        "flow.switch_threshold",
+        "flow.switch_threshold-string",
+    ),
+    (
+        "grid",
+        {"t_end": 1.0, "dt": 0.01, "output_stride": True},
+        "grid",
+        "grid.output_stride-bool",
+    ),
 ]
 
 
@@ -66,7 +84,9 @@ def test_validate_invalid_config_exits_2(tmp_path, capsys):
             assert "error: hamiltonian.dense:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section, node, key", MALFORMED, ids=[m[2] for m in MALFORMED])
+@pytest.mark.parametrize(
+    "section, node, key", [m[:3] for m in MALFORMED], ids=[m[-1] for m in MALFORMED]
+)
 def test_validate_malformed_field_exits_2(tmp_path, capsys, section, node, key):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(minimal_doc(**{section: node})))
@@ -104,6 +124,19 @@ def test_compare_unreachable_tolerance_exits_1(capsys):
     code = main(["compare", "--config", FIG1_LEFT, "--tolerance", "1e-18"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1", "0"])
+def test_compare_tolerance_that_cannot_gate_exits_2(capsys, monkeypatch, tolerance):
+    # inf passes every comparison; nan, -1 and 0 fail every one, which
+    # exit 1 would report as a tolerance breach
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated before checking the tolerance")
+
+    monkeypatch.setattr(cpdyn.scenario, "run", integrate)
+    assert main(["compare", "--config", FIG1_LEFT, "--tolerance", tolerance]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: tolerance: "), err
 
 
 def test_numeric_failure_exits_3(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cpdyn.pauli import build_two_qubit_hamiltonian
 from cpdyn.quantum import (
@@ -14,7 +16,12 @@ from cpdyn.quantum import (
 )
 
 from conftest import random_hermitian, random_state
-from oracles import rk4_step
+from oracles import rk4_step, rk4_weights_reference
+
+# pivot entries s_j = (B^j u)[pivot], bounded so that no product overflows
+pivot_entries = st.complex_numbers(
+    max_magnitude=1e3, allow_nan=False, allow_infinity=False
+)
 
 
 class TestMakeState:
@@ -44,6 +51,12 @@ class TestTimeGrid:
             TimeGrid(t_end=1.0, dt=0.1, output_stride=0)
         with pytest.raises(ValueError, match="integer"):
             TimeGrid(t_end=1.0, dt=0.1, output_stride=2.5)
+        # a bool is an integer to Python, not a number of steps or seconds
+        with pytest.raises(ValueError, match="integer"):
+            TimeGrid(t_end=1.0, dt=0.1, output_stride=True)
+        for t_end, dt in ((True, 0.1), (1.0, True), ("1", 0.1), (1.0, "0.1")):
+            with pytest.raises(ValueError, match="must be a real number"):
+                TimeGrid(t_end=t_end, dt=dt)
         with pytest.raises(ValueError, match="whole number"):
             TimeGrid(t_end=1.0, dt=0.3)
 
@@ -122,6 +135,20 @@ class TestEvolveExact:
 class TestRk4Weights:
     def test_linear_case_is_taylor_polynomial(self):
         assert rk4_weights(0, 0, 0, 0) == (0, 1, 1 / 2, 1 / 6, 1 / 24)
+
+    @given(st.lists(pivot_entries, min_size=4, max_size=4))
+    @example([0j, 0j, 0j, 0j])
+    @example([0.0, 0.0, 0.0, 0.0])
+    @example([-0.0, 0j, complex(-0.0, -0.0), 0.0])
+    def test_bit_identical_to_full_recurrence(self, s):
+        # the exact constants folded into the recurrence change no bit and
+        # no type (a real weight stays a float)
+        got, want = rk4_weights(*s), rk4_weights_reference(*s)
+        assert [type(w) for w in got] == [type(w) for w in want]
+        np.testing.assert_array_equal(
+            np.array(got, dtype=complex).view(np.uint64),
+            np.array(want, dtype=complex).view(np.uint64),
+        )
 
 
 class TestEvolveRk4:

@@ -201,6 +201,12 @@ class TestCompare:
         assert report.observable_deviation["populations"] < 1e-6
         assert report.fidelity_gap_max < 1e-6
 
+    @pytest.mark.parametrize("tolerance", [np.inf, np.nan, -1.0, 0.0])
+    def test_tolerance_that_cannot_gate_rejected(self, tolerance):
+        config = load_scenario(SCENARIO_DIR / "fig1_left.json")
+        with pytest.raises(ValueError, match="tolerance: must be finite and > 0"):
+            compare(config, tolerance=tolerance)
+
     def test_entangling_scenario_concurrence_agrees(self):
         config = load_scenario(SCENARIO_DIR / "fig3_right.json")
         report = compare(config, tolerance=1e-6)
@@ -220,17 +226,18 @@ class TestCompare:
         }
 
     def test_corrupted_dynamics_fails_loudly(self, monkeypatch):
-        # harness self-test: flip the sign of the integrator's step increment
-        # and the comparison must blow through any sane tolerance
-        real_increment = cpdyn.flow._rk4_increment
+        # harness self-test: negate the weights of the integrator's step, so
+        # it steps by minus its increment, and the comparison must blow
+        # through any sane tolerance
+        real_weights = cpdyn.flow.rk4_weights
 
-        def sabotaged(M, K, pivot):
-            return -real_increment(M, K, pivot)
+        def sabotaged(*s):
+            return tuple(-d for d in real_weights(*s))
 
-        monkeypatch.setattr(cpdyn.flow, "_rk4_increment", sabotaged)
+        monkeypatch.setattr(cpdyn.flow, "rk4_weights", sabotaged)
         config = load_scenario(SCENARIO_DIR / "fig1_left.json")
         report = compare(config, tolerance=1e-6)
-        assert not report.passed
+        assert report.passed is False
         assert report.max_deviation > 1e-2
 
     def test_corrupted_classicalization_fails_loudly(self, monkeypatch):
