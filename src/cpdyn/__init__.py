@@ -65,4 +65,4 @@ from .scenario import (
     run,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -8,13 +8,23 @@ leftmost character = first (outermost) tensor factor::
     1.0*ZI + 0.5*XY - 2*YY
 
 All terms in one Hamiltonian must act on the same number of qubits.
+
+Every Pauli string is a signed permutation matrix: one nonzero entry per
+row, a power of -i (the x/z bit form of Aaronson & Gottesman, Phys. Rev. A
+70, 052328, 2004).  With label l_k on bit n-1-k (l_0 outermost, the most
+significant bit), flip mask f = the bits of X/Y labels, sign mask m = the
+bits of Y/Z labels and nY = the number of Y labels,
+
+    P[r, r ^ f] = (-i)^nY (-1)^popcount(r & m),
+
+and every other entry is 0.  `build_hamiltonian` writes each term into H
+by this rule, without forming a Kronecker product.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
 from math import isfinite
 
 import numpy as np
@@ -42,7 +52,8 @@ PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# Dense 2^n x 2^n matrices; 12 qubits (4096 x 4096) is the ceiling.
+# H is a dense 2^n x 2^n matrix, the only N^2 allocation of a build;
+# 12 qubits (4096 x 4096, 256 MiB) is the ceiling.
 MAX_QUBITS = 12
 
 # Hermiticity is judged relative to eps N max|H|: rounding in N-term sums
@@ -98,15 +109,11 @@ def tensor_term(term: PauliTerm) -> np.ndarray:
     """Dense matrix of one term: coefficient times the Kronecker product of
     its labels, leftmost label outermost.  Dimension is 2**n_qubits.
 
-    Raises ValueError above MAX_QUBITS qubits (dense-size guard).
+    Built by `build_hamiltonian([term])`, so each row holds one entry
+    +-c or +-ic (the signed-permutation rule in the module docstring) and
+    every other entry is +0.0.  Raises ValueError above MAX_QUBITS qubits.
     """
-    if term.n_qubits > MAX_QUBITS:
-        raise ValueError(
-            f"term acts on {term.n_qubits} qubits, above the dense-matrix cap "
-            f"of {MAX_QUBITS}"
-        )
-    mat = reduce(np.kron, (PAULI_MATRICES[s] for s in term.labels))
-    return term.coefficient * mat
+    return build_hamiltonian([term])
 
 
 _NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
@@ -189,8 +196,24 @@ def format_terms(terms: list[PauliTerm]) -> str:
     return " ".join(parts)
 
 
+# (-i)^nY for nY mod 4
+_Y_PHASES = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
+
+
 def build_hamiltonian(terms: list[PauliTerm]) -> np.ndarray:
-    """Sum the dense matrices of `terms` into one Hermitian operator."""
+    """Sum `terms` into one dense Hermitian operator.
+
+    Term by term, in input order, over all rows r (the rule in the module
+    docstring)::
+
+        H[r, r ^ f] += c (-i)^nY (-1)^popcount(r & m)
+
+    The addends are exactly +-c or +-ic, and each entry receives them in the
+    same order as the sum of the terms' Kronecker products, so the result is
+    that sum bit for bit; an entry that receives none stays +0.0.
+
+    Raises ValueError above MAX_QUBITS qubits, before allocating H.
+    """
     if not terms:
         raise ValueError("cannot build a Hamiltonian from zero terms")
     lengths = {t.n_qubits for t in terms}
@@ -198,10 +221,31 @@ def build_hamiltonian(terms: list[PauliTerm]) -> np.ndarray:
         raise MixedLabelLengthError(
             f"terms act on different qubit counts {sorted(lengths)}"
         )
-    dim = 2 ** terms[0].n_qubits
+    n = terms[0].n_qubits
+    if n > MAX_QUBITS:
+        raise ValueError(
+            f"terms act on {n} qubits, above the dense-matrix cap of {MAX_QUBITS}"
+        )
+    dim = 1 << n
+    rows = np.arange(dim)
+    row_starts = rows * dim
+    # odd[j] is the parity of popcount(j)
+    odd = np.zeros_like(rows)
+    for b in range(n):
+        odd ^= rows >> b
+    odd = (odd & 1).astype(bool)
+
     out = np.zeros((dim, dim), dtype=complex)
+    flat = out.reshape(-1)
     for t in terms:
-        out += tensor_term(t)
+        f = m = n_y = 0
+        for s in t.labels:
+            f = (f << 1) | (s in "XY")
+            m = (m << 1) | (s in "YZ")
+            n_y += s == "Y"
+        phase = t.coefficient * _Y_PHASES[n_y % 4]
+        # one index per row, all distinct, so += adds each addend once
+        flat[row_starts + (rows ^ f)] += np.where(odd[rows & m], -phase, phase)
     return out
 
 

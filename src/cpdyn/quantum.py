@@ -206,7 +206,8 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     """Fixed-step RK4 on the Schrodinger equation.
 
     The step is psi += D psi, with D = sum_j d_j B^j (`rk4_weights` at
-    s = 0, B = -i dt H) built once in Horner form.  Adding the increment
+    s = 0, B = -i dt H) built once in Horner form, and D psi written into
+    one increment buffer, so a step allocates no array.  Adding the increment
     rather than applying I + D keeps the rounding error of the propagator
     from repeating every step.  The state is never renormalized, so the
     trajectory's `norm_drift` shows the integration quality.
@@ -222,14 +223,18 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     eye = np.eye(psi.size)
     D = d0 * eye + B @ (d1 * eye + B @ (d2 * eye + B @ (d3 * eye + d4 * B)))
 
+    inc = np.empty_like(psi)
+    dot, vdot, inf = np.dot, np.vdot, np.inf
+
     samples = grid.sample_indices().tolist()
     states = np.empty((len(samples), psi.size), dtype=complex)
     states[0] = psi
     k = 1
     for step in range(1, grid.n_steps + 1):
-        psi += D @ psi
-        nsq = np.vdot(psi, psi).real
-        if not nsq < np.inf:  # catches NaN (comparison false) and Inf
+        dot(D, psi, out=inc)
+        psi += inc
+        nsq = vdot(psi, psi).real
+        if not nsq < inf:  # catches NaN (comparison false) and Inf
             raise NumericFailure("non-finite state in RK4", step)
         if step == samples[k]:
             states[k] = psi

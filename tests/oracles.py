@@ -7,19 +7,29 @@ chart-velocity oracle applies the quotient rule to the Schrodinger
 right-hand side.  The RK4 oracle evaluates the four stages one by one,
 against the Krylov form the package integrates with.
 
-`rk4_weights_reference` and `integrate_classical_reference` are the
-Krylov-form weight recurrence and chart-switching loop in their plain
-form: every stage coefficient computed, every view and array built afresh
-in each step.  The package's buffered loop and folded recurrence must
+`rk4_weights_reference`, `integrate_classical_reference` and
+`evolve_rk4_reference` are the Krylov-form weight recurrence and the two
+RK4 loops in their plain form: every stage coefficient computed, every
+view and array built afresh in each step.  `build_hamiltonian_reference`
+sums the dense Kronecker product of every Pauli term.  The package's
+buffered loops, folded recurrence and signed-permutation build must
 reproduce them bit for bit.
 """
+
+from functools import reduce
 
 import numpy as np
 
 from cpdyn.chart import ChartPoint, normalization, select_pivot
 from cpdyn.flow import _NSQ_GUARD, ClassicalTrajectory, FlowSettings, classical_hamiltonian
-from cpdyn.pauli import require_hermitian
-from cpdyn.quantum import NumericFailure, TimeGrid
+from cpdyn.pauli import (
+    MAX_QUBITS,
+    PAULI_MATRICES,
+    MixedLabelLengthError,
+    PauliTerm,
+    require_hermitian,
+)
+from cpdyn.quantum import NumericFailure, QuantumTrajectory, TimeGrid, rk4_weights
 
 FD_STEP = 1e-5
 
@@ -212,3 +222,58 @@ def integrate_classical_reference(
         pivots=pivots,
         switch_times=np.asarray(switch_times),
     )
+
+
+def tensor_term_reference(term: PauliTerm) -> np.ndarray:
+    """Coefficient times the Kronecker product of the term's 2x2 matrices."""
+    if term.n_qubits > MAX_QUBITS:
+        raise ValueError(
+            f"term acts on {term.n_qubits} qubits, above the dense-matrix cap "
+            f"of {MAX_QUBITS}"
+        )
+    mat = reduce(np.kron, (PAULI_MATRICES[s] for s in term.labels))
+    return term.coefficient * mat
+
+
+def build_hamiltonian_reference(terms: list[PauliTerm]) -> np.ndarray:
+    """`pauli.build_hamiltonian` as the sum of dense Kronecker products."""
+    if not terms:
+        raise ValueError("cannot build a Hamiltonian from zero terms")
+    lengths = {t.n_qubits for t in terms}
+    if len(lengths) > 1:
+        raise MixedLabelLengthError(
+            f"terms act on different qubit counts {sorted(lengths)}"
+        )
+    dim = 2 ** terms[0].n_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    for t in terms:
+        out += tensor_term_reference(t)
+    return out
+
+
+def evolve_rk4_reference(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajectory:
+    """`quantum.evolve_rk4` with a fresh increment array in each step."""
+    H = require_hermitian(H)
+    psi = np.array(psi0, dtype=complex)
+    if H.shape[1] != psi.shape[0]:
+        raise ValueError(f"dimension mismatch: H is {H.shape}, psi has {psi.shape[0]}")
+
+    d0, d1, d2, d3, d4 = rk4_weights(0.0, 0.0, 0.0, 0.0)
+    B = (-1j * grid.dt) * H
+    eye = np.eye(psi.size)
+    D = d0 * eye + B @ (d1 * eye + B @ (d2 * eye + B @ (d3 * eye + d4 * B)))
+
+    samples = grid.sample_indices().tolist()
+    states = np.empty((len(samples), psi.size), dtype=complex)
+    states[0] = psi
+    k = 1
+    for step in range(1, grid.n_steps + 1):
+        psi += D @ psi
+        nsq = np.vdot(psi, psi).real
+        if not nsq < np.inf:  # catches NaN (comparison false) and Inf
+            raise NumericFailure("non-finite state in RK4", step)
+        if step == samples[k]:
+            states[k] = psi
+            k += 1
+
+    return QuantumTrajectory(times=grid.sample_times(), states=states)

@@ -95,6 +95,22 @@ def test_validate_malformed_field_exits_2(tmp_path, capsys, section, node, key):
     assert len(err) == 1 and err[0].startswith(f"error: {key}: "), err
 
 
+@pytest.mark.parametrize("n_qubits", [13, 20, 40])
+def test_validate_over_qubit_cap_exits_2(tmp_path, capsys, n_qubits):
+    # refused by the cap's ValueError before H is allocated, not by numpy
+    # failing to allocate it
+    path = tmp_path / "big.json"
+    doc = minimal_doc(
+        hamiltonian={"pauli": "1*" + "Z" * n_qubits},
+        initial_state={"real": [1.0, 0.0]},
+    )
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: hamiltonian.pauli: "), err
+    assert "dense-matrix cap" in err[0]
+
+
 def test_simulate_writes_csv(tmp_path, capsys):
     out = tmp_path / "run.csv"
     code = main(

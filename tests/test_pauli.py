@@ -1,3 +1,10 @@
+import importlib.util
+import itertools
+import json
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +35,9 @@ from cpdyn.quantum import (
 from cpdyn.scenario import scenario_from_dict
 
 from conftest import random_hermitian, random_state
+from oracles import build_hamiltonian_reference, tensor_term_reference
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_pauli_matrix_standard_convention():
@@ -60,9 +70,19 @@ def test_tensor_term_scalar_multiple_of_identity():
 
 
 def test_tensor_term_qubit_cap():
-    term = PauliTerm(1.0, tuple("I" * 13))
-    with pytest.raises(ValueError, match="dense-matrix cap"):
-        tensor_term(term)
+    # refused before H is allocated: numpy reports its allocations to
+    # tracemalloc, and at 20 or 40 qubits H could not be allocated at all
+    tracemalloc.start()
+    try:
+        for n_qubits in (13, 20, 40):
+            term = PauliTerm(1.0, tuple("I" * n_qubits))
+            for build in (tensor_term, lambda t: build_hamiltonian([t])):
+                with pytest.raises(ValueError, match="dense-matrix cap"):
+                    build(term)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_pauli_term_invariants():
@@ -258,3 +278,79 @@ def test_one_hermiticity_rule(entry, rng):
     H = (q * rng.uniform(-1, 1, n)) @ q.conj().T
     assert np.max(np.abs(H - H.conj().T)) > 0
     call(H)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray):
+    """Equal bit patterns: a -0.0 for a 0.0 would change a CSV field."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def pauli_sums(draw):
+    """1-8 qubits, 1-40 terms with signed coefficients of magnitude 1e-8 to
+    1e8; some terms repeat an earlier label string, with its coefficient
+    negated (the two cancel exactly) or with a fresh one."""
+    n = draw(st.integers(1, 8))
+    labels = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    coefficients = st.builds(
+        lambda sign, magnitude: sign * magnitude,
+        st.sampled_from((1.0, -1.0)),
+        st.floats(min_value=1e-8, max_value=1e8),
+    )
+    terms = []
+    for _ in range(draw(st.integers(1, 40))):
+        if terms and draw(st.booleans()):
+            earlier = draw(st.sampled_from(terms))
+            c = -earlier.coefficient if draw(st.booleans()) else draw(coefficients)
+            terms.append(PauliTerm(c, earlier.labels))
+        else:
+            terms.append(PauliTerm(draw(coefficients), tuple(draw(labels))))
+    return terms
+
+
+def _high_dim_documents(seed: int) -> list[dict]:
+    """The documents of the benchmark's `high-dim` workload for `seed`."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    rng = np.random.default_rng(seed)
+    return [
+        workloads.high_dim_doc(rng, f"high-dim-{seed}-{k}")
+        for k in range(workloads.HIGH_DIM_DOCS)
+    ]
+
+
+class TestBuildBitIdentity:
+    """The signed-permutation build against the sum of Kronecker products."""
+
+    @given(pauli_sums())
+    def test_random_sums(self, terms):
+        assert_same_bits(build_hamiltonian(terms), build_hamiltonian_reference(terms))
+
+    @pytest.mark.parametrize(
+        "path", sorted((ROOT / "scenarios").glob("*.json")), ids=lambda p: p.stem
+    )
+    def test_bundled_scenarios(self, path):
+        terms = parse_hamiltonian(json.loads(path.read_text())["hamiltonian"]["pauli"])
+        assert_same_bits(build_hamiltonian(terms), build_hamiltonian_reference(terms))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_high_dim_documents(self, seed):
+        for doc in _high_dim_documents(seed):
+            terms = parse_hamiltonian(doc["hamiltonian"]["pauli"])
+            assert len(terms) == 64 and terms[0].n_qubits == 8
+            assert_same_bits(build_hamiltonian(terms), build_hamiltonian_reference(terms))
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_tensor_term_every_label_string(self, n_qubits):
+        for labels in itertools.product("IXYZ", repeat=n_qubits):
+            for c in (1.0, -2.5, 0.0, -0.0):
+                term = PauliTerm(c, labels)
+                got = tensor_term(term)
+                assert_same_bits(got, build_hamiltonian_reference([term]))
+                # the Kronecker product itself, up to the sign of its zeros
+                np.testing.assert_array_equal(got, tensor_term_reference(term))

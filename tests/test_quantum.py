@@ -16,7 +16,7 @@ from cpdyn.quantum import (
 )
 
 from conftest import random_hermitian, random_state
-from oracles import rk4_step, rk4_weights_reference
+from oracles import evolve_rk4_reference, rk4_step, rk4_weights_reference
 
 # pivot entries s_j = (B^j u)[pivot], bounded so that no product overflows
 pivot_entries = st.complex_numbers(
@@ -219,3 +219,36 @@ class TestEvolveRk4:
             with pytest.raises(NumericFailure) as err:
                 evolve_rk4(H, make_state([1, 0]), TimeGrid(1.0, 0.1))
         assert err.value.step >= 1
+
+
+class TestEvolveRk4BitIdentity:
+    """The buffered loop against the plain loop with a fresh increment."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_random_systems(self, scale):
+        rng = np.random.default_rng(41)
+        for n in range(2, 9):
+            H = random_hermitian(rng, n) * scale
+            psi0 = random_state(rng, n)
+            grid = TimeGrid(t_end=2.0 / scale, dt=1e-3 / scale, output_stride=7)
+            got = evolve_rk4(H, psi0, grid).states
+            want = evolve_rk4_reference(H, psi0, grid).states
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_same_failing_step(self, scale):
+        # dt * ||H|| well past the RK4 stability bound: the state grows until
+        # it overflows
+        rng = np.random.default_rng(43)
+        for n in range(2, 9):
+            H = random_hermitian(rng, n) * scale
+            psi0 = random_state(rng, n)
+            dt = 8.0 / np.max(np.abs(np.linalg.eigvalsh(H)))
+            grid = TimeGrid(t_end=2000 * dt, dt=dt)
+            steps = []
+            for evolve in (evolve_rk4, evolve_rk4_reference):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    with pytest.raises(NumericFailure) as err:
+                        evolve(H, psi0, grid)
+                steps.append(err.value.step)
+            assert steps[0] == steps[1] > 1, (n, steps)
