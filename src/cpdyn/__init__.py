@@ -65,4 +65,4 @@ from .scenario import (
     run,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

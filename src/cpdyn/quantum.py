@@ -135,15 +135,22 @@ def schrodinger_rhs(H: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """d(psi)/dt = -i H psi."""
     H = np.asarray(H)
     psi = np.asarray(psi)
+    _require_same_dimension(H, psi)
+    return -1j * (H @ psi)
+
+
+def _require_same_dimension(H: np.ndarray, psi: np.ndarray) -> None:
     if H.shape[1] != psi.shape[0]:
         raise ValueError(f"dimension mismatch: H is {H.shape}, psi has {psi.shape[0]}")
-    return -1j * (H @ psi)
 
 
 def _propagate(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
     """Rows exp(-iHt) psi0 for t in `times` (or a scalar t), one eigh of H."""
-    evals, vecs = np.linalg.eigh(require_hermitian(H))
-    coeffs = vecs.conj().T @ np.asarray(psi0, dtype=complex)
+    H = require_hermitian(H)
+    psi0 = np.asarray(psi0, dtype=complex)
+    _require_same_dimension(H, psi0)
+    evals, vecs = np.linalg.eigh(H)
+    coeffs = vecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(times, evals))  # (S, N)
     return (vecs @ (phases * coeffs).T).T
 
@@ -202,6 +209,19 @@ def rk4_weights(s1: complex, s2: complex, s3: complex, s4: complex) -> tuple:
     )
 
 
+def _rk4_steps(D: np.ndarray, psi: np.ndarray, inc: np.ndarray,
+               start: int, stop: int, checked: bool) -> None:
+    """Advance psi in place from step `start` to step `stop` by
+    psi += D psi.  With `checked`, raise NumericFailure at the first step
+    whose state is not finite."""
+    dot, vdot, inf = np.dot, np.vdot, np.inf
+    for step in range(start + 1, stop + 1):
+        dot(D, psi, out=inc)
+        psi += inc
+        if checked and not vdot(psi, psi).real < inf:  # NaN compares false
+            raise NumericFailure("non-finite state in RK4", step)
+
+
 def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajectory:
     """Fixed-step RK4 on the Schrodinger equation.
 
@@ -211,12 +231,25 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     rather than applying I + D keeps the rounding error of the propagator
     from repeating every step.  The state is never renormalized, so the
     trajectory's `norm_drift` shows the integration quality.
-    Raises NumericFailure on the first non-finite step.
+
+    Raises NumericFailure at the first step whose state is not finite
+    (an entry or |psi|^2 is NaN or Inf).  Finiteness is checked once per
+    sample, not per step: a stretch between two samples runs unchecked,
+    and if it ends non-finite it is replayed from the sample before it
+    with the check on every step.  The replay names the same step as a
+    per-step check, because a failure persists to the end of its stretch.
+    A non-finite entry never turns finite under psi += D psi (NaN stays
+    NaN, Inf stays Inf or becomes NaN).  An overflow of |psi|^2 with finite
+    entries persists too: I + D is a polynomial in the Hermitian H, hence
+    normal, so |psi_n|^2 = sum_k |c_k|^2 |g_k|^(2n) is convex in n and keeps
+    growing once it has passed its starting value.  The unchecked stretches
+    run with overflow and invalid-value warnings off, since steps past a
+    failure produce them; the replay runs under the caller's settings, so
+    a failing run warns as a per-step check would.
     """
     H = require_hermitian(H)
     psi = np.array(psi0, dtype=complex)
-    if H.shape[1] != psi.shape[0]:
-        raise ValueError(f"dimension mismatch: H is {H.shape}, psi has {psi.shape[0]}")
+    _require_same_dimension(H, psi)
 
     d0, d1, d2, d3, d4 = rk4_weights(0.0, 0.0, 0.0, 0.0)
     B = (-1j * grid.dt) * H
@@ -224,20 +257,19 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     D = d0 * eye + B @ (d1 * eye + B @ (d2 * eye + B @ (d3 * eye + d4 * B)))
 
     inc = np.empty_like(psi)
-    dot, vdot, inf = np.dot, np.vdot, np.inf
-
     samples = grid.sample_indices().tolist()
     states = np.empty((len(samples), psi.size), dtype=complex)
     states[0] = psi
-    k = 1
-    for step in range(1, grid.n_steps + 1):
-        dot(D, psi, out=inc)
-        psi += inc
-        nsq = vdot(psi, psi).real
-        if not nsq < inf:  # catches NaN (comparison false) and Inf
-            raise NumericFailure("non-finite state in RK4", step)
-        if step == samples[k]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(samples)):
+            _rk4_steps(D, psi, inc, samples[k - 1], samples[k], checked=False)
+            if not np.vdot(psi, psi).real < np.inf:
+                break
             states[k] = psi
-            k += 1
+        else:
+            return QuantumTrajectory(times=grid.sample_times(), states=states)
 
-    return QuantumTrajectory(times=grid.sample_times(), states=states)
+    psi[...] = states[k - 1]
+    _rk4_steps(D, psi, inc, samples[k - 1], samples[k], checked=True)
+    # not reached: the replay repeats the failed stretch bit for bit
+    raise NumericFailure("non-finite state in RK4", samples[k])

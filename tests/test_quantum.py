@@ -1,3 +1,7 @@
+import itertools
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -131,6 +135,16 @@ class TestEvolveExact:
         with pytest.raises(ValueError, match="not Hermitian"):
             evolve_rk4(np.array([[0, 1], [0, 0]]), make_state([1, 0]), TimeGrid(1.0, 0.1))
 
+    @pytest.mark.parametrize("evolve", [
+        lambda H, psi: evolve_exact(H, psi, 1.0),
+        lambda H, psi: evolve_exact_grid(H, psi, TimeGrid(1.0, 0.1)),
+        lambda H, psi: evolve_rk4(H, psi, TimeGrid(1.0, 0.1)),
+    ], ids=["evolve_exact", "evolve_exact_grid", "evolve_rk4"])
+    def test_dimension_mismatch(self, evolve):
+        message = "dimension mismatch: H is (3, 3), psi has 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evolve(np.eye(3), make_state([1, 0]))
+
 
 class TestRk4Weights:
     def test_linear_case_is_taylor_polynomial(self):
@@ -221,34 +235,94 @@ class TestEvolveRk4:
         assert err.value.step >= 1
 
 
+def _dt_overflowing_at(H: np.ndarray, psi0: np.ndarray, step: int) -> float:
+    """A dt past the RK4 stability bound at which |psi|^2 first overflows at
+    `step`: in the eigenbasis of H each amplitude c_k grows by the RK4
+    polynomial g(-i dt lambda_k) per step, so |psi_n|^2 is a sum of
+    |c_k|^2 |g_k|^(2n), increasing in dt for dt * max|lambda| > 2 sqrt(2)."""
+    evals, vecs = np.linalg.eigh(H)
+    log_c = np.log(np.abs(vecs.conj().T @ psi0) ** 2)
+
+    def log_norm_sq(dt):
+        z = -1j * dt * evals
+        g = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        return np.logaddexp.reduce(log_c + 2 * step * np.log(np.abs(g)))
+
+    log_max = np.log(np.finfo(float).max)
+    lam = np.max(np.abs(evals))
+    lo, hi = 2 * np.sqrt(2) / lam, 8 / lam
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if log_norm_sq(mid) < log_max else (lo, mid)
+    return hi
+
+
+def _unstable_dt(H: np.ndarray, psi0: np.ndarray, onset: str) -> float:
+    """dt * ||H|| past the RK4 stability bound: the state grows until it
+    overflows, near step 70 ("early") or at step 1992 ("late"), which lies
+    in the final stretch of stride 64 on grids of 2000 and 2003 steps."""
+    if onset == "early":
+        return 8.0 / np.max(np.abs(np.linalg.eigvalsh(H)))
+    return _dt_overflowing_at(H, psi0, 1992)
+
+
+def _failing_step(evolve, H, psi0, grid) -> int:
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NumericFailure) as err:
+            evolve(H, psi0, grid)
+    return err.value.step
+
+
 class TestEvolveRk4BitIdentity:
     """The buffered loop against the plain loop with a fresh increment."""
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     def test_random_systems(self, scale):
-        rng = np.random.default_rng(41)
-        for n in range(2, 9):
-            H = random_hermitian(rng, n) * scale
-            psi0 = random_state(rng, n)
-            grid = TimeGrid(t_end=2.0 / scale, dt=1e-3 / scale, output_stride=7)
-            got = evolve_rk4(H, psi0, grid).states
-            want = evolve_rk4_reference(H, psi0, grid).states
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+        for stride in (1, 7, 64):
+            rng = np.random.default_rng(41)
+            for n in range(2, 9):
+                H = random_hermitian(rng, n) * scale
+                psi0 = random_state(rng, n)
+                grid = TimeGrid(t_end=2.0 / scale, dt=1e-3 / scale, output_stride=stride)
+                got = evolve_rk4(H, psi0, grid).states
+                want = evolve_rk4_reference(H, psi0, grid).states
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, stride)
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     def test_same_failing_step(self, scale):
-        # dt * ||H|| well past the RK4 stability bound: the state grows until
-        # it overflows
-        rng = np.random.default_rng(43)
-        for n in range(2, 9):
-            H = random_hermitian(rng, n) * scale
-            psi0 = random_state(rng, n)
-            dt = 8.0 / np.max(np.abs(np.linalg.eigvalsh(H)))
-            grid = TimeGrid(t_end=2000 * dt, dt=dt)
-            steps = []
-            for evolve in (evolve_rk4, evolve_rk4_reference):
-                with np.errstate(invalid="ignore", over="ignore"):
-                    with pytest.raises(NumericFailure) as err:
-                        evolve(H, psi0, grid)
-                steps.append(err.value.step)
-            assert steps[0] == steps[1] > 1, (n, steps)
+        # a failure inside a stretch, in the short final stretch (stride 64,
+        # late onset) and in a run that is one stretch (stride 2000)
+        cases = itertools.product(("early", "late"), (1, 7, 64, 2000), (2000, 2003))
+        for onset, stride, n_steps in cases:
+            rng = np.random.default_rng(43)
+            for n in range(2, 9):
+                H = random_hermitian(rng, n) * scale
+                psi0 = random_state(rng, n)
+                dt = _unstable_dt(H, psi0, onset)
+                grid = TimeGrid(t_end=n_steps * dt, dt=dt, output_stride=stride)
+                steps = [_failing_step(evolve, H, psi0, grid)
+                         for evolve in (evolve_rk4, evolve_rk4_reference)]
+                floor = 1 if onset == "early" else 1984
+                assert steps[0] == steps[1] > floor, (n, onset, stride, n_steps, steps)
+
+    def test_nan_state_fails_at_step_one(self):
+        psi0 = np.array([np.nan, 1.0])
+        grid = TimeGrid(1.0, 0.01, 10)
+        for evolve in (evolve_rk4, evolve_rk4_reference):
+            assert _failing_step(evolve, np.eye(2), psi0, grid) == 1
+
+    def test_failing_run_warns_as_reference(self):
+        # one stretch: the unchecked steps run about 1900 steps past the
+        # failure and overflow in `dot`; none of that may reach the caller
+        rng = np.random.default_rng(47)
+        H, psi0 = random_hermitian(rng, 4), random_state(rng, 4)
+        dt = _unstable_dt(H, psi0, "early")
+        grid = TimeGrid(t_end=2000 * dt, dt=dt, output_stride=2000)
+        caught = []
+        for evolve in (evolve_rk4, evolve_rk4_reference):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                with pytest.raises(NumericFailure):
+                    evolve(H, psi0, grid)
+            caught.append([(w.category, str(w.message)) for w in record])
+        assert caught[0] == caught[1]

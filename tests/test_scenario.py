@@ -15,6 +15,7 @@ from cpdyn.scenario import (
 )
 
 from conftest import minimal_doc
+from oracles import evolve_rk4_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -143,6 +144,15 @@ class TestRun:
         config = scenario_from_dict(minimal_doc(quantum_method="rk4"))
         result = run(config, method="quantum")
         assert np.max(result.quantum_trajectory.norm_drift) < 1e-8
+
+        doc = json.loads((SCENARIO_DIR / "fig2_right.json").read_text())
+        config = scenario_from_dict(dict(doc, quantum_method="rk4"))
+        assert config.grid.output_stride == 10
+        got = run(config, method="quantum").quantum_trajectory.states
+        want = evolve_rk4_reference(
+            config.hamiltonian, config.initial_state, config.grid
+        ).states
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_bad_method_rejected(self):
         config = scenario_from_dict(minimal_doc())
