@@ -41,18 +41,14 @@ from .pauli import (
     build_two_qubit_hamiltonian,
     format_terms,
     parse_hamiltonian,
-    pauli_matrix,
-    tensor_term,
 )
 from .quantum import (
     NumericFailure,
     QuantumTrajectory,
     TimeGrid,
-    evolve_exact,
     evolve_exact_grid,
     evolve_rk4,
     make_state,
-    schrodinger_rhs,
 )
 from .scenario import (
     ComparisonReport,
@@ -65,4 +61,4 @@ from .scenario import (
     run,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import ChartPoint, normalization, select_pivot, to_chart
+from .chart import ChartPoint, normalization, select_pivot
 from .observables import energy
 from .pauli import require_hermitian
 from .quantum import NumericFailure, TimeGrid, rk4_weights
@@ -114,9 +114,6 @@ class ClassicalTrajectory:
     def nfac(self) -> np.ndarray:
         """(S,) normalization factors |u|^2 = 1 + |x|^2."""
         return np.sum(self.u.real**2 + self.u.imag**2, axis=1)
-
-    def point(self, k: int) -> ChartPoint:
-        return to_chart(self.u[k], int(self.pivots[k]))
 
     def states(self) -> np.ndarray:
         """(S, N) unit states: `from_chart` applied to every sample at once."""

@@ -30,12 +30,9 @@ from math import isfinite
 import numpy as np
 
 __all__ = [
-    "PAULI_MATRICES",
     "PauliTerm",
     "PauliSyntaxError",
     "MixedLabelLengthError",
-    "pauli_matrix",
-    "tensor_term",
     "parse_hamiltonian",
     "format_terms",
     "build_hamiltonian",
@@ -44,13 +41,6 @@ __all__ = [
 ]
 
 PAULI_SYMBOLS = "IXYZ"
-
-PAULI_MATRICES = {
-    "I": np.array([[1, 0], [0, 1]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 # H is a dense 2^n x 2^n matrix, the only N^2 allocation of a build;
 # 12 qubits (4096 x 4096, 256 MiB) is the ceiling.
@@ -95,25 +85,6 @@ class PauliTerm:
     @property
     def n_qubits(self) -> int:
         return len(self.labels)
-
-
-def pauli_matrix(label: str) -> np.ndarray:
-    """Return a copy of the standard 2x2 matrix for I, X, Y or Z."""
-    try:
-        return PAULI_MATRICES[label].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli label {label!r}; expected one of I, X, Y, Z")
-
-
-def tensor_term(term: PauliTerm) -> np.ndarray:
-    """Dense matrix of one term: coefficient times the Kronecker product of
-    its labels, leftmost label outermost.  Dimension is 2**n_qubits.
-
-    Built by `build_hamiltonian([term])`, so each row holds one entry
-    +-c or +-ic (the signed-permutation rule in the module docstring) and
-    every other entry is +0.0.  Raises ValueError above MAX_QUBITS qubits.
-    """
-    return build_hamiltonian([term])
 
 
 _NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")

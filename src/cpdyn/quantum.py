@@ -2,8 +2,9 @@
 
 Two integration routes are provided on purpose:
 
-* `evolve_exact`: spectral propagator exp(-iHt) via eigendecomposition,
-  exact up to floating point.  This is the trusted oracle.
+* `evolve_exact_grid`: spectral propagator exp(-iHt) via one
+  eigendecomposition, sampled on a time grid and exact up to floating
+  point.  This is the trusted oracle.
 * `evolve_rk4`: classical fixed-step 4th-order Runge-Kutta on the
   Schrodinger right-hand side.  Norm drift is left in, not corrected:
   `QuantumTrajectory.norm_drift` reports it as a quality signal for the
@@ -34,8 +35,6 @@ __all__ = [
     "TimeGrid",
     "QuantumTrajectory",
     "make_state",
-    "schrodinger_rhs",
-    "evolve_exact",
     "evolve_exact_grid",
     "evolve_rk4",
     "rk4_weights",
@@ -107,10 +106,6 @@ class QuantumTrajectory:
     states: np.ndarray
 
     @property
-    def dimension(self) -> int:
-        return self.states.shape[1]
-
-    @property
     def norm_drift(self) -> np.ndarray:
         """(S,) | ||psi|| - 1 | at each sample."""
         return np.abs(np.linalg.norm(self.states, axis=1) - 1.0)
@@ -131,39 +126,22 @@ def make_state(amplitudes) -> np.ndarray:
     return psi
 
 
-def schrodinger_rhs(H: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """d(psi)/dt = -i H psi."""
-    H = np.asarray(H)
-    psi = np.asarray(psi)
-    _require_same_dimension(H, psi)
-    return -1j * (H @ psi)
-
-
 def _require_same_dimension(H: np.ndarray, psi: np.ndarray) -> None:
     if H.shape[1] != psi.shape[0]:
         raise ValueError(f"dimension mismatch: H is {H.shape}, psi has {psi.shape[0]}")
 
 
-def _propagate(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
-    """Rows exp(-iHt) psi0 for t in `times` (or a scalar t), one eigh of H."""
+def evolve_exact_grid(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajectory:
+    """Spectral propagation sampled on a TimeGrid: rows exp(-iHt) psi0 at
+    the sample times, from one eigh of H."""
     H = require_hermitian(H)
     psi0 = np.asarray(psi0, dtype=complex)
     _require_same_dimension(H, psi0)
     evals, vecs = np.linalg.eigh(H)
     coeffs = vecs.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(times, evals))  # (S, N)
-    return (vecs @ (phases * coeffs).T).T
-
-
-def evolve_exact(H: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
-    """Propagate psi0 by exp(-iHt) through the eigendecomposition of H."""
-    return _propagate(H, psi0, t)[0]
-
-
-def evolve_exact_grid(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajectory:
-    """Spectral propagation sampled on a TimeGrid (one eigh, all times)."""
     times = grid.sample_times()
-    return QuantumTrajectory(times=times, states=_propagate(H, psi0, times))
+    phases = np.exp(-1j * np.outer(times, evals))  # (S, N)
+    return QuantumTrajectory(times=times, states=(vecs @ (phases * coeffs).T).T)
 
 
 def rk4_weights(s1: complex, s2: complex, s3: complex, s4: complex) -> tuple:

@@ -97,11 +97,26 @@ def _number(value, key: str) -> float:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _real_array(value, key: str) -> np.ndarray:
+    """Nested JSON arrays of numbers as a float array; each entry is
+    refused as `_number` refuses a scalar (a ragged row is an entry)."""
+    entries = np.asarray(value, dtype=object)
+    first_of_type = {}
+    for v in entries.flat:
+        first_of_type.setdefault(type(v), v)
+    for example in first_of_type.values():
+        _number(example, key)
+    try:
+        return entries.astype(float)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _complex_array(node, key: str, ndim: int) -> np.ndarray:
     _require(isinstance(node, dict), f"{key}: expected an object with 'real'/'imag'")
     _require("real" in node, f"{key}: missing 'real' array")
-    real = np.asarray(node["real"], dtype=float)
-    imag = np.asarray(node.get("imag", np.zeros_like(real)), dtype=float)
+    real = _real_array(node["real"], key)
+    imag = _real_array(node["imag"], key) if "imag" in node else np.zeros_like(real)
     _require(
         real.ndim == ndim and imag.shape == real.shape,
         f"{key}: 'real' and 'imag' must both be {ndim}-dimensional and equal shape",

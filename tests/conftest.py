@@ -1,12 +1,29 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Property tests integrate trajectories: no per-example deadline (their run
 # time follows the host's load), and a fixed example sequence so that a
 # failure always reproduces.
 settings.register_profile("cpdyn", deadline=None, derandomize=True)
 settings.load_profile("cpdyn")
+
+
+def perfbench_module(name: str):
+    """`perfbench/<name>.py`, imported by path (perfbench is no package)."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module  # its dataclasses look the module up
+        spec.loader.exec_module(module)
+    return sys.modules[key]
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 2.0) -> np.ndarray:

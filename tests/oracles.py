@@ -11,9 +11,9 @@ against the Krylov form the package integrates with.
 `evolve_rk4_reference` are the Krylov-form weight recurrence and the two
 RK4 loops in their plain form: every stage coefficient computed, every
 view and array built afresh in each step.  `build_hamiltonian_reference`
-sums the dense Kronecker product of every Pauli term.  The package's
-buffered loops, folded recurrence and signed-permutation build must
-reproduce them bit for bit.
+sums the dense Kronecker products of every Pauli term's 2x2 matrices
+(`PAULI_MATRICES`).  The package's buffered loops, folded recurrence and
+signed-permutation build must reproduce them bit for bit.
 """
 
 from functools import reduce
@@ -22,16 +22,17 @@ import numpy as np
 
 from cpdyn.chart import ChartPoint, normalization, select_pivot
 from cpdyn.flow import _NSQ_GUARD, ClassicalTrajectory, FlowSettings, classical_hamiltonian
-from cpdyn.pauli import (
-    MAX_QUBITS,
-    PAULI_MATRICES,
-    MixedLabelLengthError,
-    PauliTerm,
-    require_hermitian,
-)
+from cpdyn.pauli import MAX_QUBITS, MixedLabelLengthError, PauliTerm, require_hermitian
 from cpdyn.quantum import NumericFailure, QuantumTrajectory, TimeGrid, rk4_weights
 
 FD_STEP = 1e-5
+
+PAULI_MATRICES = {
+    "I": np.array([[1, 0], [0, 1]], dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def fd_kahler_hessian(point: ChartPoint, h: float = FD_STEP) -> np.ndarray:

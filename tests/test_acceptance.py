@@ -38,11 +38,8 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 def max_fidelity_gap(H, psi0, grid):
     quantum = evolve_exact_grid(H, psi0, grid)
     classical = integrate_classical(H, to_chart(psi0, select_pivot(psi0)), grid)
-    gaps = [
-        1.0 - abs(np.vdot(quantum.states[k], from_chart(classical.point(k))))
-        for k in range(len(quantum.times))
-    ]
-    return max(gaps), classical
+    overlaps = np.sum(quantum.states.conj() * classical.states(), axis=1)
+    return float(np.max(1.0 - np.abs(overlaps))), classical
 
 
 def test_criterion_1_exact_equivalence_random_systems():
@@ -67,8 +64,7 @@ def test_criterion_2_figure_style_two_qubit_scenarios():
     result = run(config_a, method="both")
     c_expected = 2.0 * np.sqrt(0.08)
     cq = np.array([concurrence_quantum(s) for s in result.quantum_trajectory.states])
-    ct = result.classical_trajectory
-    cc = np.array([concurrence_classical(ct.point(k)) for k in range(len(ct.times))])
+    cc = concurrence_quantum(result.classical_trajectory.states())
     dev_a = max(np.max(np.abs(cq - c_expected)), np.max(np.abs(cc - c_expected)))
     assert dev_a < 1e-6, f"concurrence not constant: dev {dev_a:.3e}"
 

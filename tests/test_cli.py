@@ -40,6 +40,30 @@ MALFORMED = [
         "grid",
         "grid.output_stride-bool",
     ),
+    (
+        "initial_state",
+        {"real": ["1", "0", "0", "0"]},
+        "initial_state",
+        "initial_state.real-string",
+    ),
+    (
+        "initial_state",
+        {"real": [True, False, False, False]},
+        "initial_state",
+        "initial_state.real-bool",
+    ),
+    (
+        "hamiltonian",
+        {"dense": {"real": [[str(int(i == j)) for j in range(4)] for i in range(4)]}},
+        "hamiltonian.dense",
+        "hamiltonian.dense.real-string",
+    ),
+    (
+        "initial_state",
+        {"real": [1.0, 0.0, 0.0, 0.0], "imag": [10**400, 0, 0, 0]},
+        "initial_state",
+        "initial_state.imag-overflow",
+    ),
 ]
 
 

@@ -146,7 +146,7 @@ def test_representation_agreement_along_trajectory(rng):
     states = traj.states()
     assert states.shape == (len(traj.times), 4)
     for k in range(len(traj.times)):
-        point = traj.point(k)
+        point = to_chart(traj.u[k], int(traj.pivots[k]))
         psi = from_chart(point)
         np.testing.assert_allclose(states[k], psi, rtol=0, atol=1e-15)
         np.testing.assert_allclose(
@@ -159,7 +159,7 @@ def test_representation_agreement_along_trajectory(rng):
             quaternionic_z_quantum(psi), abs=1e-12
         )
     # the stacked (S, N) forms agree with the per-point chart forms
-    points = [traj.point(k) for k in range(len(traj.times))]
+    points = [to_chart(u, int(pivot)) for u, pivot in zip(traj.u, traj.pivots)]
     stacked_vs_points = [
         (populations_quantum(states), populations_classical),
         (quaternionic_z_quantum(states), quaternionic_z_classical),
@@ -184,5 +184,5 @@ def test_concurrence_invariant_under_local_rotations(rng):
     assert np.max(np.abs(cq - c0)) < 1e-7
 
     traj = integrate_classical(H, to_chart(psi0, select_pivot(psi0)), grid)
-    cc = np.array([concurrence_classical(traj.point(k)) for k in range(len(traj.times))])
+    cc = concurrence_quantum(traj.states())
     assert np.max(np.abs(cc - c0)) < 1e-7

@@ -1,7 +1,5 @@
-import importlib.util
 import itertools
 import json
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -21,52 +19,43 @@ from cpdyn.pauli import (
     build_two_qubit_hamiltonian,
     format_terms,
     parse_hamiltonian,
-    pauli_matrix,
     require_hermitian,
-    tensor_term,
 )
-from cpdyn.quantum import (
-    TimeGrid,
-    evolve_exact,
-    evolve_exact_grid,
-    evolve_rk4,
-    schrodinger_rhs,
-)
+from cpdyn.quantum import TimeGrid, evolve_exact_grid, evolve_rk4
 from cpdyn.scenario import scenario_from_dict
 
-from conftest import random_hermitian, random_state
+from conftest import perfbench_module, random_hermitian, random_state
 from oracles import build_hamiltonian_reference, tensor_term_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_pauli_matrix_standard_convention():
-    np.testing.assert_array_equal(pauli_matrix("Z"), [[1, 0], [0, -1]])
-    np.testing.assert_array_equal(pauli_matrix("I"), [[1, 0], [0, 1]])
-    np.testing.assert_array_equal(pauli_matrix("Y"), [[0, -1j], [1j, 0]])
-    np.testing.assert_array_equal(pauli_matrix("X"), [[0, 1], [1, 0]])
-
-
-def test_pauli_matrix_rejects_unknown_label():
-    with pytest.raises(ValueError, match="unknown Pauli label"):
-        pauli_matrix("Q")
+    # a one-qubit term with coefficient 1 is the Pauli matrix itself
+    for label, matrix in (
+        ("Z", [[1, 0], [0, -1]]),
+        ("I", [[1, 0], [0, 1]]),
+        ("Y", [[0, -1j], [1j, 0]]),
+        ("X", [[0, 1], [1, 0]]),
+    ):
+        np.testing.assert_array_equal(build_hamiltonian([PauliTerm(1.0, (label,))]), matrix)
 
 
 def test_tensor_term_zi_is_diagonal():
-    mat = tensor_term(PauliTerm(1.0, ("Z", "I")))
+    mat = build_hamiltonian([PauliTerm(1.0, ("Z", "I"))])
     np.testing.assert_allclose(mat, np.diag([1, 1, -1, -1]))
 
 
 def test_tensor_term_yy_antidiagonal():
     # hand Kronecker expansion: rows 0..3 couple to columns 3..0
-    mat = tensor_term(PauliTerm(1.0, ("Y", "Y")))
+    mat = build_hamiltonian([PauliTerm(1.0, ("Y", "Y"))])
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 3], expected[1, 2], expected[2, 1], expected[3, 0] = -1, 1, 1, -1
     np.testing.assert_allclose(mat, expected)
 
 
 def test_tensor_term_scalar_multiple_of_identity():
-    np.testing.assert_allclose(tensor_term(PauliTerm(2.5, ("I",))), 2.5 * np.eye(2))
+    np.testing.assert_allclose(build_hamiltonian([PauliTerm(2.5, ("I",))]), 2.5 * np.eye(2))
 
 
 def test_tensor_term_qubit_cap():
@@ -75,10 +64,8 @@ def test_tensor_term_qubit_cap():
     tracemalloc.start()
     try:
         for n_qubits in (13, 20, 40):
-            term = PauliTerm(1.0, tuple("I" * n_qubits))
-            for build in (tensor_term, lambda t: build_hamiltonian([t])):
-                with pytest.raises(ValueError, match="dense-matrix cap"):
-                    build(term)
+            with pytest.raises(ValueError, match="dense-matrix cap"):
+                build_hamiltonian([PauliTerm(1.0, tuple("I" * n_qubits))])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -197,7 +184,7 @@ class TestTwoQubitHamiltonian:
                     -c1 * d + (c2 + 1j * c3) * b + (-c4 + 1j * c5) * a,
                 ]
             )
-            got = schrodinger_rhs(H, np.array([a, b, c, d]))
+            got = -1j * (H @ np.array([a, b, c, d]))
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -243,7 +230,6 @@ _GRID = TimeGrid(t_end=1e-3, dt=1e-3)
 
 # every public entry that validates H, as a function of H alone
 ENTRY_POINTS = {
-    "evolve_exact": lambda H: evolve_exact(H, _start(H), 1e-3),
     "evolve_exact_grid": lambda H: evolve_exact_grid(H, _start(H), _GRID),
     "evolve_rk4": lambda H: evolve_rk4(H, _start(H), _GRID),
     "integrate_classical": lambda H: integrate_classical(
@@ -311,12 +297,7 @@ def pauli_sums(draw):
 
 def _high_dim_documents(seed: int) -> list[dict]:
     """The documents of the benchmark's `high-dim` workload for `seed`."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look the module up
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_module("workloads")
     rng = np.random.default_rng(seed)
     return [
         workloads.high_dim_doc(rng, f"high-dim-{seed}-{k}")
@@ -350,7 +331,7 @@ class TestBuildBitIdentity:
         for labels in itertools.product("IXYZ", repeat=n_qubits):
             for c in (1.0, -2.5, 0.0, -0.0):
                 term = PauliTerm(c, labels)
-                got = tensor_term(term)
+                got = build_hamiltonian([term])
                 assert_same_bits(got, build_hamiltonian_reference([term]))
                 # the Kronecker product itself, up to the sign of its zeros
                 np.testing.assert_array_equal(got, tensor_term_reference(term))

@@ -81,5 +81,6 @@ def test_time_reversal(seed, n):
     H = random_hermitian(rng, n)
     psi0 = random_state(rng, n)
     forward = _flow(H, psi0, REVERSIBLE_GRID)
-    back = integrate_classical(-H, forward.point(-1), REVERSIBLE_GRID)
+    point = to_chart(forward.u[-1], int(forward.pivots[-1]))
+    back = integrate_classical(-H, point, REVERSIBLE_GRID)
     assert _phase_aligned_distance(back.states()[-1], psi0) < 1e-8

@@ -11,12 +11,10 @@ from cpdyn.pauli import build_two_qubit_hamiltonian
 from cpdyn.quantum import (
     NumericFailure,
     TimeGrid,
-    evolve_exact,
     evolve_exact_grid,
     evolve_rk4,
     make_state,
     rk4_weights,
-    schrodinger_rhs,
 )
 
 from conftest import random_hermitian, random_state
@@ -74,45 +72,24 @@ class TestTimeGrid:
         np.testing.assert_allclose(grid.sample_times(), idx * 0.1)
 
 
-class TestSchrodingerRhs:
-    def test_zero_hamiltonian(self):
-        psi = make_state([1, 0])
-        np.testing.assert_array_equal(schrodinger_rhs(np.zeros((2, 2)), psi), [0, 0])
-
-    def test_identity_generates_global_phase(self):
-        psi = make_state([0.6, 0.8j])
-        np.testing.assert_allclose(schrodinger_rhs(np.eye(2), psi), -1j * psi)
-
-    def test_two_qubit_component_zero(self, rng):
-        c1, c2, c3, c4, c5 = rng.uniform(-5, 5, 5)
-        H = build_two_qubit_hamiltonian(c1, c2, c3, c4, c5)
-        psi = random_state(rng, 4)
-        a, b, c, d = psi
-        got = schrodinger_rhs(H, psi)[0]
-        expected = -1j * (c1 * a + (c2 - 1j * c3) * c + (-c4 - 1j * c5) * d)
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            schrodinger_rhs(np.eye(3), make_state([1, 0]))
-
-
 class TestEvolveExact:
     def test_time_zero_is_identity(self, rng):
         psi0 = random_state(rng, 5)
-        np.testing.assert_allclose(evolve_exact(random_hermitian(rng, 5), psi0, 0.0), psi0)
+        traj = evolve_exact_grid(random_hermitian(rng, 5), psi0, TimeGrid(1.0, 0.1))
+        np.testing.assert_allclose(traj.states[0], psi0)
 
     def test_diagonal_global_phase(self):
-        psi = evolve_exact(np.diag([1.0, -1.0]), make_state([1, 0]), np.pi)
+        grid = TimeGrid(np.pi, np.pi)
+        psi = evolve_exact_grid(np.diag([1.0, -1.0]), make_state([1, 0]), grid).states[-1]
         np.testing.assert_allclose(psi, [np.exp(-1j * np.pi), 0], atol=1e-12)
         np.testing.assert_allclose(np.abs(psi) ** 2, [1, 0], atol=1e-12)
 
     def test_diagonal_hamiltonian_keeps_populations(self):
         H = build_two_qubit_hamiltonian(1.0, 0, 0, 0, 0)
         psi0 = make_state([0.5, 0.5, 0.5, 0.5])
-        for t in (0.3, 1.7, 9.2):
-            psi = evolve_exact(H, psi0, t)
-            np.testing.assert_allclose(np.abs(psi) ** 2, 0.25, atol=1e-12)
+        # the samples include t = 0.3, 1.7 and 9.2
+        traj = evolve_exact_grid(H, psi0, TimeGrid(9.2, 0.1))
+        np.testing.assert_allclose(np.abs(traj.states) ** 2, 0.25, atol=1e-12)
 
     def test_norm_preserved_on_grid(self, rng):
         traj = evolve_exact_grid(
@@ -126,20 +103,23 @@ class TestEvolveExact:
             psi0, phi0 = random_state(rng, 5), random_state(rng, 5)
             before = np.vdot(phi0, psi0)
             t = rng.uniform(0, 10)
-            after = np.vdot(evolve_exact(H, phi0, t), evolve_exact(H, psi0, t))
+            grid = TimeGrid(t, t)
+            after = np.vdot(evolve_exact_grid(H, phi0, grid).states[-1],
+                            evolve_exact_grid(H, psi0, grid).states[-1])
             assert abs(after - before) < 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            evolve_exact(np.array([[0, 1], [0, 0]]), make_state([1, 0]), 1.0)
+            evolve_exact_grid(
+                np.array([[0, 1], [0, 0]]), make_state([1, 0]), TimeGrid(1.0, 0.1)
+            )
         with pytest.raises(ValueError, match="not Hermitian"):
             evolve_rk4(np.array([[0, 1], [0, 0]]), make_state([1, 0]), TimeGrid(1.0, 0.1))
 
     @pytest.mark.parametrize("evolve", [
-        lambda H, psi: evolve_exact(H, psi, 1.0),
         lambda H, psi: evolve_exact_grid(H, psi, TimeGrid(1.0, 0.1)),
         lambda H, psi: evolve_rk4(H, psi, TimeGrid(1.0, 0.1)),
-    ], ids=["evolve_exact", "evolve_exact_grid", "evolve_rk4"])
+    ], ids=["evolve_exact_grid", "evolve_rk4"])
     def test_dimension_mismatch(self, evolve):
         message = "dimension mismatch: H is (3, 3), psi has 2"
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cpdyn.flow
+from cpdyn.chart import to_chart
 from cpdyn.scenario import (
     ConfigError,
     compare,
@@ -137,7 +138,8 @@ class TestRun:
 
         zq0 = quaternionic_z_quantum(result.quantum_trajectory.states[0])
         assert zq0 == pytest.approx(0.0, abs=1e-12)
-        z0 = quaternionic_z_classical(result.classical_trajectory.point(0))
+        traj = result.classical_trajectory
+        z0 = quaternionic_z_classical(to_chart(traj.u[0], int(traj.pivots[0])))
         assert z0 == pytest.approx(0.0, abs=1e-12)
 
     def test_rk4_quantum_method(self):
