@@ -115,12 +115,33 @@ class TestParser:
             ("1.0*ZI + ", "position 9"),
             ("1.0*ZI 2*XX", "position 7"),
             ("1.0*QQ", "position 4"),
+            ("1*ZI +-2*XX", "position 6"),
+            ("1*ZI -", "position 6"),
+            ("-", "position 1"),
+            ("1e*ZI", "position 1"),
+            ("1*zi", "position 2"),
+            ("1*Z I", "position 4"),
+            ("1*ZI2*XX", "position 4"),
         ],
     )
     def test_syntax_error_carries_position(self, text, pos_hint):
         with pytest.raises(PauliSyntaxError) as err:
             parse_hamiltonian(text)
         assert pos_hint in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text,want",
+        [
+            ("  -1*ZI", [(-1.0, "ZI")]),
+            ("1 * ZI", [(1.0, "ZI")]),
+            ("1*ZI\n+\t2*XX", [(1.0, "ZI"), (2.0, "XX")]),
+            # any Unicode whitespace separates, as str.isspace() defines it
+            ("1*ZI\xa0+ 2*XX", [(1.0, "ZI"), (2.0, "XX")]),
+            ("+.5e-3*XY - 2.*YY", [(5e-4, "XY"), (-2.0, "YY")]),
+        ],
+    )
+    def test_accepted_spellings(self, text, want):
+        assert parse_hamiltonian(text) == [PauliTerm(c, tuple(s)) for c, s in want]
 
     @given(
         st.lists(
