@@ -87,8 +87,18 @@ class PauliTerm:
         return len(self.labels)
 
 
-_NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-_LABELS_RE = re.compile(f"[{PAULI_SYMBOLS}]+")
+# one term: [sign] coefficient '*' labels, then blanks; each part follows a
+# blank group (1, 3, 5, 7) whose end is where a missing part is reported
+_TERM_RE = re.compile(
+    r"(\s*)([+-])?(\s*)((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
+    rf"(\s*)(\*)?(\s*)([{PAULI_SYMBOLS}]+)?\s*"
+)
+_MISSING = (
+    None,  # the sign, required from the second term on
+    "expected a numeric coefficient",
+    "expected '*' after coefficient",
+    "expected Pauli labels over I, X, Y, Z",
+)
 
 
 def parse_hamiltonian(text: str) -> list[PauliTerm]:
@@ -104,45 +114,23 @@ def parse_hamiltonian(text: str) -> list[PauliTerm]:
     MixedLabelLengthError when terms differ in qubit count.
     """
     terms: list[PauliTerm] = []
-    pos = 0
-    end = len(text)
-
-    def skip_ws(p: int) -> int:
-        while p < end and text[p].isspace():
-            p += 1
-        return p
-
-    pos = skip_ws(pos)
-    if pos == end:
-        raise PauliSyntaxError("empty Hamiltonian", pos)
-
-    first = True
-    while pos < end:
-        sign = 1.0
-        if text[pos] in "+-":
-            sign = -1.0 if text[pos] == "-" else 1.0
-            pos = skip_ws(pos + 1)
-        elif not first:
-            raise PauliSyntaxError(f"expected '+' or '-', found {text[pos]!r}", pos)
-        first = False
-
-        m = _NUMBER_RE.match(text, pos)
-        if m is None:
-            raise PauliSyntaxError("expected a numeric coefficient", pos)
-        coeff = sign * float(m.group(0))
-        pos = skip_ws(m.end())
-
-        if pos >= end or text[pos] != "*":
-            raise PauliSyntaxError("expected '*' after coefficient", pos)
-        pos = skip_ws(pos + 1)
-
-        m = _LABELS_RE.match(text, pos)
-        if m is None:
-            raise PauliSyntaxError("expected Pauli labels over I, X, Y, Z", pos)
-        labels = tuple(m.group(0))
-        pos = skip_ws(m.end())
-
-        terms.append(PauliTerm(coeff, labels))
+    m = _TERM_RE.match(text)
+    if m.end(1) == len(text):
+        raise PauliSyntaxError("empty Hamiltonian", len(text))
+    while True:
+        parts = m.group(2, 4, 6, 8)  # sign, coefficient, '*', labels
+        start = 0 if terms else 1  # the first sign is optional
+        if None in parts[start:]:
+            k = parts.index(None, start)
+            pos = m.end(2 * k + 1)
+            raise PauliSyntaxError(
+                _MISSING[k] or f"expected '+' or '-', found {text[pos]!r}", pos
+            )
+        coeff = float(parts[1])
+        terms.append(PauliTerm(-coeff if parts[0] == "-" else coeff, tuple(parts[3])))
+        if m.end() == len(text):
+            break
+        m = _TERM_RE.match(text, m.end())
 
     lengths = {t.n_qubits for t in terms}
     if len(lengths) > 1:

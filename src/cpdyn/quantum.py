@@ -71,6 +71,8 @@ class TimeGrid:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.dt > self.t_end:
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end={self.t_end} / dt={self.dt} overflows the step count")
         stride = self.output_stride
         if (
             isinstance(stride, bool)

@@ -15,7 +15,8 @@ A scenario is a JSON file::
 The Hamiltonian is either a Pauli-string (``{"pauli": "..."}``) or a dense
 Hermitian matrix (``{"dense": {"real": [[..]], "imag": [[..]]}}``).
 Amplitudes and matrices carry real and imaginary parts as separate arrays so
-the file format needs no complex literals.
+the file format needs no complex literals.  Every object refuses a field it
+does not know.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class ScenarioConfig:
     grid: quantum.TimeGrid
     flow: flow.FlowSettings = field(default_factory=flow.FlowSettings)
     observables: tuple[str, ...] = ("populations", "energy", "norm")
-    quantum_method: str = "exact"
 
     @property
     def dimension(self) -> int:
@@ -83,6 +83,16 @@ def _as_config_error(key: str):
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _fields(node, key: str, required=(), optional=()) -> None:
+    """Refuse a `node` that is not an object, lacks a `required` field or
+    holds a field outside `required` and `optional`, naming `key`."""
+    _require(isinstance(node, dict), f"{key}: expected an object")
+    unknown = set(node).difference(required, optional)
+    _require(not unknown, f"{key}: unknown fields {sorted(unknown)}")
+    for name in required:
+        _require(name in node, f"{key}: missing required field '{name}'")
 
 
 def _number(value, key: str) -> float:
@@ -113,8 +123,7 @@ def _real_array(value, key: str) -> np.ndarray:
 
 
 def _complex_array(node, key: str, ndim: int) -> np.ndarray:
-    _require(isinstance(node, dict), f"{key}: expected an object with 'real'/'imag'")
-    _require("real" in node, f"{key}: missing 'real' array")
+    _fields(node, key, required=("real",), optional=("imag",))
     real = _real_array(node["real"], key)
     imag = _real_array(node["imag"], key) if "imag" in node else np.zeros_like(real)
     _require(
@@ -125,34 +134,29 @@ def _complex_array(node, key: str, ndim: int) -> np.ndarray:
 
 
 def _parse_hamiltonian(node) -> np.ndarray:
-    _require(isinstance(node, dict), "hamiltonian: expected an object")
+    _fields(node, "hamiltonian", optional=("pauli", "dense"))
+    _require(
+        len(node) == 1,
+        "hamiltonian: needs exactly one of a 'pauli' string or a 'dense' matrix",
+    )
     if "pauli" in node:
         with _as_config_error("hamiltonian.pauli"):
             terms = pauli.parse_hamiltonian(node["pauli"])
             return pauli.require_hermitian(pauli.build_hamiltonian(terms))
-    if "dense" in node:
-        with _as_config_error("hamiltonian.dense"):
-            H = _complex_array(node["dense"], "hamiltonian.dense", ndim=2)
-            return pauli.require_hermitian(H)
-    raise ConfigError("hamiltonian: needs either a 'pauli' string or a 'dense' matrix")
+    with _as_config_error("hamiltonian.dense"):
+        H = _complex_array(node["dense"], "hamiltonian.dense", ndim=2)
+        return pauli.require_hermitian(H)
 
 
 def _parse_grid(node) -> quantum.TimeGrid:
-    _require(isinstance(node, dict), "grid: expected an object")
-    values = {}
-    for key in ("t_end", "dt"):
-        _require(key in node, f"grid: missing required field '{key}'")
-        values[key] = _number(node[key], f"grid.{key}")
+    _fields(node, "grid", required=("t_end", "dt"), optional=("output_stride",))
+    values = {key: _number(node[key], f"grid.{key}") for key in ("t_end", "dt")}
     with _as_config_error("grid"):
         return quantum.TimeGrid(**values, output_stride=node.get("output_stride", 1))
 
 
 def _parse_flow(node) -> flow.FlowSettings:
-    if node is None:
-        return flow.FlowSettings()
-    _require(isinstance(node, dict), "flow: expected an object")
-    unknown = set(node) - {"switch_threshold"}
-    _require(not unknown, f"flow: unknown fields {sorted(unknown)}")
+    _fields(node, "flow", optional=("switch_threshold",))
     key = "flow.switch_threshold"
     threshold = _number(node.get("switch_threshold", 0.2), key)
     with _as_config_error(key):
@@ -161,19 +165,12 @@ def _parse_flow(node) -> flow.FlowSettings:
 
 def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
     """Validate a deserialized scenario document into a ScenarioConfig."""
-    _require(isinstance(data, dict), "scenario: top level must be an object")
-    unknown = set(data) - {
-        "name",
-        "hamiltonian",
-        "initial_state",
-        "grid",
-        "flow",
-        "observables",
-        "quantum_method",
-    }
-    _require(not unknown, f"scenario: unknown fields {sorted(unknown)}")
-    for key in ("hamiltonian", "initial_state", "grid"):
-        _require(key in data, f"scenario: missing required field '{key}'")
+    _fields(
+        data,
+        "scenario",
+        required=("hamiltonian", "initial_state", "grid"),
+        optional=("name", "flow", "observables"),
+    )
 
     H = _parse_hamiltonian(data["hamiltonian"])
     with _as_config_error("initial_state"):
@@ -187,7 +184,7 @@ def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
     )
 
     grid = _parse_grid(data["grid"])
-    flow_settings = _parse_flow(data.get("flow"))
+    flow_settings = _parse_flow(data.get("flow", {}))
 
     obs = data.get("observables", ["populations", "energy", "norm"])
     _require(
@@ -203,12 +200,6 @@ def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
             f"observables: '{name}' requires a two-qubit system (N=4), got N={n}",
         )
 
-    qmethod = data.get("quantum_method", "exact")
-    _require(
-        qmethod in ("exact", "rk4"),
-        f"quantum_method: must be 'exact' or 'rk4', got {qmethod!r}",
-    )
-
     return ScenarioConfig(
         name=str(data.get("name", Path(source).stem)),
         hamiltonian=H,
@@ -216,7 +207,6 @@ def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
         grid=grid,
         flow=flow_settings,
         observables=tuple(obs),
-        quantum_method=qmethod,
     )
 
 
@@ -262,14 +252,9 @@ def run(config: ScenarioConfig, method: str = "both") -> RunResult:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     result = RunResult(config=config)
     if method in ("quantum", "both"):
-        if config.quantum_method == "rk4":
-            result.quantum_trajectory = quantum.evolve_rk4(
-                config.hamiltonian, config.initial_state, config.grid
-            )
-        else:
-            result.quantum_trajectory = quantum.evolve_exact_grid(
-                config.hamiltonian, config.initial_state, config.grid
-            )
+        result.quantum_trajectory = quantum.evolve_exact_grid(
+            config.hamiltonian, config.initial_state, config.grid
+        )
     if method in ("classical", "both"):
         point0 = chart.to_chart(
             config.initial_state, chart.select_pivot(config.initial_state)

@@ -15,7 +15,8 @@ FIG1_LEFT = str(SCENARIO_DIR / "fig1_left.json")
 
 # (section, malformed value, key the error names[, test id]): each escaped
 # the parser as a bare TypeError/ValueError/OverflowError, or was converted
-# and accepted (the stride truncated, strings and booleans read as numbers)
+# or ignored and accepted (the stride truncated, strings and booleans read
+# as numbers, a misspelt or second field dropped)
 MALFORMED = [
     ("grid", {"t_end": None, "dt": 0.01}, "grid.t_end"),
     ("grid", {"t_end": [1], "dt": 0.01}, "grid.t_end"),
@@ -64,6 +65,39 @@ MALFORMED = [
         "initial_state",
         "initial_state.imag-overflow",
     ),
+    (
+        "grid",
+        {"t_end": 1.0, "dt": 0.01, "outputstride": 10},
+        "grid",
+        "grid.outputstride-unknown",
+    ),
+    (
+        "initial_state",
+        {"real": [1.0, 0.0, 0.0, 0.0], "imaginary": [0.0, 0.0, 0.0, 0.0]},
+        "initial_state",
+        "initial_state.imaginary-unknown",
+    ),
+    (
+        "hamiltonian",
+        {
+            "dense": {
+                "real": [[0] * 4] * 4,
+                "img": [[0, -1, 0, 0], [1, 0, 0, 0], [0] * 4, [0] * 4],
+            }
+        },
+        "hamiltonian.dense",
+        "hamiltonian.dense.img-unknown",
+    ),
+    (
+        "hamiltonian",
+        {"pauli": "1*ZI", "dense": {"real": [[1.0, 0.0], [0.0, -1.0]]}},
+        "hamiltonian",
+        "hamiltonian-pauli-and-dense",
+    ),
+    ("quantum_method", "exact", "scenario", "quantum_method-unknown"),
+    # t_end / dt overflows to inf, which `round` cannot make a step count
+    ("grid", {"t_end": 1.0, "dt": 5e-324}, "grid", "grid.dt-subnormal"),
+    ("grid", {"t_end": 1e308, "dt": 1e-10}, "grid", "grid.t_end-huge"),
 ]
 
 
@@ -188,7 +222,6 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
         "initial_state": {"real": [1.0, 0.0]},
         "grid": {"t_end": 1.0, "dt": 0.1},
         "observables": ["populations"],
-        "quantum_method": "rk4",
     }
     path = tmp_path / "blowup.json"
     path.write_text(json.dumps(doc))
@@ -199,7 +232,7 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
                 "--config",
                 str(path),
                 "--method",
-                "quantum",
+                "classical",
                 "--out",
                 str(tmp_path / "x.csv"),
             ]

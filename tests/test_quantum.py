@@ -61,6 +61,10 @@ class TestTimeGrid:
                 TimeGrid(t_end=t_end, dt=dt)
         with pytest.raises(ValueError, match="whole number"):
             TimeGrid(t_end=1.0, dt=0.3)
+        # t_end / dt is inf: no step count, rather than an OverflowError
+        for t_end, dt in ((1.0, 5e-324), (1e308, 1e-10)):
+            with pytest.raises(ValueError, match="step count"):
+                TimeGrid(t_end=t_end, dt=dt)
 
     def test_step_count_tolerates_float_noise(self):
         assert TimeGrid(t_end=10.0, dt=1e-3).n_steps == 10000

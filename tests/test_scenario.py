@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import cpdyn.flow
+import cpdyn.scenario
 from cpdyn.chart import to_chart
 from cpdyn.scenario import (
+    KNOWN_OBSERVABLES,
     ConfigError,
     compare,
     emit_csv,
@@ -16,7 +18,6 @@ from cpdyn.scenario import (
 )
 
 from conftest import minimal_doc
-from oracles import evolve_rk4_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -32,6 +33,15 @@ class TestLoadScenario:
         for path in sorted(SCENARIO_DIR.glob("*.json")):
             config = load_scenario(path)
             assert config.dimension == 4
+
+    def test_documented_examples_are_valid(self):
+        readme = (SCENARIO_DIR.parent / "README.md").read_text()
+        example = readme.split("## Scenario files", 1)[1].split("```json", 1)[1]
+        config = scenario_from_dict(json.loads(example.split("```", 1)[0]))
+        assert config.dimension == 4 and config.grid.output_stride == 10
+        text = cpdyn.scenario.__doc__
+        data, _ = json.JSONDecoder().raw_decode(text[text.index("{"):])
+        assert scenario_from_dict(data).observables == tuple(KNOWN_OBSERVABLES)
 
     def test_fig1_initial_state(self):
         config = load_scenario(SCENARIO_DIR / "fig1_left.json")
@@ -104,6 +114,9 @@ class TestLoadScenario:
             scenario_from_dict(minimal_doc(flow={"dt": 1e-3}))
         with pytest.raises(ConfigError, match="unknown fields"):
             scenario_from_dict(minimal_doc(renormalize_before_observables=True))
+        # the reference integrator is always the spectral propagator
+        with pytest.raises(ConfigError, match="scenario: unknown fields"):
+            scenario_from_dict(minimal_doc(quantum_method="exact"))
 
     def test_unknown_observable_rejected(self):
         with pytest.raises(ConfigError, match="unknown names"):
@@ -141,20 +154,6 @@ class TestRun:
         traj = result.classical_trajectory
         z0 = quaternionic_z_classical(to_chart(traj.u[0], int(traj.pivots[0])))
         assert z0 == pytest.approx(0.0, abs=1e-12)
-
-    def test_rk4_quantum_method(self):
-        config = scenario_from_dict(minimal_doc(quantum_method="rk4"))
-        result = run(config, method="quantum")
-        assert np.max(result.quantum_trajectory.norm_drift) < 1e-8
-
-        doc = json.loads((SCENARIO_DIR / "fig2_right.json").read_text())
-        config = scenario_from_dict(dict(doc, quantum_method="rk4"))
-        assert config.grid.output_stride == 10
-        got = run(config, method="quantum").quantum_trajectory.states
-        want = evolve_rk4_reference(
-            config.hamiltonian, config.initial_state, config.grid
-        ).states
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_bad_method_rejected(self):
         config = scenario_from_dict(minimal_doc())
