@@ -21,15 +21,18 @@ whose pivot component vanishes identically.  The integrator is fixed-step
 RK4 on u (the Kahler geometry admits no standard symplectic splitting here;
 energy drift is recorded as the quality signal).  With B = -i dt H the
 step-scaled right-hand side is Bu - (Bu)[pivot] u, so every RK4 stage lies
-in span{u, Bu, ..., B^4 u} and a step is computed exactly from those
-vectors: [Bu; B^2 u] is one product with the stacked matrix [B; B^2],
-[B^3 u; B^4 u] a second one, and `quantum.rk4_weights` turns their pivot
-entries into the weights of the increment.  The work array holding
-u, Bu, ..., B^4 u, its product views, the weights and the increment are
-built once per run, so a step allocates no array: it writes only into
-those buffers and into the preallocated sample buffer.  After a step the
-integrator hops to the chart anchored at the largest |u_i|, rescaling u
-so that u[new] = 1, whenever the implied pivot amplitude
+in span{u, Bu, ..., B^4 u} and a step is computed exactly from the rows
+of K = [u; Bu; ...; B^4 u]: `quantum.rk4_weights` turns their pivot
+entries into weights d_j, and the new state is (1 + d0, d1, ..., d4) . K.
+Which products fill K depends on N.  Up to `_STACK_MAX_N` one product with
+the stacked matrix [I; B; B^2; B^3; B^4] fills all five rows; the stack
+is 5N^2 complex entries and stops fitting a core's cache beyond that, so
+larger systems copy u into K and take two products with [B; B^2], for
+[Bu; B^2 u] and then [B^3 u; B^4 u].  The stack, K, its product views and
+the weights are built once per run, so a step allocates no array: it
+writes only into those buffers and into the preallocated sample buffer.
+After a step the integrator hops to the chart anchored at the largest
+|u_i|, rescaling u so that u[new] = 1, whenever the implied pivot amplitude
 1/|u| = 1/sqrt(nfac) falls below a threshold.  The trajectory keeps the
 sampled u; everything else it reports (coordinates, nfac = |u|^2, states)
 is read from them.
@@ -56,8 +59,13 @@ __all__ = [
 ]
 
 # |u|^2 at or above this (or NaN) after a step means the step diverged;
-# chart switching keeps |u|^2 <= N between steps, far below it.
+# chart switching keeps |u|^2 <= max(N, 1/threshold^2) between steps, far
+# below it.
 _NSQ_GUARD = 1e300
+
+# Largest N whose step fills K with one product with the 5N x N stack
+# [I; B; ...; B^4]; above it two products with [B; B^2] are faster.
+_STACK_MAX_N = 128
 
 
 @dataclass(frozen=True)
@@ -194,18 +202,26 @@ def integrate_classical(
 
     pivot = point0.pivot
     n = point0.dimension
-    M = np.empty((2 * n, n), dtype=complex)
-    np.multiply(-1j * grid.dt, H, out=M[:n])
-    np.matmul(M[:n], M[:n], out=M[n:])
-    # K holds u, Bu, ..., B^4 u; rows 1-2 and 3-4 are contiguous, so both
-    # product targets are views.  s views the pivot entries of rows 1-4.
+    stacked = n <= _STACK_MAX_N
+    # the powers of B that one product applies: B^0..B^4 stacked, else B, B^2
+    powers = np.empty((5 * n if stacked else 2 * n, n), dtype=complex)
+    first = n if stacked else 0  # the row where B starts
+    B, B2 = powers[first:first + n], powers[first + n:first + 2 * n]
+    np.multiply(-1j * grid.dt, H, out=B)
+    np.matmul(B, B, out=B2)
+    if stacked:
+        powers[:n] = np.eye(n)
+        np.matmul(B, B2, out=powers[3 * n:4 * n])
+        np.matmul(B2, B2, out=powers[4 * n:])
+    # K holds u, Bu, ..., B^4 u; all five rows, and rows 1-2 and 3-4, are
+    # contiguous, so every product target is a view.  s views the pivot
+    # entries of rows 1-4.  u is its own buffer: the update reads K.
     K = np.zeros((5, n), dtype=complex)
-    u, b2u = K[0], K[2]
-    k12, k34 = K[1:3].reshape(2 * n), K[3:5].reshape(2 * n)
+    k_all, k12, k34 = K.reshape(5 * n), K[1:3].reshape(2 * n), K[3:5].reshape(2 * n)
+    b2u = K[2]
     s = K[1:, pivot]
     w = np.empty(5, dtype=complex)
-    inc = np.empty(n, dtype=complex)
-    u[:] = point0.homogeneous()
+    u = np.array(point0.homogeneous(), dtype=complex)
     # np.dot into `out` runs the same BLAS product as np.matmul, with less
     # dispatch per call
     dot, vdot = np.dot, np.vdot
@@ -218,12 +234,15 @@ def integrate_classical(
     us[0], pivots[0] = u, pivot
     k = 1
     for step in range(1, grid.n_steps + 1):
-        # [Bu; B^2 u] = M u, [B^3 u; B^4 u] = M B^2 u, u += sum_j d_j B^j u
-        dot(M, u, out=k12)
-        dot(M, b2u, out=k34)
-        w[:] = rk4_weights(*s.tolist())
-        dot(w, K, out=inc)
-        u += inc
+        if stacked:
+            dot(powers, u, out=k_all)
+        else:
+            K[0] = u
+            dot(powers, u, out=k12)
+            dot(powers, b2u, out=k34)
+        d0, d1, d2, d3, d4 = rk4_weights(*s.tolist())
+        w[:] = (1.0 + d0, d1, d2, d3, d4)
+        dot(w, K, out=u)  # u_new = u + sum_j d_j B^j u
         u[pivot] = 1.0  # the exact step keeps it at 1; rounding may not
         usq = vdot(u, u).real
         if not usq < _NSQ_GUARD:

@@ -90,11 +90,16 @@ class TimeGrid:
     def n_steps(self) -> int:
         return round(self.t_end / self.dt)
 
+    @property
+    def n_samples(self) -> int:
+        """Length of `sample_indices`, without building it."""
+        return -(-self.n_steps // self.output_stride) + 1
+
     def sample_indices(self) -> np.ndarray:
-        idx = list(range(0, self.n_steps + 1, self.output_stride))
+        idx = np.arange(0, self.n_steps + 1, self.output_stride)
         if idx[-1] != self.n_steps:
-            idx.append(self.n_steps)
-        return np.asarray(idx, dtype=int)
+            idx = np.append(idx, self.n_steps)
+        return idx
 
     def sample_times(self) -> np.ndarray:
         return self.sample_indices() * self.dt

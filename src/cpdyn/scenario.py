@@ -48,6 +48,10 @@ CSV_SCHEMA_VERSION = 1
 KNOWN_OBSERVABLES = ("populations", "z", "concurrence", "energy", "norm")
 METHODS = ("quantum", "classical", "both")
 
+# Sampled amplitudes a run may store per trajectory: 2^24, as many entries as
+# the largest H that `pauli.MAX_QUBITS` lets the parser build (256 MiB).
+_MAX_SAMPLE_ENTRIES = 4**pauli.MAX_QUBITS
+
 
 class ConfigError(ValueError):
     """Scenario file or comparison setting rejected; the message names the
@@ -171,6 +175,11 @@ def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
         required=("hamiltonian", "initial_state", "grid"),
         optional=("name", "flow", "observables"),
     )
+    scenario_name = data.get("name", Path(source).stem)
+    _require(
+        isinstance(scenario_name, str),
+        f"name: expected a string, got {scenario_name!r}",
+    )
 
     H = _parse_hamiltonian(data["hamiltonian"])
     with _as_config_error("initial_state"):
@@ -184,6 +193,12 @@ def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
     )
 
     grid = _parse_grid(data["grid"])
+    n = H.shape[0]
+    _require(
+        grid.n_samples * n <= _MAX_SAMPLE_ENTRIES,
+        f"grid: {grid.n_samples} samples of {n} amplitudes exceed the cap of "
+        f"{_MAX_SAMPLE_ENTRIES} sampled entries per trajectory",
+    )
     flow_settings = _parse_flow(data.get("flow", {}))
 
     obs = data.get("observables", ["populations", "energy", "norm"])
@@ -193,7 +208,6 @@ def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
     )
     bad = [o for o in obs if o not in KNOWN_OBSERVABLES]
     _require(not bad, f"observables: unknown names {bad}; known: {list(KNOWN_OBSERVABLES)}")
-    n = H.shape[0]
     for name in ("z", "concurrence"):
         _require(
             name not in obs or n == 4,
@@ -201,7 +215,7 @@ def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
         )
 
     return ScenarioConfig(
-        name=str(data.get("name", Path(source).stem)),
+        name=scenario_name,
         hamiltonian=H,
         initial_state=psi0,
         grid=grid,

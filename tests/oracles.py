@@ -10,7 +10,8 @@ against the Krylov form the package integrates with.
 `rk4_weights_reference`, `integrate_classical_reference` and
 `evolve_rk4_reference` are the Krylov-form weight recurrence and the two
 RK4 loops in their plain form: every stage coefficient computed, every
-view and array built afresh in each step.  `build_hamiltonian_reference`
+view and array built afresh in each step, on either side of the
+integrator's choice of Krylov products by N.  `build_hamiltonian_reference`
 sums the dense Kronecker products of every Pauli term's 2x2 matrices
 (`PAULI_MATRICES`).  The package's buffered loops, folded recurrence and
 signed-permutation build must reproduce them bit for bit.
@@ -21,7 +22,13 @@ from functools import reduce
 import numpy as np
 
 from cpdyn.chart import ChartPoint, normalization, select_pivot
-from cpdyn.flow import _NSQ_GUARD, ClassicalTrajectory, FlowSettings, classical_hamiltonian
+from cpdyn.flow import (
+    _NSQ_GUARD,
+    _STACK_MAX_N,
+    ClassicalTrajectory,
+    FlowSettings,
+    classical_hamiltonian,
+)
 from cpdyn.pauli import MAX_QUBITS, MixedLabelLengthError, PauliTerm, require_hermitian
 from cpdyn.quantum import NumericFailure, QuantumTrajectory, TimeGrid, rk4_weights
 
@@ -164,13 +171,31 @@ def rk4_weights_reference(s1, s2, s3, s4) -> tuple:
     )
 
 
-def _rk4_increment_reference(M: np.ndarray, K: np.ndarray, pivot: int) -> np.ndarray:
-    """u_new - u for one Krylov-form RK4 step, with fresh views and a fresh
-    increment array: M = [B; B^2], K[0] = u, rows 1-4 filled with B^j u."""
-    n = K.shape[1]
-    np.matmul(M, K[0], out=K[1:3].reshape(2 * n))
-    np.matmul(M, K[2], out=K[3:5].reshape(2 * n))
-    return np.dot(rk4_weights_reference(*K[1:, pivot].tolist()), K)
+def _krylov_powers_reference(H: np.ndarray, dt: float) -> np.ndarray:
+    """The powers of B = -i dt H that one product applies: the stack
+    [I; B; B^2; B^3; B^4] up to `_STACK_MAX_N`, else [B; B^2]."""
+    n = H.shape[0]
+    B = np.multiply(-1j * dt, H)
+    B2 = np.matmul(B, B)
+    if n <= _STACK_MAX_N:
+        return np.concatenate([np.eye(n), B, B2, np.matmul(B, B2), np.matmul(B2, B2)])
+    return np.concatenate([B, B2])
+
+
+def _rk4_step_reference(powers: np.ndarray, u: np.ndarray, pivot: int) -> np.ndarray:
+    """u_new for one Krylov-form RK4 step, with a fresh K = [u; Bu; ...;
+    B^4 u] from one stack product or two pair products, then
+    (1 + d0, d1, ..., d4) . K."""
+    n = u.size
+    if powers.shape[0] == 5 * n:
+        K = np.matmul(powers, u).reshape(5, n)
+    else:
+        K = np.empty((5, n), dtype=complex)
+        K[0] = u
+        K[1:3] = np.matmul(powers, u).reshape(2, n)
+        K[3:5] = np.matmul(powers, K[2]).reshape(2, n)
+    d = rk4_weights_reference(*K[1:, pivot].tolist())
+    return np.dot(np.array([1.0 + d[0], d[1], d[2], d[3], d[4]]), K)
 
 
 def integrate_classical_reference(
@@ -186,12 +211,8 @@ def integrate_classical_reference(
 
     pivot = point0.pivot
     n = point0.dimension
-    M = np.empty((2 * n, n), dtype=complex)
-    np.multiply(-1j * grid.dt, H, out=M[:n])
-    np.matmul(M[:n], M[:n], out=M[n:])
-    K = np.zeros((5, n), dtype=complex)
-    u = K[0]
-    u[:] = point0.homogeneous()
+    powers = _krylov_powers_reference(H, grid.dt)
+    u = np.array(point0.homogeneous(), dtype=complex)
 
     samples = grid.sample_indices().tolist()
     us = np.empty((len(samples), n), dtype=complex)
@@ -201,7 +222,7 @@ def integrate_classical_reference(
     k = 0
     for step in range(grid.n_steps + 1):
         if step > 0:
-            u += _rk4_increment_reference(M, K, pivot)
+            u = _rk4_step_reference(powers, u, pivot)
             u[pivot] = 1.0
             usq = np.vdot(u, u).real
             if not usq < _NSQ_GUARD:

@@ -98,6 +98,9 @@ MALFORMED = [
     # t_end / dt overflows to inf, which `round` cannot make a step count
     ("grid", {"t_end": 1.0, "dt": 5e-324}, "grid", "grid.dt-subnormal"),
     ("grid", {"t_end": 1e308, "dt": 1e-10}, "grid", "grid.t_end-huge"),
+    # 1e15 + 1 samples: refused before any sample index is built
+    ("grid", {"t_end": 1e12, "dt": 1e-3}, "grid", "grid.samples-over-cap"),
+    ("name", None, "name", "name-null"),
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from cpdyn.chart import ChartPoint, from_chart, select_pivot, to_chart
 from cpdyn.flow import (
+    _STACK_MAX_N,
     FlowSettings,
     classical_hamiltonian,
     grad_conj,
@@ -303,15 +304,32 @@ class TestBitIdentity:
         if path.stem == "fig2_right":
             assert traj.n_switches == 10
 
-    @pytest.mark.parametrize("scale", [1.0, 1e6])
-    def test_random_systems(self, scale):
+    # At dt = 1e-3 the B^3 u and B^4 u terms are too small for the rounding
+    # of the stack product to reach u, so the stack and the two [B; B^2]
+    # products give the same bits; the coarse step tells them apart.
+    @pytest.mark.parametrize(
+        "scale, dt, t_end",
+        [(1.0, 1e-3, 2.0), (1e6, 1e-3, 2.0), (1.0, 0.05, 20.0)],
+        ids=["1.0", "1000000.0", "1.0-coarse"],
+    )
+    def test_random_systems(self, scale, dt, t_end):
         rng = np.random.default_rng(31)
         switches = 0
         for n in range(2, 9):
             H = random_hermitian(rng, n) * scale
             psi0 = random_state(rng, n)
-            grid = TimeGrid(t_end=2.0 / scale, dt=1e-3 / scale, output_stride=7)
+            grid = TimeGrid(t_end=t_end / scale, dt=dt / scale, output_stride=7)
             traj = assert_same_trajectory(H, to_chart(psi0, select_pivot(psi0)), grid)
             switches += traj.n_switches
         # the chart-switch branch and its refreshed pivot view are exercised
         assert switches > 0
+
+    def test_random_system_above_stack_threshold(self):
+        # N = 256 (eight qubits) steps with the two [B; B^2] products
+        n = 256
+        assert n > _STACK_MAX_N
+        rng = np.random.default_rng(37)
+        H, psi0 = random_hermitian(rng, n), random_state(rng, n)
+        grid = TimeGrid(t_end=0.2, dt=1e-3, output_stride=20)
+        traj = assert_same_trajectory(H, to_chart(psi0, select_pivot(psi0)), grid)
+        assert traj.n_switches > 0

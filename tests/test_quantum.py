@@ -75,6 +75,14 @@ class TestTimeGrid:
         assert idx[0] == 0 and idx[-1] == grid.n_steps
         np.testing.assert_allclose(grid.sample_times(), idx * 0.1)
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 9, 10, 11, 12])
+    @pytest.mark.parametrize("stride", [1, 3, 5, 10, 13])
+    def test_sample_count_matches_indices(self, n_steps, stride):
+        grid = TimeGrid(t_end=n_steps * 0.5, dt=0.5, output_stride=stride)
+        want = sorted({*range(0, n_steps + 1, stride), n_steps})
+        assert grid.sample_indices().tolist() == want
+        assert grid.n_samples == len(want)
+
 
 class TestEvolveExact:
     def test_time_zero_is_identity(self, rng):

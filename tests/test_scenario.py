@@ -118,6 +118,28 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="scenario: unknown fields"):
             scenario_from_dict(minimal_doc(quantum_method="exact"))
 
+    @pytest.mark.parametrize("name", [None, [1, 2], 5, True, {"a": 1}])
+    def test_non_string_name_rejected(self, name):
+        with pytest.raises(ConfigError, match=r"^name: expected a string"):
+            scenario_from_dict(minimal_doc(name=name))
+
+    def test_name_defaults_to_file_stem(self, tmp_path):
+        doc = minimal_doc()
+        del doc["name"]
+        assert load_scenario(write_scenario(tmp_path, doc, "demo.json")).name == "demo"
+
+    def test_sample_entries_capped(self):
+        # N = 4, so the 2^24-entry cap allows 2^22 samples; the check is
+        # arithmetic, no sample index is built
+        ok = minimal_doc(grid={"t_end": 2.0**22 - 1, "dt": 1.0})
+        assert scenario_from_dict(ok).grid.n_samples == 2**22
+        for grid in (
+            {"t_end": 2.0**22, "dt": 1.0},
+            {"t_end": 1e12, "dt": 1e-3, "output_stride": 10**6},
+        ):
+            with pytest.raises(ConfigError, match=r"^grid: .* exceed the cap"):
+                scenario_from_dict(minimal_doc(grid=grid))
+
     def test_unknown_observable_rejected(self):
         with pytest.raises(ConfigError, match="unknown names"):
             scenario_from_dict(minimal_doc(observables=["popluations"]))
