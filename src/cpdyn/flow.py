@@ -20,22 +20,45 @@ Schrodinger equation on the homogeneous vector u, u[pivot] = 1:
 whose pivot component vanishes identically.  The integrator is fixed-step
 RK4 on u (the Kahler geometry admits no standard symplectic splitting here;
 energy drift is recorded as the quality signal).  With B = -i dt H the
-step-scaled right-hand side is Bu - (Bu)[pivot] u, so every RK4 stage lies
-in span{u, Bu, ..., B^4 u} and a step is computed exactly from the rows
-of K = [u; Bu; ...; B^4 u]: `quantum.rk4_weights` turns their pivot
-entries into weights d_j, and the new state is (1 + d0, d1, ..., d4) . K.
-Which products fill K depends on N.  Up to `_STACK_MAX_N` one product with
-the stacked matrix [I; B; B^2; B^3; B^4] fills all five rows; the stack
-is 5N^2 complex entries and stops fitting a core's cache beyond that, so
-larger systems copy u into K and take two products with [B; B^2], for
-[Bu; B^2 u] and then [B^3 u; B^4 u].  The stack, K, its product views and
-the weights are built once per run, so a step allocates no array: it
-writes only into those buffers and into the preallocated sample buffer.
+step-scaled right-hand side is Bv - (Bv)[pivot] v, so every RK4 stage lies
+in span{u, Bu, ..., B^4 u} and a step is exactly u + sum_j d_j B^j u:
+`quantum.rk4_weights` turns the pivot entries s_j = (B^j u)[pivot] into
+the weights d_j.  How a step gets the s_j and applies the weights depends
+on N.
+
+* Up to `_STACK_MAX_N` one product with the stacked matrix
+  [I; B; B^2; B^3; B^4], built once per run, fills K = [u; Bu; ...; B^4 u],
+  and the new state is (1 + d0, d1, ..., d4) . K: 5N^2 multiply-adds.
+* Above it the run starts with one eigendecomposition H = V diag(lam) V^H
+  of its own and steps the coordinates q = V^H u, in which B^j is the
+  diagonal z^j, z = -i dt lam.  One (5, N) product (z^j V[pivot]) . q gives
+  u[pivot] and the s_j, and the step is q *= sum_j w_j z^j, where w is
+  (1 + d0, d1, ..., d4) divided by u[pivot]: the weights are those of
+  u / u[pivot], so the pivot entry returns to 1 on every step, as it does
+  in exact arithmetic.  |u|^2 = |q|^2, V being unitary, so a step is O(N);
+  u = V q (N^2 multiply-adds) is formed only at samples and when |u|^2
+  passes the switch level, which at N = 256 and threshold 0.2 is every
+  step.  Each stage still evaluates the projective vector field
+  Bv - (Bv)[pivot] v; only the coordinates of v change.
+
+The threshold is measured: on a 2-CPU x86-64 host the two paths step
+equally fast at N = 18-20, the stacked one is 3-14% faster at N = 14-16 and
+the spectral one 6% faster at N = 22-24 and 28% at N = 32.  At N = 256 a
+step takes 32 us, where two products with [B; B^2] (4N^2 multiply-adds,
+no set-up) take 67-83 us.  The eigendecomposition is O(N^3) and paid
+once, so a short run at large N is slower than with those products: the
+two break even near 470 steps at N = 256, 360 at N = 512 and 660 at
+N = 1024 (`eigh` alone takes 0.02, 0.13 and 0.8 s there).  The stack,
+the eigenvectors and every work buffer are built once per run, so a step
+allocates no array: it writes only into those buffers and into the
+preallocated sample buffer.
+
 After a step the integrator hops to the chart anchored at the largest
 |u_i|, rescaling u so that u[new] = 1, whenever the implied pivot amplitude
-1/|u| = 1/sqrt(nfac) falls below a threshold.  The trajectory keeps the
-sampled u; everything else it reports (coordinates, nfac = |u|^2, states)
-is read from them.
+1/|u| = 1/sqrt(nfac) falls below a threshold.  Chart, pivot and switch
+rule act on u in the computational basis on both paths.  The trajectory
+keeps the sampled u, with u[pivot] = 1 exactly; everything else it reports
+(coordinates, nfac = |u|^2, states) is read from them.
 """
 
 from __future__ import annotations
@@ -64,8 +87,9 @@ __all__ = [
 _NSQ_GUARD = 1e300
 
 # Largest N whose step fills K with one product with the 5N x N stack
-# [I; B; ...; B^4]; above it two products with [B; B^2] are faster.
-_STACK_MAX_N = 128
+# [I; B; ...; B^4]; above it the O(N) step in eigen-coordinates is faster
+# (measured, see the module docstring).
+_STACK_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -188,6 +212,12 @@ def integrate_classical(
     maximum-modulus amplitude and integration continues.  Chart switches
     happen between steps, never inside RK4 stages.  Raises NumericFailure on
     the first non-finite step.
+
+    Up to N = `_STACK_MAX_N` a step costs one 5N x N product; above it a
+    step is O(N) in eigen-coordinates, plus one N x N product whenever u is
+    sampled or probed for a switch, after one `eigh` of H per run.  That
+    O(N^3) start makes runs of a few hundred steps at large N slower than a
+    step of 4N^2 would; the module docstring gives the measured break-even.
     """
     settings = settings or FlowSettings()
     H = require_hermitian(H)
@@ -197,49 +227,55 @@ def integrate_classical(
             f"dimension {point0.dimension}"
         )
 
-    # switch when nfac = |u|^2 exceeds 1/threshold^2
-    usq_switch = 1.0 / settings.switch_threshold**2
-
-    pivot = point0.pivot
     n = point0.dimension
-    stacked = n <= _STACK_MAX_N
-    # the powers of B that one product applies: B^0..B^4 stacked, else B, B^2
-    powers = np.empty((5 * n if stacked else 2 * n, n), dtype=complex)
-    first = n if stacked else 0  # the row where B starts
-    B, B2 = powers[first:first + n], powers[first + n:first + 2 * n]
-    np.multiply(-1j * grid.dt, H, out=B)
-    np.matmul(B, B, out=B2)
-    if stacked:
-        powers[:n] = np.eye(n)
-        np.matmul(B, B2, out=powers[3 * n:4 * n])
-        np.matmul(B2, B2, out=powers[4 * n:])
-    # K holds u, Bu, ..., B^4 u; all five rows, and rows 1-2 and 3-4, are
-    # contiguous, so every product target is a view.  s views the pivot
-    # entries of rows 1-4.  u is its own buffer: the update reads K.
-    K = np.zeros((5, n), dtype=complex)
-    k_all, k12, k34 = K.reshape(5 * n), K[1:3].reshape(2 * n), K[3:5].reshape(2 * n)
-    b2u = K[2]
-    s = K[1:, pivot]
-    w = np.empty(5, dtype=complex)
     u = np.array(point0.homogeneous(), dtype=complex)
-    # np.dot into `out` runs the same BLAS product as np.matmul, with less
-    # dispatch per call
-    dot, vdot = np.dot, np.vdot
-
     samples = grid.sample_indices().tolist()
     us = np.empty((len(samples), n), dtype=complex)
     pivots = np.empty(len(samples), dtype=int)
-    switch_times: list[float] = []
+    us[0], pivots[0] = u, point0.pivot
 
-    us[0], pivots[0] = u, pivot
+    steps = _stacked_steps if n <= _STACK_MAX_N else _spectral_steps
+    # switch when nfac = |u|^2 exceeds 1/threshold^2
+    switch_times = steps(
+        H, u, point0.pivot, grid, 1.0 / settings.switch_threshold**2,
+        samples, us, pivots,
+    )
+
+    us.setflags(write=False)
+    return ClassicalTrajectory(
+        times=grid.sample_times(),
+        u=us,
+        pivots=pivots,
+        switch_times=np.asarray(switch_times),
+    )
+
+
+def _stacked_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
+    """Step u from sample 0 over the grid with K = [u; Bu; ...; B^4 u] from
+    one product with [I; B; ...; B^4], writing samples 1.. into `us` and
+    `pivots`; returns the switch times."""
+    n = u.size
+    powers = np.empty((5 * n, n), dtype=complex)
+    B, B2 = powers[n:2 * n], powers[2 * n:3 * n]
+    np.multiply(-1j * grid.dt, H, out=B)
+    np.matmul(B, B, out=B2)
+    powers[:n] = np.eye(n)
+    np.matmul(B, B2, out=powers[3 * n:4 * n])
+    np.matmul(B2, B2, out=powers[4 * n:])
+    # K holds u, Bu, ..., B^4 u; s views the pivot entries of rows 1-4.
+    # u is its own buffer: the update reads K.
+    K = np.empty((5, n), dtype=complex)
+    k_all = K.reshape(5 * n)
+    s = K[1:, pivot]
+    w = np.empty(5, dtype=complex)
+    # np.dot into `out` runs the same BLAS product as np.matmul, with less
+    # dispatch per call
+    dot, vdot = np.dot, np.vdot
+    switch_times = []
+
     k = 1
     for step in range(1, grid.n_steps + 1):
-        if stacked:
-            dot(powers, u, out=k_all)
-        else:
-            K[0] = u
-            dot(powers, u, out=k12)
-            dot(powers, b2u, out=k34)
+        dot(powers, u, out=k_all)
         d0, d1, d2, d3, d4 = rk4_weights(*s.tolist())
         w[:] = (1.0 + d0, d1, d2, d3, d4)
         dot(w, K, out=u)  # u_new = u + sum_j d_j B^j u
@@ -258,11 +294,59 @@ def integrate_classical(
         if step == samples[k]:
             us[k], pivots[k] = u, pivot
             k += 1
+    return switch_times
 
-    us.setflags(write=False)
-    return ClassicalTrajectory(
-        times=grid.sample_times(),
-        u=us,
-        pivots=pivots,
-        switch_times=np.asarray(switch_times),
-    )
+
+def _spectral_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
+    """`_stacked_steps` in the coordinates q = V^H u of H = V diag(lam) V^H,
+    where B^j is the diagonal z^j, z = -i dt lam.  u = V q is formed only to
+    sample it or to probe for a switch."""
+    n = u.size
+    lam, V = np.linalg.eigh(H)
+    Z = np.empty((5, n), dtype=complex)  # row j: z^j
+    Z[0] = 1.0
+    np.multiply(-1j * grid.dt, lam, out=Z[1])
+    for j in range(2, 5):
+        np.multiply(Z[j - 1], Z[1], out=Z[j])
+    # row j of P . q is (B^j u)[pivot]: u_p itself, then s_1..s_4
+    P = np.multiply(Z, V[pivot])
+    q = V.conj().T @ u
+    p = np.empty(5, dtype=complex)
+    w = np.empty(5, dtype=complex)
+    g = np.empty(n, dtype=complex)
+    dot, vdot = np.dot, np.vdot
+    switch_times = []
+
+    k = 1
+    for step in range(1, grid.n_steps + 1):
+        dot(P, q, out=p)
+        c, s1, s2, s3, s4 = p.tolist()
+        # the weights of u / u_p, whose pivot entry is 1, scaled by 1 / u_p:
+        # the new u has pivot entry 1 up to rounding, and the next step
+        # divides that rounding out again
+        r = 1.0 / c
+        d0, d1, d2, d3, d4 = rk4_weights(s1 * r, s2 * r, s3 * r, s4 * r)
+        w[:] = ((1.0 + d0) * r, d1 * r, d2 * r, d3 * r, d4 * r)
+        dot(w, Z, out=g)
+        q *= g  # u_new = (u + sum_j d_j B^j u) / u_p
+        usq = vdot(q, q).real  # |u|^2, V being unitary
+        if not usq < _NSQ_GUARD:
+            raise NumericFailure("non-finite chart coordinates", step)
+        probe = usq > usq_switch
+        if probe or step == samples[k]:
+            dot(V, q, out=u)
+            u[pivot] = 1.0
+            if probe:
+                new_pivot = select_pivot(u)
+                if new_pivot != pivot:
+                    scale = u[new_pivot]
+                    u /= scale
+                    q /= scale
+                    u[new_pivot] = 1.0
+                    pivot = new_pivot
+                    np.multiply(Z, V[pivot], out=P)
+                    switch_times.append(step * grid.dt)
+            if step == samples[k]:
+                us[k], pivots[k] = u, pivot
+                k += 1
+    return switch_times

@@ -52,6 +52,10 @@ METHODS = ("quantum", "classical", "both")
 # the largest H that `pauli.MAX_QUBITS` lets the parser build (256 MiB).
 _MAX_SAMPLE_ENTRIES = 4**pauli.MAX_QUBITS
 
+# Steps a run may take: 10^8, 2,000 times the longest bundled scenario (fig4,
+# 50,000 steps) and about 10 minutes of N = 4 classical steps at 5 us each.
+_MAX_STEPS = 10**8
+
 
 class ConfigError(ValueError):
     """Scenario file or comparison setting rejected; the message names the
@@ -198,6 +202,11 @@ def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
         grid.n_samples * n <= _MAX_SAMPLE_ENTRIES,
         f"grid: {grid.n_samples} samples of {n} amplitudes exceed the cap of "
         f"{_MAX_SAMPLE_ENTRIES} sampled entries per trajectory",
+    )
+    _require(
+        grid.n_steps <= _MAX_STEPS,
+        f"grid: t_end / dt = {grid.t_end!r} / {grid.dt!r} = {grid.n_steps} steps "
+        f"exceed the cap of {_MAX_STEPS} steps per run",
     )
     flow_settings = _parse_flow(data.get("flow", {}))
 

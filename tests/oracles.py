@@ -11,7 +11,8 @@ against the Krylov form the package integrates with.
 `evolve_rk4_reference` are the Krylov-form weight recurrence and the two
 RK4 loops in their plain form: every stage coefficient computed, every
 view and array built afresh in each step, on either side of the
-integrator's choice of Krylov products by N.  `build_hamiltonian_reference`
+integrator's choice by N between the stacked product and the step in
+eigen-coordinates.  `build_hamiltonian_reference`
 sums the dense Kronecker products of every Pauli term's 2x2 matrices
 (`PAULI_MATRICES`).  The package's buffered loops, folded recurrence and
 signed-permutation build must reproduce them bit for bit.
@@ -171,31 +172,43 @@ def rk4_weights_reference(s1, s2, s3, s4) -> tuple:
     )
 
 
-def _krylov_powers_reference(H: np.ndarray, dt: float) -> np.ndarray:
-    """The powers of B = -i dt H that one product applies: the stack
-    [I; B; B^2; B^3; B^4] up to `_STACK_MAX_N`, else [B; B^2]."""
+def _stacked_powers_reference(H: np.ndarray, dt: float) -> np.ndarray:
+    """The stack [I; B; B^2; B^3; B^4] of B = -i dt H."""
     n = H.shape[0]
     B = np.multiply(-1j * dt, H)
     B2 = np.matmul(B, B)
-    if n <= _STACK_MAX_N:
-        return np.concatenate([np.eye(n), B, B2, np.matmul(B, B2), np.matmul(B2, B2)])
-    return np.concatenate([B, B2])
+    return np.concatenate([np.eye(n), B, B2, np.matmul(B, B2), np.matmul(B2, B2)])
 
 
-def _rk4_step_reference(powers: np.ndarray, u: np.ndarray, pivot: int) -> np.ndarray:
+def _stacked_step_reference(powers: np.ndarray, u: np.ndarray, pivot: int) -> np.ndarray:
     """u_new for one Krylov-form RK4 step, with a fresh K = [u; Bu; ...;
-    B^4 u] from one stack product or two pair products, then
-    (1 + d0, d1, ..., d4) . K."""
-    n = u.size
-    if powers.shape[0] == 5 * n:
-        K = np.matmul(powers, u).reshape(5, n)
-    else:
-        K = np.empty((5, n), dtype=complex)
-        K[0] = u
-        K[1:3] = np.matmul(powers, u).reshape(2, n)
-        K[3:5] = np.matmul(powers, K[2]).reshape(2, n)
+    B^4 u] from one stack product, then (1 + d0, d1, ..., d4) . K."""
+    K = np.matmul(powers, u).reshape(5, u.size)
     d = rk4_weights_reference(*K[1:, pivot].tolist())
     return np.dot(np.array([1.0 + d[0], d[1], d[2], d[3], d[4]]), K)
+
+
+def _spectral_basis_reference(H: np.ndarray, dt: float) -> tuple:
+    """(Z, V) for H = V diag(lam) V^H: row j of Z is z^j, z = -i dt lam,
+    each power one product more than the last."""
+    lam, V = np.linalg.eigh(H)
+    z = (-1j * dt) * lam
+    rows = [np.ones(lam.size, dtype=complex), z]
+    for _ in range(3):
+        rows.append(rows[-1] * z)
+    return np.array(rows), V
+
+
+def _spectral_step_reference(Z: np.ndarray, V: np.ndarray, q: np.ndarray,
+                             pivot: int) -> np.ndarray:
+    """q_new for one Krylov-form RK4 step in the coordinates q = V^H u: the
+    weights of u / u_p from s_j / u_p, each divided by u_p, applied as the
+    diagonal sum_j w_j z^j."""
+    c, s1, s2, s3, s4 = ((Z * V[pivot]) @ q).tolist()
+    r = 1.0 / c
+    d = rk4_weights_reference(s1 * r, s2 * r, s3 * r, s4 * r)
+    w = np.array([(1.0 + d[0]) * r, d[1] * r, d[2] * r, d[3] * r, d[4] * r])
+    return q * (w @ Z)
 
 
 def integrate_classical_reference(
@@ -204,15 +217,22 @@ def integrate_classical_reference(
     grid: TimeGrid,
     settings: FlowSettings | None = None,
 ) -> ClassicalTrajectory:
-    """`flow.integrate_classical` written as a plain per-step loop."""
+    """`flow.integrate_classical` written as a plain per-step loop.  Above
+    `_STACK_MAX_N` the state is q, and u = V q is formed only to probe for a
+    switch or to sample, as the integrator does."""
     settings = settings or FlowSettings()
     H = require_hermitian(H)
     usq_switch = 1.0 / settings.switch_threshold**2
 
     pivot = point0.pivot
     n = point0.dimension
-    powers = _krylov_powers_reference(H, grid.dt)
+    spectral = n > _STACK_MAX_N
     u = np.array(point0.homogeneous(), dtype=complex)
+    if spectral:
+        Z, V = _spectral_basis_reference(H, grid.dt)
+        q = V.conj().T @ u
+    else:
+        powers = _stacked_powers_reference(H, grid.dt)
 
     samples = grid.sample_indices().tolist()
     us = np.empty((len(samples), n), dtype=complex)
@@ -222,16 +242,26 @@ def integrate_classical_reference(
     k = 0
     for step in range(grid.n_steps + 1):
         if step > 0:
-            u = _rk4_step_reference(powers, u, pivot)
-            u[pivot] = 1.0
-            usq = np.vdot(u, u).real
+            if spectral:
+                q = _spectral_step_reference(Z, V, q, pivot)
+                usq = np.vdot(q, q).real
+            else:
+                u = _stacked_step_reference(powers, u, pivot)
+                u[pivot] = 1.0
+                usq = np.vdot(u, u).real
             if not usq < _NSQ_GUARD:
                 raise NumericFailure("non-finite chart coordinates", step)
+            if spectral and (usq > usq_switch or step == samples[k]):
+                u = V @ q
+                u[pivot] = 1.0
             if usq > usq_switch:
                 new_pivot = select_pivot(u)
                 if new_pivot != pivot:
-                    u /= u[new_pivot]
+                    scale = u[new_pivot]
+                    u = u / scale
                     u[new_pivot] = 1.0
+                    if spectral:
+                        q = q / scale
                     pivot = new_pivot
                     switch_times.append(step * grid.dt)
         if step == samples[k]:

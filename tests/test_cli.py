@@ -100,6 +100,13 @@ MALFORMED = [
     ("grid", {"t_end": 1e308, "dt": 1e-10}, "grid", "grid.t_end-huge"),
     # 1e15 + 1 samples: refused before any sample index is built
     ("grid", {"t_end": 1e12, "dt": 1e-3}, "grid", "grid.samples-over-cap"),
+    # 1,001 samples, but 1e15 steps
+    (
+        "grid",
+        {"t_end": 1e12, "dt": 1e-3, "output_stride": 10**12},
+        "grid",
+        "grid.steps-over-cap",
+    ),
     ("name", None, "name", "name-null"),
 ]
 
@@ -154,6 +161,16 @@ def test_validate_malformed_field_exits_2(tmp_path, capsys, section, node, key):
     assert main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key}: "), err
+
+
+def test_validate_quotes_step_count_over_cap(tmp_path, capsys):
+    # validated only: a run of this document would take 1e15 steps
+    path = tmp_path / "long.json"
+    grid = {"t_end": 1e12, "dt": 1e-3, "output_stride": 10**12}
+    path.write_text(json.dumps(minimal_doc(grid=grid)))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "t_end / dt = 1000000000000.0 / 0.001 = 1000000000000000 steps" in err
 
 
 @pytest.mark.parametrize("n_qubits", [13, 20, 40])

@@ -13,7 +13,7 @@ from cpdyn.flow import (
     integrate_classical,
 )
 from cpdyn.observables import energy
-from cpdyn.pauli import build_two_qubit_hamiltonian
+from cpdyn.pauli import PauliTerm, build_hamiltonian, build_two_qubit_hamiltonian
 from cpdyn.quantum import NumericFailure, TimeGrid, evolve_exact_grid
 from cpdyn.scenario import load_scenario
 
@@ -141,19 +141,27 @@ class TestIntegrateClassical:
     @pytest.mark.parametrize("scale, dt", [(1.0, 1e-3), (1e6, 1e-9)])
     def test_step_matches_stage_form(self, rng, scale, dt):
         # the Krylov-form step is the RK4 step of the projective equation,
-        # in every chart and at any scale of H (B = -i dt H is what counts)
-        for n in range(2, 9):
+        # in every chart and at any scale of H (B = -i dt H is what counts),
+        # on both sides of the stacked/spectral threshold.  The stage form
+        # works in the computational basis, so an eigendecomposition error
+        # that the quantum route shares cannot hide here.
+        eps = np.finfo(float).eps
+        for n in [*range(2, 9), _STACK_MAX_N + 1, 64, 256]:
             H = random_hermitian(rng, n) * scale
-            for pivot in range(n):
-                point = ChartPoint(pivot, random_coords(rng, n - 1, radius=0.5))
+            pivots = range(n) if n <= 8 else rng.choice(n, 4, replace=False)
+            # |x| small enough that the pivot entry stays the largest
+            radius = min(0.5, 2 / np.sqrt(n))
+            for pivot in map(int, pivots):
+                point = ChartPoint(pivot, random_coords(rng, n - 1, radius=radius))
                 traj = integrate_classical(H, point, TimeGrid(dt, dt))
                 assert traj.n_switches == 0
                 want = rk4_step(lambda v: _rhs(H, v, pivot), point.homogeneous(), dt)
+                # eigh, V^H u and V q each round at about N eps |u|
                 np.testing.assert_allclose(
                     traj.coords[-1],
                     np.delete(want, pivot),
-                    rtol=1e-13,
-                    atol=1e-13 * np.max(np.abs(want)),
+                    rtol=0,
+                    atol=4 * n * eps * np.linalg.norm(want),
                 )
 
     def test_zero_hamiltonian_is_constant(self):
@@ -238,6 +246,28 @@ class TestIntegrateClassical:
         np.testing.assert_array_equal(fine.n_switches_cum, changes)
         assert fine.n_switches_cum[-1] == fine.n_switches >= 1
 
+    def test_switches_through_chart_singularity_spectral(self):
+        # the same rotation on the first of five qubits, N = 32: the
+        # amplitude of |11111> passes through zero
+        n = 32
+        assert n > _STACK_MAX_N
+        H = build_hamiltonian([PauliTerm(1.0, tuple("XIIII"))])
+        psi0 = np.zeros(n)
+        psi0[-1] = 1.0
+        grid = TimeGrid(10.0, 1e-3, 100)
+        traj = integrate_classical(H, to_chart(psi0, n - 1), grid)
+        assert traj.n_switches >= 1
+        rows = np.arange(len(traj.times))
+        np.testing.assert_array_equal(traj.u[rows, traj.pivots], 1.0)
+        quantum = evolve_exact_grid(H, psi0, grid)
+        gaps = 1 - np.abs(np.sum(quantum.states.conj() * traj.states(), axis=1))
+        assert np.max(gaps) < 1e-6
+        assert np.all(1 / np.sqrt(traj.nfac) > 0.2 * 0.9)
+        fine = integrate_classical(H, to_chart(psi0, n - 1), TimeGrid(10.0, 1e-3, 1))
+        changes = np.cumsum(np.concatenate([[0], fine.pivots[1:] != fine.pivots[:-1]]))
+        np.testing.assert_array_equal(fine.n_switches_cum, changes)
+        assert fine.n_switches_cum[-1] == fine.n_switches >= 1
+
     def test_chart_covariance_of_observables(self, rng):
         # same ray, different admissible starting charts -> same populations
         H = random_hermitian(rng, 4)
@@ -257,6 +287,16 @@ class TestIntegrateClassical:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NumericFailure):
                 integrate_classical(H, point0, TimeGrid(1.0, 0.1))
+
+    def test_non_finite_aborts_spectral(self):
+        # z^2 = (-i dt lam)^2 overflows, so the first step is not finite
+        n = _STACK_MAX_N + 1
+        H = np.diag([1e200, -1e200] + [0.0] * (n - 2))
+        point0 = ChartPoint(n - 1, np.ones(n - 1))
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NumericFailure) as failure:
+                integrate_classical(H, point0, TimeGrid(1.0, 0.1))
+        assert failure.value.step == 1
 
     def test_large_scale_hamiltonian(self):
         # an exactly Hermitian H with entries of order 1e6, time scaled to match
@@ -304,9 +344,8 @@ class TestBitIdentity:
         if path.stem == "fig2_right":
             assert traj.n_switches == 10
 
-    # At dt = 1e-3 the B^3 u and B^4 u terms are too small for the rounding
-    # of the stack product to reach u, so the stack and the two [B; B^2]
-    # products give the same bits; the coarse step tells them apart.
+    # At dt = 1e-3 the B^3 u and B^4 u terms are too small for their
+    # rounding to reach u; the coarse step makes every row of K count.
     @pytest.mark.parametrize(
         "scale, dt, t_end",
         [(1.0, 1e-3, 2.0), (1e6, 1e-3, 2.0), (1.0, 0.05, 20.0)],
@@ -325,7 +364,8 @@ class TestBitIdentity:
         assert switches > 0
 
     def test_random_system_above_stack_threshold(self):
-        # N = 256 (eight qubits) steps with the two [B; B^2] products
+        # N = 256 (eight qubits) steps in eigen-coordinates, probing for a
+        # switch on every step
         n = 256
         assert n > _STACK_MAX_N
         rng = np.random.default_rng(37)
@@ -333,3 +373,15 @@ class TestBitIdentity:
         grid = TimeGrid(t_end=0.2, dt=1e-3, output_stride=20)
         traj = assert_same_trajectory(H, to_chart(psi0, select_pivot(psi0)), grid)
         assert traj.n_switches > 0
+
+    def test_random_systems_just_above_stack_threshold(self):
+        # at N = 21-32 |u|^2 often stays below the switch level, so samples
+        # are also formed without a probe
+        rng = np.random.default_rng(41)
+        switches = 0
+        for n in (_STACK_MAX_N + 1, _STACK_MAX_N + 4, 32):
+            H, psi0 = random_hermitian(rng, n), random_state(rng, n)
+            grid = TimeGrid(t_end=4.0, dt=1e-2, output_stride=7)
+            traj = assert_same_trajectory(H, to_chart(psi0, select_pivot(psi0)), grid)
+            switches += traj.n_switches
+        assert switches > 0

@@ -84,3 +84,35 @@ def test_time_reversal(seed, n):
     point = to_chart(forward.u[-1], int(forward.pivots[-1]))
     back = integrate_classical(-H, point, REVERSIBLE_GRID)
     assert _phase_aligned_distance(back.states()[-1], psi0) < 1e-8
+
+
+# N above `flow._STACK_MAX_N`: the flow steps in eigen-coordinates
+spectral_dimensions = st.sampled_from([32, 64])
+SPECTRAL_GRID = TimeGrid(t_end=2.0, dt=1e-2, output_stride=10)
+
+
+@given(seed=seeds, n=spectral_dimensions, phase=st.floats(min_value=-np.pi, max_value=np.pi))
+@settings(max_examples=10)
+def test_global_phase_leaves_chart_history_spectral(seed, n, phase):
+    rng = np.random.default_rng(seed)
+    H = random_hermitian(rng, n)
+    psi0 = random_state(rng, n)
+    base = _flow(H, psi0, SPECTRAL_GRID)
+    rotated = _flow(H, np.exp(1j * phase) * psi0, SPECTRAL_GRID)
+    assert base.n_switches > 0
+    np.testing.assert_array_equal(rotated.pivots, base.pivots)
+    np.testing.assert_array_equal(rotated.switch_times, base.switch_times)
+
+
+@given(seed=seeds, n=spectral_dimensions, c=st.sampled_from([1e-3, 1e6]))
+@settings(max_examples=10)
+def test_scaling_of_h_with_time_spectral(seed, n, c):
+    # eigh of cH gives c lam and the same eigenvectors up to rounding (and
+    # up to their phases, which cancel in u = V V^H u)
+    rng = np.random.default_rng(seed)
+    H = random_hermitian(rng, n)
+    psi0 = random_state(rng, n)
+    base = _flow(H, psi0, SPECTRAL_GRID)
+    scaled = _flow(c * H, psi0, TimeGrid(t_end=2.0 / c, dt=1e-2 / c, output_stride=10))
+    np.testing.assert_array_equal(scaled.pivots, base.pivots)
+    np.testing.assert_allclose(scaled.states(), base.states(), rtol=0, atol=1e-12)

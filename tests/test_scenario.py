@@ -7,6 +7,7 @@ import pytest
 import cpdyn.flow
 import cpdyn.scenario
 from cpdyn.chart import to_chart
+from cpdyn.quantum import TimeGrid
 from cpdyn.scenario import (
     KNOWN_OBSERVABLES,
     ConfigError,
@@ -17,7 +18,7 @@ from cpdyn.scenario import (
     scenario_from_dict,
 )
 
-from conftest import minimal_doc
+from conftest import minimal_doc, perfbench_module
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -139,6 +140,22 @@ class TestLoadScenario:
         ):
             with pytest.raises(ConfigError, match=r"^grid: .* exceed the cap"):
                 scenario_from_dict(minimal_doc(grid=grid))
+
+    def test_step_count_capped(self):
+        # arithmetic on the grid only; no such document is run
+        cap = cpdyn.scenario._MAX_STEPS
+        ok = minimal_doc(grid={"t_end": float(cap), "dt": 1.0, "output_stride": cap})
+        assert scenario_from_dict(ok).grid.n_steps == cap
+        over = minimal_doc(grid={"t_end": cap + 1.0, "dt": 1.0, "output_stride": cap})
+        with pytest.raises(ConfigError, match=r"^grid: t_end / dt = .* steps exceed"):
+            scenario_from_dict(over)
+
+    def test_step_cap_far_above_bundled_and_benchmark_grids(self):
+        workloads = perfbench_module("workloads")
+        grids = [load_scenario(p).grid for p in sorted(SCENARIO_DIR.glob("*.json"))]
+        grids += [TimeGrid(**workloads.SWEEP_GRID), TimeGrid(**workloads.HIGH_DIM_GRID)]
+        assert max(g.n_steps for g in grids) == 50_000
+        assert all(1000 * g.n_steps <= cpdyn.scenario._MAX_STEPS for g in grids)
 
     def test_unknown_observable_rejected(self):
         with pytest.raises(ConfigError, match="unknown names"):
