@@ -158,21 +158,16 @@ def classical_hamiltonian(H: np.ndarray, point: ChartPoint) -> float:
     H must pass `pauli.require_hermitian`; otherwise D would carry an
     imaginary part that is silently discarded, so it raises instead.
     """
-    return energy(require_hermitian(H), point)
+    return energy(require_hermitian(H, point.dimension), point)
 
 
 def grad_conj(H: np.ndarray, point: ChartPoint) -> np.ndarray:
     """Wirtinger gradient dh0/dxbar^k over the non-pivot indices.
 
     Closed form ((Hu)_k nfac - D x^k)/nfac^2, valid for any dimension and
-    pivot choice.
+    pivot choice.  H must pass `pauli.require_hermitian`.
     """
-    H = np.asarray(H)
-    if H.shape[0] != point.dimension:
-        raise ValueError(
-            f"dimension mismatch: H is {H.shape}, chart point has "
-            f"dimension {point.dimension}"
-        )
+    H = require_hermitian(H, point.dimension)
     x = point.coords
     u = point.homogeneous()
     hu = H @ u
@@ -190,7 +185,7 @@ def hamilton_rhs(H: np.ndarray, point: ChartPoint) -> np.ndarray:
     For a Hermitian H this equals, component by component, the non-pivot
     part of the projective Schrodinger right-hand side -i (Hu - (Hu)[pivot] u)
     that `integrate_classical` steps in Krylov form (`quantum.rk4_weights`);
-    the reduction needs D = u^dag H u to be real.
+    the reduction needs a real D, so `grad_conj` refuses a non-Hermitian H.
     """
     x = point.coords
     g = grad_conj(H, point)
@@ -220,14 +215,8 @@ def integrate_classical(
     step of 4N^2 would; the module docstring gives the measured break-even.
     """
     settings = settings or FlowSettings()
-    H = require_hermitian(H)
-    if H.shape[0] != point0.dimension:
-        raise ValueError(
-            f"dimension mismatch: H is {H.shape}, initial point has "
-            f"dimension {point0.dimension}"
-        )
-
     n = point0.dimension
+    H = require_hermitian(H, n)
     u = np.array(point0.homogeneous(), dtype=complex)
     samples = grid.sample_indices().tolist()
     us = np.empty((len(samples), n), dtype=complex)

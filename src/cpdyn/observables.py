@@ -103,7 +103,9 @@ def energy(H: np.ndarray, state) -> float | np.ndarray:
     chart point.
 
     Chart points are evaluated directly in homogeneous coordinates as
-    (u^dag H u)/nfac, without reconstructing the state vector.
+    (u^dag H u)/nfac, without reconstructing the state vector.  By design H
+    is not checked for Hermiticity (the real part is returned);
+    `flow.classical_hamiltonian` is the checked h0.
     """
     H = np.asarray(H)
     if isinstance(state, ChartPoint):

@@ -238,15 +238,17 @@ def build_two_qubit_hamiltonian(
     )
 
 
-def require_hermitian(H: np.ndarray) -> np.ndarray:
-    """Validate that H is a finite square matrix of dimension N >= 2 with
-    max|H - H^dag| <= HERMITIAN_RTOL eps N max|H| entrywise (eps the float64
-    machine epsilon); returns H as a complex array."""
+def require_hermitian(H: np.ndarray, dimension: int) -> np.ndarray:
+    """Validate that H is a finite N x N matrix, N = `dimension` >= 2 (the
+    length of the states it acts on), with max|H - H^dag| <= HERMITIAN_RTOL
+    eps N max|H| entrywise (eps the float64 epsilon); returns H as complex."""
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {H.shape}")
     if H.shape[0] < 2:
         raise ValueError("operator dimension must be at least 2")
+    if H.shape[0] != dimension:
+        raise ValueError(f"dimension mismatch: H is {H.shape}, state has {dimension}")
     if not np.all(np.isfinite(H)):
         raise ValueError("operator entries must be finite")
     dev = np.max(np.abs(H - H.conj().T))

@@ -120,12 +120,12 @@ class QuantumTrajectory:
 
 def make_state(amplitudes) -> np.ndarray:
     """Validate and return a unit-norm complex state vector (read-only)."""
-    psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if psi.size < 2:
-        raise ValueError("state needs at least two amplitudes")
+    psi = np.asarray(amplitudes, dtype=complex)
+    if psi.ndim != 1 or psi.size < 2:
+        raise ValueError(f"state must be 1-D with >= 2 amplitudes, got shape {psi.shape}")
     if not (np.all(np.isfinite(psi.real)) and np.all(np.isfinite(psi.imag))):
         raise ValueError("state amplitudes must be finite")
-    nrm = np.linalg.norm(psi)
+    nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state norm is {nrm!r}, not 1 within {STATE_NORM_TOL}")
     psi = psi.copy()
@@ -133,17 +133,11 @@ def make_state(amplitudes) -> np.ndarray:
     return psi
 
 
-def _require_same_dimension(H: np.ndarray, psi: np.ndarray) -> None:
-    if H.shape[1] != psi.shape[0]:
-        raise ValueError(f"dimension mismatch: H is {H.shape}, psi has {psi.shape[0]}")
-
-
 def evolve_exact_grid(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajectory:
     """Spectral propagation sampled on a TimeGrid: rows exp(-iHt) psi0 at
-    the sample times, from one eigh of H."""
-    H = require_hermitian(H)
-    psi0 = np.asarray(psi0, dtype=complex)
-    _require_same_dimension(H, psi0)
+    the sample times, from one eigh of H.  psi0 must pass `make_state`."""
+    psi0 = make_state(psi0)
+    H = require_hermitian(H, psi0.size)
     evals, vecs = np.linalg.eigh(H)
     coeffs = vecs.conj().T @ psi0
     times = grid.sample_times()
@@ -217,24 +211,28 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     from repeating every step.  The state is never renormalized, so the
     trajectory's `norm_drift` shows the integration quality.
 
-    Raises NumericFailure at the first step whose state is not finite
-    (an entry or |psi|^2 is NaN or Inf).  Finiteness is checked once per
-    sample, not per step: a stretch between two samples runs unchecked,
-    and if it ends non-finite it is replayed from the sample before it
-    with the check on every step.  The replay names the same step as a
-    per-step check, because a failure persists to the end of its stretch.
-    A non-finite entry never turns finite under psi += D psi (NaN stays
-    NaN, Inf stays Inf or becomes NaN).  An overflow of |psi|^2 with finite
-    entries persists too: I + D is a polynomial in the Hermitian H, hence
-    normal, so |psi_n|^2 = sum_k |c_k|^2 |g_k|^(2n) is convex in n and keeps
-    growing once it has passed its starting value.  The unchecked stretches
-    run with overflow and invalid-value warnings off, since steps past a
-    failure produce them; the replay runs under the caller's settings, so
-    a failing run warns as a per-step check would.
+    psi0 must pass `make_state`, so a NumericFailure can only come from
+    growth past the RK4 stability bound: each step multiplies the
+    eigencomponent of lambda by R(iy) = 1 + iy - y^2/2 - iy^3/6 + y^4/24,
+    y = -dt lambda, and |R(iy)|^2 = 1 - y^6/72 + y^8/576 exceeds 1 once
+    dt max|lambda| > 2 sqrt(2).  It is raised at the first step whose state
+    is not finite (an entry or |psi|^2 is NaN or Inf).  Finiteness is
+    checked once per sample, not per step: a stretch between two samples
+    runs unchecked, and if it ends non-finite it is replayed from the
+    sample before it with the check on every step.  The replay names the
+    same step as a per-step check, because a failure persists to the end
+    of its stretch.  A non-finite entry never turns finite under
+    psi += D psi (NaN stays NaN, Inf stays Inf or becomes NaN).  An
+    overflow of |psi|^2 with finite entries persists too: I + D is a
+    polynomial in the Hermitian H, hence normal, so |psi_n|^2 =
+    sum_k |c_k|^2 |g_k|^(2n) is convex in n and keeps growing once it has
+    passed its starting value.  The unchecked stretches run with overflow
+    and invalid-value warnings off, since steps past a failure produce
+    them; the replay runs under the caller's settings, so a failing run
+    warns as a per-step check would.
     """
-    H = require_hermitian(H)
-    psi = np.array(psi0, dtype=complex)
-    _require_same_dimension(H, psi)
+    psi = np.array(make_state(psi0))
+    H = require_hermitian(H, psi.size)
 
     d0, d1, d2, d3, d4 = rk4_weights(0.0, 0.0, 0.0, 0.0)
     B = (-1j * grid.dt) * H

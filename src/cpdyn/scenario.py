@@ -141,7 +141,7 @@ def _complex_array(node, key: str, ndim: int) -> np.ndarray:
     return real + 1j * imag
 
 
-def _parse_hamiltonian(node) -> np.ndarray:
+def _parse_hamiltonian(node, n: int) -> np.ndarray:
     _fields(node, "hamiltonian", optional=("pauli", "dense"))
     _require(
         len(node) == 1,
@@ -150,10 +150,10 @@ def _parse_hamiltonian(node) -> np.ndarray:
     if "pauli" in node:
         with _as_config_error("hamiltonian.pauli"):
             terms = pauli.parse_hamiltonian(node["pauli"])
-            return pauli.require_hermitian(pauli.build_hamiltonian(terms))
+            return pauli.require_hermitian(pauli.build_hamiltonian(terms), n)
     with _as_config_error("hamiltonian.dense"):
         H = _complex_array(node["dense"], "hamiltonian.dense", ndim=2)
-        return pauli.require_hermitian(H)
+        return pauli.require_hermitian(H, n)
 
 
 def _parse_grid(node) -> quantum.TimeGrid:
@@ -185,19 +185,14 @@ def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
         f"name: expected a string, got {scenario_name!r}",
     )
 
-    H = _parse_hamiltonian(data["hamiltonian"])
     with _as_config_error("initial_state"):
         psi0 = quantum.make_state(
             _complex_array(data["initial_state"], "initial_state", ndim=1)
         )
-    _require(
-        psi0.shape[0] == H.shape[0],
-        f"initial_state: has {psi0.shape[0]} amplitudes but the Hamiltonian "
-        f"dimension is {H.shape[0]}",
-    )
+    n = psi0.size
+    H = _parse_hamiltonian(data["hamiltonian"], n)
 
     grid = _parse_grid(data["grid"])
-    n = H.shape[0]
     _require(
         grid.n_samples * n <= _MAX_SAMPLE_ENTRIES,
         f"grid: {grid.n_samples} samples of {n} amplitudes exceed the cap of "

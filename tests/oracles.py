@@ -28,10 +28,16 @@ from cpdyn.flow import (
     _STACK_MAX_N,
     ClassicalTrajectory,
     FlowSettings,
-    classical_hamiltonian,
 )
+from cpdyn.observables import energy
 from cpdyn.pauli import MAX_QUBITS, MixedLabelLengthError, PauliTerm, require_hermitian
-from cpdyn.quantum import NumericFailure, QuantumTrajectory, TimeGrid, rk4_weights
+from cpdyn.quantum import (
+    NumericFailure,
+    QuantumTrajectory,
+    TimeGrid,
+    make_state,
+    rk4_weights,
+)
 
 FD_STEP = 1e-5
 
@@ -50,58 +56,47 @@ def fd_kahler_hessian(point: ChartPoint, h: float = FD_STEP) -> np.ndarray:
     Uses increments of K computed as log1p(delta_nfac/nfac), which keeps the
     second-difference cancellation noise at the 1e-11 level for h = 1e-5
     (raw K evaluations would leave ~1e-6 noise after dividing by h^2).
+
+    Every stencil is one array operation.  With steps e[a, j] = h e_j
+    (a = 0) and i h e_j (a = 1), the second difference along d = e[a, j]
+    and d' = e[b, k] is [K(d + d') + K(-d - d') - K(d - d') - K(d' - d)]
+    / 4h^2, and along d twice it is [K(d) + K(-d)] / h^2.
     """
     x = np.asarray(point.coords)
     m = x.size
     nfac = normalization(point)
 
-    def k_increment(delta: np.ndarray) -> float:
-        # nfac(x + delta) - nfac(x), expanded exactly
-        dn = 2.0 * np.vdot(x, delta).real + np.vdot(delta, delta).real
-        return float(np.log1p(dn / nfac))
+    def k_increment(delta: np.ndarray) -> np.ndarray:
+        # nfac(x + delta) - nfac(x) over the last axis, expanded exactly
+        dn = 2.0 * (delta @ x.conj()).real + np.sum(delta.real**2 + delta.imag**2, axis=-1)
+        return np.log1p(dn / nfac)
 
-    def second(da: np.ndarray, db: np.ndarray) -> float:
-        if np.array_equal(da, db):
-            return (k_increment(da) + k_increment(-da)) / np.vdot(da, da).real
-        plus = k_increment(da + db) + k_increment(-da - db)
-        minus = k_increment(da - db) + k_increment(-da + db)
-        h2 = np.sqrt(np.vdot(da, da).real * np.vdot(db, db).real)
-        return (plus - minus) / (4.0 * h2)
-
-    def unit(j: int, imag: bool) -> np.ndarray:
-        e = np.zeros(m, dtype=complex)
-        e[j] = 1j * h if imag else h
-        return e
-
-    hess = np.empty((m, m), dtype=complex)
-    for j in range(m):
-        for k in range(m):
-            k_uu = second(unit(j, False), unit(k, False))
-            k_vv = second(unit(j, True), unit(k, True))
-            k_uv = second(unit(j, False), unit(k, True))
-            k_vu = second(unit(j, True), unit(k, False))
-            hess[j, k] = 0.25 * (k_uu + k_vv + 1j * (k_uv - k_vu))
-    return hess
+    steps = h * np.stack([np.eye(m), 1j * np.eye(m)])  # steps[a, j]
+    da, db = steps[:, None, :, None], steps[None, :, None, :]
+    plus = k_increment(da + db) + k_increment(-da - db)
+    minus = k_increment(da - db) + k_increment(db - da)
+    second = (plus - minus) / (4.0 * h * h)  # second[a, b, j, k]
+    diag = np.arange(m)
+    for a in (0, 1):
+        second[a, a, diag, diag] = (
+            k_increment(steps[a]) + k_increment(-steps[a])
+        ) / (h * h)
+    return 0.25 * (second[0, 0] + second[1, 1] + 1j * (second[0, 1] - second[1, 0]))
 
 
 def fd_grad_conj(H: np.ndarray, point: ChartPoint, h: float = FD_STEP) -> np.ndarray:
     """d h0 / dxbar^k by central Wirtinger differences of the scalar
-    Hamiltonian: (d/du_k + i d/dv_k) h0 / 2."""
-    x = np.asarray(point.coords)
-    m = x.size
-
-    def h0_at(coords: np.ndarray) -> float:
-        return classical_hamiltonian(H, ChartPoint(pivot=point.pivot, coords=coords))
-
-    grad = np.empty(m, dtype=complex)
-    for k in range(m):
-        e = np.zeros(m, dtype=complex)
-        e[k] = h
-        d_real = (h0_at(x + e) - h0_at(x - e)) / (2.0 * h)
-        e[k] = 1j * h
-        d_imag = (h0_at(x + e) - h0_at(x - e)) / (2.0 * h)
-        grad[k] = 0.5 * (d_real + 1j * d_imag)
-    return grad
+    Hamiltonian: (d/du_k + i d/dv_k) h0 / 2, with h0 = energy(H, U) / |U|^2
+    over one stack U of the displaced homogeneous vectors."""
+    u = point.homogeneous()
+    off = np.delete(np.arange(u.size), point.pivot)
+    steps = np.zeros((2, off.size, u.size), dtype=complex)  # h e_k, i h e_k
+    steps[0, np.arange(off.size), off] = h
+    steps[1, np.arange(off.size), off] = 1j * h
+    U = u + np.stack([steps, -steps])
+    h0 = energy(H, U) / np.sum(U.real**2 + U.imag**2, axis=-1)
+    d = (h0[0] - h0[1]) / (2.0 * h)
+    return 0.5 * (d[0] + 1j * d[1])
 
 
 def quotient_rule_velocity(H: np.ndarray, psi: np.ndarray, pivot: int) -> np.ndarray:
@@ -221,11 +216,11 @@ def integrate_classical_reference(
     `_STACK_MAX_N` the state is q, and u = V q is formed only to probe for a
     switch or to sample, as the integrator does."""
     settings = settings or FlowSettings()
-    H = require_hermitian(H)
+    n = point0.dimension
+    H = require_hermitian(H, n)
     usq_switch = 1.0 / settings.switch_threshold**2
 
     pivot = point0.pivot
-    n = point0.dimension
     spectral = n > _STACK_MAX_N
     u = np.array(point0.homogeneous(), dtype=complex)
     if spectral:
@@ -305,10 +300,8 @@ def build_hamiltonian_reference(terms: list[PauliTerm]) -> np.ndarray:
 
 def evolve_rk4_reference(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajectory:
     """`quantum.evolve_rk4` with a fresh increment array in each step."""
-    H = require_hermitian(H)
-    psi = np.array(psi0, dtype=complex)
-    if H.shape[1] != psi.shape[0]:
-        raise ValueError(f"dimension mismatch: H is {H.shape}, psi has {psi.shape[0]}")
+    psi = np.array(make_state(psi0))
+    H = require_hermitian(H, psi.size)
 
     d0, d1, d2, d3, d4 = rk4_weights(0.0, 0.0, 0.0, 0.0)
     B = (-1j * grid.dt) * H

@@ -66,10 +66,6 @@ class TestClassicalHamiltonian:
                 energy(H, psi), abs=1e-12 * np.max(np.abs(H))
             )
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            classical_hamiltonian(np.eye(3), ChartPoint(3, np.ones(3)))
-
 
 class TestGradConj:
     def test_identity_has_flat_landscape(self, rng):
@@ -311,10 +307,18 @@ class TestIntegrateClassical:
         assert np.max(1.0 - np.abs(overlaps)) < 1e-6
 
     def test_rejects_non_hermitian(self):
+        # every function of this module that takes H applies the same rule
         H = np.zeros((4, 4))
         H[0, 1] = 1.0
-        with pytest.raises(ValueError, match="not Hermitian"):
-            integrate_classical(H, ChartPoint(3, np.ones(3)), TimeGrid(1.0, 0.1))
+        point = ChartPoint(3, np.ones(3))
+        for call in (
+            lambda: integrate_classical(H, point, TimeGrid(1.0, 0.1)),
+            lambda: classical_hamiltonian(H, point),
+            lambda: grad_conj(H, point),
+            lambda: hamilton_rhs(H, point),
+        ):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                call()
 
 
 def assert_same_trajectory(H, point0, grid, settings=None):

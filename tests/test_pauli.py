@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdyn.chart import ChartPoint
-from cpdyn.flow import classical_hamiltonian, integrate_classical
+from cpdyn.flow import classical_hamiltonian, grad_conj, hamilton_rhs, integrate_classical
 from cpdyn.pauli import (
     HERMITIAN_RTOL,
     MixedLabelLengthError,
@@ -22,7 +23,7 @@ from cpdyn.pauli import (
     require_hermitian,
 )
 from cpdyn.quantum import TimeGrid, evolve_exact_grid, evolve_rk4
-from cpdyn.scenario import scenario_from_dict
+from cpdyn.scenario import ConfigError, scenario_from_dict
 
 from conftest import perfbench_module, random_hermitian, random_state
 from oracles import build_hamiltonian_reference, tensor_term_reference
@@ -223,15 +224,15 @@ def test_build_hamiltonian_hermitian_and_parsed(rng):
 
 def test_require_hermitian_rejects_bad_input():
     with pytest.raises(ValueError, match="not Hermitian"):
-        require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+        require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), 2)
     with pytest.raises(ValueError, match="square"):
-        require_hermitian(np.zeros((2, 3)))
+        require_hermitian(np.zeros((2, 3)), 2)
     with pytest.raises(ValueError, match="at least 2"):
-        require_hermitian(np.ones((1, 1)))
+        require_hermitian(np.ones((1, 1)), 1)
     with pytest.raises(ValueError, match="finite"):
-        require_hermitian(np.array([[np.nan, 0], [0, 1]]))
+        require_hermitian(np.array([[np.nan, 0], [0, 1]]), 2)
     with pytest.raises(ValueError, match="finite"):
-        require_hermitian(np.array([[1, np.inf], [np.inf, 1]]))
+        require_hermitian(np.array([[1, np.inf], [np.inf, 1]]), 2)
 
 
 def residue_hamiltonian(factor: float, scale: float) -> np.ndarray:
@@ -249,20 +250,21 @@ def _start(H):
 
 _GRID = TimeGrid(t_end=1e-3, dt=1e-3)
 
-# every public entry that validates H, as a function of H alone
+# every public entry that takes H, as a function of H and a unit state psi
+# with psi[0] = 1 (the chart point is psi in the chart anchored at 0)
 ENTRY_POINTS = {
-    "evolve_exact_grid": lambda H: evolve_exact_grid(H, _start(H), _GRID),
-    "evolve_rk4": lambda H: evolve_rk4(H, _start(H), _GRID),
-    "integrate_classical": lambda H: integrate_classical(
-        H, ChartPoint(0, np.zeros(len(H) - 1)), _GRID
+    "evolve_exact_grid": lambda H, psi: evolve_exact_grid(H, psi, _GRID),
+    "evolve_rk4": lambda H, psi: evolve_rk4(H, psi, _GRID),
+    "integrate_classical": lambda H, psi: integrate_classical(
+        H, ChartPoint(0, psi[1:]), _GRID
     ),
-    "classical_hamiltonian": lambda H: classical_hamiltonian(
-        H, ChartPoint(0, np.zeros(len(H) - 1))
-    ),
-    "scenario_from_dict": lambda H: scenario_from_dict(
+    "classical_hamiltonian": lambda H, psi: classical_hamiltonian(H, ChartPoint(0, psi[1:])),
+    "grad_conj": lambda H, psi: grad_conj(H, ChartPoint(0, psi[1:])),
+    "hamilton_rhs": lambda H, psi: hamilton_rhs(H, ChartPoint(0, psi[1:])),
+    "scenario_from_dict": lambda H, psi: scenario_from_dict(
         {
             "hamiltonian": {"dense": {"real": H.real.tolist(), "imag": H.imag.tolist()}},
-            "initial_state": {"real": _start(H).tolist()},
+            "initial_state": {"real": psi.tolist()},
             "grid": {"t_end": 1e-3, "dt": 1e-3},
             "observables": ["populations"],
         }
@@ -272,7 +274,9 @@ ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_one_hermiticity_rule(entry, rng):
-    call = ENTRY_POINTS[entry]
+    def call(H):
+        return ENTRY_POINTS[entry](H, _start(H))
+
     for scale in (2.0**-10, 1.0, 2.0**20):
         with pytest.raises(ValueError, match="not Hermitian"):
             call(residue_hamiltonian(1.01, scale))
@@ -285,6 +289,18 @@ def test_one_hermiticity_rule(entry, rng):
     H = (q * rng.uniform(-1, 1, n)) @ q.conj().T
     assert np.max(np.abs(H - H.conj().T)) > 0
     call(H)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_one_dimension_rule(entry):
+    # `require_hermitian(H, n)` checks the length, with one message everywhere
+    document = entry == "scenario_from_dict"
+    message = "dimension mismatch: H is (3, 3), state has 2"
+    if document:
+        message = "hamiltonian.dense: " + message
+    with pytest.raises(ConfigError if document else ValueError,
+                       match="^" + re.escape(message) + "$"):
+        ENTRY_POINTS[entry](np.eye(3), np.array([1.0, 0.0]))
 
 
 def assert_same_bits(got: np.ndarray, want: np.ndarray):

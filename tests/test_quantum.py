@@ -128,14 +128,22 @@ class TestEvolveExact:
         with pytest.raises(ValueError, match="not Hermitian"):
             evolve_rk4(np.array([[0, 1], [0, 0]]), make_state([1, 0]), TimeGrid(1.0, 0.1))
 
-    @pytest.mark.parametrize("evolve", [
-        lambda H, psi: evolve_exact_grid(H, psi, TimeGrid(1.0, 0.1)),
-        lambda H, psi: evolve_rk4(H, psi, TimeGrid(1.0, 0.1)),
-    ], ids=["evolve_exact_grid", "evolve_rk4"])
-    def test_dimension_mismatch(self, evolve):
-        message = "dimension mismatch: H is (3, 3), psi has 2"
+
+@pytest.mark.parametrize("evolve", [evolve_exact_grid, evolve_rk4])
+@pytest.mark.parametrize("psi0, message", [
+    ([np.nan, 1.0], "must be finite"),
+    ([3.0, 4.0], "state norm is 5.0"),
+    # finite entries whose norm overflows: no RK4 step is taken
+    ([1e200, 1e200], "state norm is inf"),
+    # a column is not flattened into a state
+    ([[1.0], [0.0]], "1-D"),
+], ids=["nan", "norm-5", "norm-overflow", "column"])
+def test_initial_state_refused_at_entry(evolve, psi0, message):
+    # both integrators take psi0 through `make_state`, the parser's rule
+    H = np.array([[1.0, 0.5], [0.5, -1.0]])
+    with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match=re.escape(message)):
-            evolve(np.eye(3), make_state([1, 0]))
+            evolve(H, psi0, TimeGrid(1.0, 0.1))
 
 
 class TestRk4Weights:
@@ -297,11 +305,12 @@ class TestEvolveRk4BitIdentity:
                 floor = 1 if onset == "early" else 1984
                 assert steps[0] == steps[1] > floor, (n, onset, stride, n_steps, steps)
 
-    def test_nan_state_fails_at_step_one(self):
+    def test_nan_state_refused_at_entry(self):
         psi0 = np.array([np.nan, 1.0])
         grid = TimeGrid(1.0, 0.01, 10)
         for evolve in (evolve_rk4, evolve_rk4_reference):
-            assert _failing_step(evolve, np.eye(2), psi0, grid) == 1
+            with pytest.raises(ValueError, match="must be finite"):
+                evolve(np.eye(2), psi0, grid)
 
     def test_failing_run_warns_as_reference(self):
         # one stretch: the unchecked steps run about 1900 steps past the

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,17 @@ class TestLoadScenario:
             scenario_from_dict(doc)
         doc["hamiltonian"] = {"dense": {"real": [[np.nan, 0.0], [0.0, -1.0]]}}
         with pytest.raises(ConfigError, match="hamiltonian.dense: .*finite"):
+            scenario_from_dict(doc)
+
+    def test_state_read_before_hamiltonian(self):
+        # H must act on the state: a mismatch is the Hamiltonian's error
+        doc = minimal_doc(initial_state={"real": [1.0, 0.0]})
+        message = "hamiltonian.pauli: dimension mismatch: H is (4, 4), state has 2"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            scenario_from_dict(doc)
+        # with both bad, the state is reported
+        doc = minimal_doc(initial_state={"real": [1.0, 1.0]}, hamiltonian={"pauli": "1*Q"})
+        with pytest.raises(ConfigError, match="^initial_state: .*norm"):
             scenario_from_dict(doc)
 
     def test_dense_hamiltonian_accepted(self):
