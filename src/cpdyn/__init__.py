@@ -61,4 +61,4 @@ from .scenario import (
     run,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

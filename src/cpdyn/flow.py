@@ -35,11 +35,17 @@ on N.
   u[pivot] and the s_j, and the step is q *= sum_j w_j z^j, where w is
   (1 + d0, d1, ..., d4) divided by u[pivot]: the weights are those of
   u / u[pivot], so the pivot entry returns to 1 on every step, as it does
-  in exact arithmetic.  |u|^2 = |q|^2, V being unitary, so a step is O(N);
-  u = V q (N^2 multiply-adds) is formed only at samples and when |u|^2
-  passes the switch level, which at N = 256 and threshold 0.2 is every
-  step.  Each stage still evaluates the projective vector field
-  Bv - (Bv)[pivot] v; only the coordinates of v change.
+  in exact arithmetic.  |u|^2 = |q|^2, V being unitary, so a step is O(N).
+  u = V q (N^2 multiply-adds) is formed at samples, and on a step where
+  |u|^2 passes the switch level (at N = 256 and threshold 0.2, every
+  step) only when a switch is possible: V being unitary, no entry of u
+  moves by more than |q - q0| from u0 = V q0, the u last formed, so while
+  |q - q0| stays below 1 - max_{i != pivot} |u0_i| (less a rounding
+  allowance) no amplitude can overtake the pivot and the probe is
+  skipped.  A probe that does not switch changes nothing, so skipping it
+  leaves the trajectory bit for bit as it was.  Each stage still
+  evaluates the projective vector field Bv - (Bv)[pivot] v; only the
+  coordinates of v change.
 
 The threshold is measured: on a 2-CPU x86-64 host the two paths step
 equally fast at N = 18-20, the stacked one is 3-14% faster at N = 14-16 and
@@ -90,6 +96,8 @@ _NSQ_GUARD = 1e300
 # [I; B; ...; B^4]; above it the O(N) step in eigen-coordinates is faster
 # (measured, see the module docstring).
 _STACK_MAX_N = 20
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -209,10 +217,14 @@ def integrate_classical(
     the first non-finite step.
 
     Up to N = `_STACK_MAX_N` a step costs one 5N x N product; above it a
-    step is O(N) in eigen-coordinates, plus one N x N product whenever u is
-    sampled or probed for a switch, after one `eigh` of H per run.  That
-    O(N^3) start makes runs of a few hundred steps at large N slower than a
-    step of 4N^2 would; the module docstring gives the measured break-even.
+    step is O(N) in eigen-coordinates, after one `eigh` of H per run, plus
+    one N x N product u = V q at each sample and at each switch probe.  A
+    step past the switch level probes only when q has moved from where u
+    was last formed by at least 1 - max_{i != pivot} |u_i| there (less a
+    rounding allowance): closer than that, V being unitary, no amplitude
+    can overtake the pivot.  The O(N^3) start makes runs of a few hundred
+    steps at large N slower than a step of 4N^2 would; the module
+    docstring gives the measured break-even.
     """
     settings = settings or FlowSettings()
     n = point0.dimension
@@ -289,7 +301,8 @@ def _stacked_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
 def _spectral_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     """`_stacked_steps` in the coordinates q = V^H u of H = V diag(lam) V^H,
     where B^j is the diagonal z^j, z = -i dt lam.  u = V q is formed only to
-    sample it or to probe for a switch."""
+    sample it or to probe for a switch, and a probe is skipped while
+    `_probe_slack` shows that it cannot switch."""
     n = u.size
     lam, V = np.linalg.eigh(H)
     Z = np.empty((5, n), dtype=complex)  # row j: z^j
@@ -303,6 +316,12 @@ def _spectral_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     p = np.empty(5, dtype=complex)
     w = np.empty(5, dtype=complex)
     g = np.empty(n, dtype=complex)
+    # q0 is q when u was last formed, and slack how far q may move from
+    # it before a probe could switch (see `_probe_slack`)
+    q0 = q.copy()
+    dq = np.empty(n, dtype=complex)
+    mag = np.empty(n)
+    slack = _probe_slack(u, pivot, mag)
     dot, vdot = np.dot, np.vdot
     switch_times = []
 
@@ -322,6 +341,10 @@ def _spectral_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
         if not usq < _NSQ_GUARD:
             raise NumericFailure("non-finite chart coordinates", step)
         probe = usq > usq_switch
+        if probe and slack > 0.0:
+            # a probe that cannot switch leaves q as it is, so skip it
+            np.subtract(q, q0, out=dq)
+            probe = vdot(dq, dq).real >= slack * slack
         if probe or step == samples[k]:
             dot(V, q, out=u)
             u[pivot] = 1.0
@@ -335,7 +358,28 @@ def _spectral_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
                     pivot = new_pivot
                     np.multiply(Z, V[pivot], out=P)
                     switch_times.append(step * grid.dt)
+            q0[:] = q
+            slack = _probe_slack(u, pivot, mag)
             if step == samples[k]:
                 us[k], pivots[k] = u, pivot
                 k += 1
     return switch_times
+
+
+def _probe_slack(u, pivot, mag) -> float:
+    """How far, in 2-norm, q may move from V^H u before a switch probe
+    could pick another pivot than `pivot`; at most 0 if it may already.
+
+    u is the last formed u0 = V q0 (or the initial u, with q0 = V^H u0),
+    and u0[pivot] = 1.  V being unitary, |(V q)_i - (V q0)_i| <= |q - q0|
+    for every i, so while |q - q0| < 1 - max_{i != pivot} |u0_i| no other
+    entry of V q reaches the pivot's 1 and `select_pivot` keeps the pivot.
+    The allowance 8 N eps |u0| covers the rounding of the product that
+    formed u0 and of the one a probe would form (each at most about
+    N eps |q| per entry, the rows of V having unit norm), of V's
+    orthonormality and of the moduli.  `mag` is an (N,) work buffer.
+    """
+    np.abs(u, out=mag)
+    norm = float(np.sqrt(np.dot(mag, mag)))
+    mag[pivot] = 0.0
+    return 1.0 - float(mag.max()) - 8 * u.size * _EPS * norm

@@ -125,7 +125,10 @@ def make_state(amplitudes) -> np.ndarray:
         raise ValueError(f"state must be 1-D with >= 2 amplitudes, got shape {psi.shape}")
     if not (np.all(np.isfinite(psi.real)) and np.all(np.isfinite(psi.imag))):
         raise ValueError("state amplitudes must be finite")
-    nrm = float(np.linalg.norm(psi))
+    # finite amplitudes can still have a norm that overflows to inf, which
+    # the check below reports
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state norm is {nrm!r}, not 1 within {STATE_NORM_TOL}")
     psi = psi.copy()

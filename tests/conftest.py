@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from cpdyn.flow import integrate_classical
+from oracles import integrate_classical_reference
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Property tests integrate trajectories: no per-example deadline (their run
@@ -54,6 +57,19 @@ def minimal_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def assert_same_trajectory(H, point0, grid, settings=None):
+    """The integrator against its plain-loop oracle, bit for bit (a -0.0
+    for a 0.0 would change a CSV field)."""
+    got = integrate_classical(H, point0, grid, settings)
+    want = integrate_classical_reference(H, point0, grid, settings)
+    assert np.array_equal(got.u.view(np.uint64), want.u.view(np.uint64))
+    assert np.array_equal(got.pivots, want.pivots)
+    assert np.array_equal(
+        got.switch_times.view(np.uint64), want.switch_times.view(np.uint64)
+    )
+    return got
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,25 @@ def test_validate_malformed_field_exits_2(tmp_path, capsys, section, node, key):
     assert main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key}: "), err
+
+
+def test_validate_state_norm_overflow_prints_one_line(tmp_path, capsys):
+    # finite amplitudes whose norm overflows: the one error line, without
+    # numpy's overflow warning above it
+    path = tmp_path / "huge.json"
+    doc = minimal_doc(
+        hamiltonian={"pauli": "1*Z"}, initial_state={"real": [1e200, 1e200]}
+    )
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        # outside a test run numpy's warnings go to stderr
+        warnings.simplefilter("always")
+        assert main(["validate", "--config", str(path)]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: initial_state: state norm is inf, "
+    ), err
 
 
 def test_validate_quotes_step_count_over_cap(tmp_path, capsys):

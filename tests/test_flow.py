@@ -3,9 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cpdyn.flow
 from cpdyn.chart import ChartPoint, from_chart, select_pivot, to_chart
 from cpdyn.flow import (
     _STACK_MAX_N,
+    _probe_slack,
     FlowSettings,
     classical_hamiltonian,
     grad_conj,
@@ -17,11 +19,16 @@ from cpdyn.pauli import PauliTerm, build_hamiltonian, build_two_qubit_hamiltonia
 from cpdyn.quantum import NumericFailure, TimeGrid, evolve_exact_grid
 from cpdyn.scenario import load_scenario
 
-from conftest import random_coords, random_hermitian, random_state
+import oracles
+from conftest import (
+    assert_same_trajectory,
+    random_coords,
+    random_hermitian,
+    random_state,
+)
 from oracles import (
     _rhs,
     fd_grad_conj,
-    integrate_classical_reference,
     quotient_rule_velocity,
     rk4_step,
 )
@@ -321,19 +328,6 @@ class TestIntegrateClassical:
                 call()
 
 
-def assert_same_trajectory(H, point0, grid, settings=None):
-    """The integrator against its plain-loop oracle, bit for bit (a -0.0
-    for a 0.0 would change a CSV field)."""
-    got = integrate_classical(H, point0, grid, settings)
-    want = integrate_classical_reference(H, point0, grid, settings)
-    assert np.array_equal(got.u.view(np.uint64), want.u.view(np.uint64))
-    assert np.array_equal(got.pivots, want.pivots)
-    assert np.array_equal(
-        got.switch_times.view(np.uint64), want.switch_times.view(np.uint64)
-    )
-    return got
-
-
 class TestBitIdentity:
     @pytest.mark.parametrize(
         "path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem
@@ -368,8 +362,8 @@ class TestBitIdentity:
         assert switches > 0
 
     def test_random_system_above_stack_threshold(self):
-        # N = 256 (eight qubits) steps in eigen-coordinates, probing for a
-        # switch on every step
+        # N = 256 (eight qubits) steps in eigen-coordinates, past the
+        # switch level on every step
         n = 256
         assert n > _STACK_MAX_N
         rng = np.random.default_rng(37)
@@ -389,3 +383,82 @@ class TestBitIdentity:
             traj = assert_same_trajectory(H, to_chart(psi0, select_pivot(psi0)), grid)
             switches += traj.n_switches
         assert switches > 0
+
+
+class TestProbeSkip:
+    """Above `_STACK_MAX_N` a step past the switch level forms u = V q and
+    probes only when the norm bound of `flow._probe_slack` cannot rule a
+    switch out; the oracle probes on every such step."""
+
+    @staticmethod
+    def count_probes(monkeypatch, module):
+        calls = []
+
+        def counted(u):
+            calls.append(None)
+            return select_pivot(u)
+
+        monkeypatch.setattr(module, "select_pivot", counted)
+        return calls
+
+    @staticmethod
+    def tied_state(rng, n, gap):
+        # two amplitudes of modulus 0.6 and 0.6 (1 + gap), with other phases,
+        # over a random rest of norm 0.3
+        psi = 0.3 * random_state(rng, n)
+        psi[3], psi[n - 2] = 0.6 * np.exp(0.7j), 0.6 * (1 + gap) * np.exp(-1.9j)
+        return psi / np.linalg.norm(psi)
+
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    @pytest.mark.parametrize("gap", [0.0, 1e-12, -1e-12])
+    def test_near_tie_probes_at_once(self, monkeypatch, n, gap):
+        # with the two largest amplitudes equal to within 1e-12 the slack
+        # is below any distance a step moves q (and below 0 for an exact
+        # tie), so the loop probes on the first step
+        rng = np.random.default_rng(n)
+        H = random_hermitian(rng, n, scale=2.0 / np.sqrt(n))
+        psi0 = self.tied_state(rng, n, gap)
+        point0 = to_chart(psi0, select_pivot(psi0))
+        slack = _probe_slack(point0.homogeneous(), point0.pivot, np.empty(n))
+        assert slack <= 0 if gap == 0 else slack < 1e-12
+        settings = FlowSettings(switch_threshold=0.9)  # |u|^2 >= 2 passes it
+        calls = self.count_probes(monkeypatch, cpdyn.flow)
+        integrate_classical(H, point0, TimeGrid(1e-2, 1e-2), settings)
+        assert len(calls) == 1
+        assert_same_trajectory(H, point0, TimeGrid(0.5, 1e-2, 5), settings)
+
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    def test_top_two_amplitudes_cross(self, monkeypatch, n):
+        # a strong coupling of the two largest amplitudes moves the weight
+        # of entry 3 to entry 7 over t = 2
+        rng = np.random.default_rng(5)
+        psi0 = 0.3 * random_state(rng, n)
+        psi0[3], psi0[7] = 0.6, 0.5j
+        psi0 /= np.linalg.norm(psi0)
+        H = random_hermitian(rng, n, scale=0.1 / np.sqrt(n))
+        H[3, 7] += 1.0
+        H[7, 3] += 1.0
+        grid = TimeGrid(t_end=2.0, dt=1e-2, output_stride=10)
+        settings = FlowSettings(switch_threshold=0.9)
+        calls = self.count_probes(monkeypatch, cpdyn.flow)
+        traj = assert_same_trajectory(H, to_chart(psi0, 3), grid, settings)
+        assert traj.pivots[0] == 3 and traj.pivots[-1] == 7
+        assert traj.n_switches >= 1
+        assert len(calls) < grid.n_steps
+
+    def test_probes_at_most_a_quarter_of_the_steps(self, monkeypatch):
+        # N = 256 with every amplitude below the default threshold 0.2: the
+        # oracle probes on each of the 2,000 steps, the integrator only
+        # where the bound allows a switch
+        n = 256
+        rng = np.random.default_rng(37)
+        H = random_hermitian(rng, n, scale=2.0 / np.sqrt(n))
+        psi0 = random_state(rng, n)
+        point0 = to_chart(psi0, select_pivot(psi0))
+        grid = TimeGrid(t_end=2.0, dt=1e-3, output_stride=20)
+        probes = self.count_probes(monkeypatch, cpdyn.flow)
+        oracle_probes = self.count_probes(monkeypatch, oracles)
+        traj = assert_same_trajectory(H, point0, grid)
+        assert len(oracle_probes) == grid.n_steps == 2000
+        assert traj.n_switches > 0
+        assert len(probes) <= grid.n_steps // 4

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdyn.chart import PIVOT_FLOOR, select_pivot, to_chart
-from cpdyn.flow import integrate_classical
+from cpdyn.flow import FlowSettings, integrate_classical
 from cpdyn.quantum import TimeGrid
 
-from conftest import random_hermitian, random_state
+from conftest import assert_same_trajectory, random_hermitian, random_state
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dimensions = st.integers(min_value=2, max_value=6)
@@ -116,3 +116,32 @@ def test_scaling_of_h_with_time_spectral(seed, n, c):
     scaled = _flow(c * H, psi0, TimeGrid(t_end=2.0 / c, dt=1e-2 / c, output_stride=10))
     np.testing.assert_array_equal(scaled.pivots, base.pivots)
     np.testing.assert_allclose(scaled.states(), base.states(), rtol=0, atol=1e-12)
+
+
+@given(
+    seed=seeds,
+    n=st.integers(min_value=21, max_value=48),
+    threshold=st.floats(min_value=0.05, max_value=0.95),
+    c=st.sampled_from([1e-3, 1.0, 1e6]),
+    ratio=st.floats(min_value=0.8, max_value=1.0),
+)
+@settings(max_examples=25)
+def test_skipped_probes_leave_trajectory_spectral(seed, n, threshold, c, ratio):
+    # the integrator skips the probes that its norm bound rules out; the
+    # oracle probes on every step past the switch level, bit for bit alike.
+    # The second largest amplitude starts at `ratio` times the largest, so
+    # that a switch can come at any distance from the start; a spectrum
+    # of width about 3 moves q by a few percent per step, so that probes
+    # are skipped.
+    rng = np.random.default_rng(seed)
+    H = c * random_hermitian(rng, n, scale=2.0 / np.sqrt(n))
+    psi0 = random_state(rng, n)
+    second, first = np.argsort(np.abs(psi0))[-2:]
+    psi0[second] *= ratio * abs(psi0[first]) / abs(psi0[second])
+    psi0 /= np.linalg.norm(psi0)
+    assert_same_trajectory(
+        H,
+        to_chart(psi0, select_pivot(psi0)),
+        TimeGrid(t_end=2.0 / c, dt=1e-2 / c, output_stride=10),
+        FlowSettings(switch_threshold=threshold),
+    )

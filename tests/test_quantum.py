@@ -141,9 +141,8 @@ class TestEvolveExact:
 def test_initial_state_refused_at_entry(evolve, psi0, message):
     # both integrators take psi0 through `make_state`, the parser's rule
     H = np.array([[1.0, 0.5], [0.5, -1.0]])
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            evolve(H, psi0, TimeGrid(1.0, 0.1))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evolve(H, psi0, TimeGrid(1.0, 0.1))
 
 
 class TestRk4Weights:
