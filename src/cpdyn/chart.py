@@ -15,6 +15,7 @@ pivots describe the same ray; `transition` converts between them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +53,12 @@ class ChartPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=complex).reshape(-1)
+        coords = _vector(self.coords, "chart coordinates")
         if coords.size < 1:
             raise ValueError("a chart point needs at least one coordinate")
         if not (np.all(np.isfinite(coords.real)) and np.all(np.isfinite(coords.imag))):
             raise ValueError("chart coordinates must be finite")
-        if not 0 <= self.pivot <= coords.size:
-            raise ValueError(
-                f"pivot {self.pivot} out of range for dimension {coords.size + 1}"
-            )
+        object.__setattr__(self, "pivot", _pivot(self.pivot, coords.size + 1))
         coords = coords.copy()
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
@@ -75,6 +73,24 @@ class ChartPoint:
         return np.insert(self.coords, self.pivot, 1.0)
 
 
+def _vector(values, what: str) -> np.ndarray:
+    """`values` as a complex array, refused unless it is 1-D."""
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != 1:
+        raise ValueError(f"{what} must be 1-D, got shape {values.shape}")
+    return values
+
+
+def _pivot(pivot, n: int) -> int:
+    """`pivot` as an int, refused unless it is an integer (a NumPy one
+    passes, a bool does not) in 0..n-1."""
+    if isinstance(pivot, bool) or not isinstance(pivot, numbers.Integral):
+        raise ValueError(f"pivot must be an integer, got {pivot!r}")
+    if not 0 <= pivot < n:
+        raise ValueError(f"pivot {pivot} out of range for dimension {n}")
+    return int(pivot)
+
+
 def select_pivot(psi: np.ndarray) -> int:
     """Index of the maximum-modulus amplitude; ties go to the lowest index.
 
@@ -87,9 +103,8 @@ def select_pivot(psi: np.ndarray) -> int:
 def to_chart(psi: np.ndarray, pivot: int) -> ChartPoint:
     """Inhomogeneous coordinates of the ray through psi, dividing by
     psi[pivot].  Invariant under global rephasing of psi."""
-    psi = np.asarray(psi, dtype=complex)
-    if not 0 <= pivot < psi.size:
-        raise ValueError(f"pivot {pivot} out of range for dimension {psi.size}")
+    psi = _vector(psi, "state")
+    pivot = _pivot(pivot, psi.size)
     div = psi[pivot]
     if abs(div) < PIVOT_FLOOR:
         raise ZeroPivotError(
@@ -152,6 +167,6 @@ def transition(point: ChartPoint, new_pivot: int) -> ChartPoint:
     `to_chart` of the homogeneous representative; raises ZeroPivotError
     when the would-be divisor is below PIVOT_FLOOR.
     """
-    if new_pivot == point.pivot:
+    if _pivot(new_pivot, point.dimension) == point.pivot:
         return point
     return to_chart(point.homogeneous(), new_pivot)

@@ -12,9 +12,19 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .quantum import NumericFailure
-from .scenario import ConfigError, compare, emit_csv, load_scenario, run
+from .scenario import (
+    DEFAULT_TOLERANCE,
+    METHODS,
+    ConfigError,
+    compare,
+    emit_csv,
+    load_scenario,
+    run,
+)
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -37,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="scenario JSON file")
     p_sim.add_argument(
         "--method",
-        choices=("quantum", "classical", "both"),
+        choices=METHODS,
         default="both",
         help="which evolution(s) to run (default: both)",
     )
@@ -50,8 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument(
         "--tolerance",
         type=float,
-        default=1e-6,
-        help="maximum allowed deviation, finite and > 0 (default: 1e-6)",
+        default=DEFAULT_TOLERANCE,
+        help="maximum allowed deviation, finite and > 0 (default: "
+        f"{np.format_float_scientific(DEFAULT_TOLERANCE, trim='-', exp_digits=1)})",
     )
     p_cmp.add_argument("--report", help="optional JSON report output path")
 

@@ -59,12 +59,16 @@ the eigenvectors and every work buffer are built once per run, so a step
 allocates no array: it writes only into those buffers and into the
 preallocated sample buffer.
 
-After a step the integrator hops to the chart anchored at the largest
-|u_i|, rescaling u so that u[new] = 1, whenever the implied pivot amplitude
-1/|u| = 1/sqrt(nfac) falls below a threshold.  Chart, pivot and switch
-rule act on u in the computational basis on both paths.  The trajectory
-keeps the sampled u, with u[pivot] = 1 exactly; everything else it reports
-(coordinates, nfac = |u|^2, states) is read from them.
+Before the first step and after every step the integrator hops to the
+chart anchored at the largest |u_i|, rescaling u so that u[new] = 1,
+whenever the implied pivot amplitude 1/|u| = 1/sqrt(nfac) is below a
+threshold.  The rule at t = 0 keeps a caller's chart anchored at a small
+amplitude from taking its first step next to the pole of the Riccati
+equation; a hop there is a switch at time 0, and sample 0 is in the new
+chart.  Chart, pivot and switch rule act on u in the computational basis
+on both paths.  The trajectory keeps the sampled u, with u[pivot] = 1
+exactly; everything else it reports (coordinates, nfac = |u|^2, states)
+is read from them.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ import numpy as np
 from .chart import ChartPoint, normalization, select_pivot
 from .observables import energy
 from .pauli import require_hermitian
-from .quantum import NumericFailure, TimeGrid, rk4_weights
+from .quantum import NumericFailure, TimeGrid, require_real, rk4_weights
 
 __all__ = [
     "FlowSettings",
@@ -110,6 +114,7 @@ class FlowSettings:
     switch_threshold: float = 0.2
 
     def __post_init__(self):
+        require_real("switch_threshold", self.switch_threshold)
         if not 0.0 < self.switch_threshold < 1.0:
             raise ValueError(
                 f"switch_threshold must lie in (0, 1), got {self.switch_threshold}"
@@ -210,11 +215,12 @@ def integrate_classical(
     """Fixed-step RK4 on the homogeneous vector u with automatic chart
     switching.
 
-    After every step, if the implied pivot amplitude 1/|u| has dropped below
-    settings.switch_threshold, the state hops to the chart anchored at the
-    maximum-modulus amplitude and integration continues.  Chart switches
-    happen between steps, never inside RK4 stages.  Raises NumericFailure on
-    the first non-finite step.
+    At t = 0 and after every step, if the implied pivot amplitude 1/|u| is
+    below settings.switch_threshold, the state hops to the chart anchored
+    at the maximum-modulus amplitude and integration continues.  A hop at
+    t = 0 is recorded as a switch at time 0, and sample 0 is taken after
+    it.  Chart switches happen between steps, never inside RK4 stages.
+    Raises NumericFailure on the first non-finite step.
 
     Up to N = `_STACK_MAX_N` a step costs one 5N x N product; above it a
     step is O(N) in eigen-coordinates, after one `eigh` of H per run, plus
@@ -229,18 +235,27 @@ def integrate_classical(
     settings = settings or FlowSettings()
     n = point0.dimension
     H = require_hermitian(H, n)
+    # switch when nfac = |u|^2 exceeds 1/threshold^2
+    usq_switch = 1.0 / settings.switch_threshold**2
     u = np.array(point0.homogeneous(), dtype=complex)
+    pivot = point0.pivot
+    switch_times = []
+    # the rule holds at t = 0 too: a chart anchored at a small amplitude
+    # would take the first step next to the pole of its Riccati equation
+    if np.vdot(u, u).real > usq_switch:
+        new_pivot = select_pivot(u)
+        if new_pivot != pivot:
+            u /= u[new_pivot]
+            u[new_pivot] = 1.0
+            pivot = new_pivot
+            switch_times.append(0.0)
     samples = grid.sample_indices().tolist()
     us = np.empty((len(samples), n), dtype=complex)
     pivots = np.empty(len(samples), dtype=int)
-    us[0], pivots[0] = u, point0.pivot
+    us[0], pivots[0] = u, pivot
 
     steps = _stacked_steps if n <= _STACK_MAX_N else _spectral_steps
-    # switch when nfac = |u|^2 exceeds 1/threshold^2
-    switch_times = steps(
-        H, u, point0.pivot, grid, 1.0 / settings.switch_threshold**2,
-        samples, us, pivots,
-    )
+    switch_times += steps(H, u, pivot, grid, usq_switch, samples, us, pivots)
 
     us.setflags(write=False)
     return ClassicalTrajectory(

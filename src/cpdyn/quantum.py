@@ -38,6 +38,7 @@ __all__ = [
     "evolve_exact_grid",
     "evolve_rk4",
     "rk4_weights",
+    "require_real",
 ]
 
 STATE_NORM_TOL = 1e-10
@@ -51,6 +52,13 @@ class NumericFailure(RuntimeError):
         self.step = step
 
 
+def require_real(name: str, value) -> None:
+    """Refuse a setting that is not a real number (a string or a boolean,
+    say) with a ValueError naming it; NumPy scalars pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform integration grid: step `dt` up to `t_end`, sampling every
@@ -62,9 +70,7 @@ class TimeGrid:
 
     def __post_init__(self):
         for name in ("t_end", "dt"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            require_real(name, getattr(self, name))
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
@@ -191,19 +197,6 @@ def rk4_weights(s1: complex, s2: complex, s3: complex, s4: complex) -> tuple:
     )
 
 
-def _rk4_steps(D: np.ndarray, psi: np.ndarray, inc: np.ndarray,
-               start: int, stop: int, checked: bool) -> None:
-    """Advance psi in place from step `start` to step `stop` by
-    psi += D psi.  With `checked`, raise NumericFailure at the first step
-    whose state is not finite."""
-    dot, vdot, inf = np.dot, np.vdot, np.inf
-    for step in range(start + 1, stop + 1):
-        dot(D, psi, out=inc)
-        psi += inc
-        if checked and not vdot(psi, psi).real < inf:  # NaN compares false
-            raise NumericFailure("non-finite state in RK4", step)
-
-
 def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajectory:
     """Fixed-step RK4 on the Schrodinger equation.
 
@@ -246,16 +239,24 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     samples = grid.sample_indices().tolist()
     states = np.empty((len(samples), psi.size), dtype=complex)
     states[0] = psi
+    dot, vdot, inf = np.dot, np.vdot, np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(samples)):
-            _rk4_steps(D, psi, inc, samples[k - 1], samples[k], checked=False)
-            if not np.vdot(psi, psi).real < np.inf:
+            for _ in range(samples[k - 1], samples[k]):
+                dot(D, psi, out=inc)
+                psi += inc
+            if not vdot(psi, psi).real < inf:  # NaN compares false
                 break
             states[k] = psi
         else:
             return QuantumTrajectory(times=grid.sample_times(), states=states)
 
+    # replay the stretch that ended non-finite, checking every step
     psi[...] = states[k - 1]
-    _rk4_steps(D, psi, inc, samples[k - 1], samples[k], checked=True)
+    for step in range(samples[k - 1] + 1, samples[k] + 1):
+        dot(D, psi, out=inc)
+        psi += inc
+        if not vdot(psi, psi).real < inf:
+            raise NumericFailure("non-finite state in RK4", step)
     # not reached: the replay repeats the failed stretch bit for bit
     raise NumericFailure("non-finite state in RK4", samples[k])

@@ -47,6 +47,8 @@ CSV_SCHEMA_VERSION = 1
 
 KNOWN_OBSERVABLES = ("populations", "z", "concurrence", "energy", "norm")
 METHODS = ("quantum", "classical", "both")
+# the largest deviation `compare` passes unless told otherwise
+DEFAULT_TOLERANCE = 1e-6
 
 # Sampled amplitudes a run may store per trajectory: 2^24, as many entries as
 # the largest H that `pauli.MAX_QUBITS` lets the parser build (256 MiB).
@@ -160,13 +162,16 @@ def _parse_grid(node) -> quantum.TimeGrid:
     _fields(node, "grid", required=("t_end", "dt"), optional=("output_stride",))
     values = {key: _number(node[key], f"grid.{key}") for key in ("t_end", "dt")}
     with _as_config_error("grid"):
-        return quantum.TimeGrid(**values, output_stride=node.get("output_stride", 1))
+        stride = node.get("output_stride", quantum.TimeGrid.output_stride)
+        return quantum.TimeGrid(**values, output_stride=stride)
 
 
 def _parse_flow(node) -> flow.FlowSettings:
     _fields(node, "flow", optional=("switch_threshold",))
+    if "switch_threshold" not in node:
+        return flow.FlowSettings()
     key = "flow.switch_threshold"
-    threshold = _number(node.get("switch_threshold", 0.2), key)
+    threshold = _number(node["switch_threshold"], key)
     with _as_config_error(key):
         return flow.FlowSettings(threshold)
 
@@ -205,7 +210,7 @@ def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
     )
     flow_settings = _parse_flow(data.get("flow", {}))
 
-    obs = data.get("observables", ["populations", "energy", "norm"])
+    obs = data.get("observables", ScenarioConfig.observables)
     _require(
         isinstance(obs, (list, tuple)) and len(obs) > 0,
         "observables: expected a non-empty list",
@@ -390,7 +395,9 @@ class ComparisonReport:
         return lines
 
 
-def compare(config: ScenarioConfig, tolerance: float = 1e-6) -> ComparisonReport:
+def compare(
+    config: ScenarioConfig, tolerance: float = DEFAULT_TOLERANCE
+) -> ComparisonReport:
     """Run quantum and classical on the same grid and report deviations.
 
     The report fails (passed=False) when any observable deviation or the

@@ -1,12 +1,14 @@
 import importlib.util
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from cpdyn.flow import integrate_classical
+from cpdyn.flow import _STACK_MAX_N, integrate_classical
+from cpdyn.quantum import TimeGrid
 from oracles import integrate_classical_reference
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -70,6 +72,61 @@ def assert_same_trajectory(H, point0, grid, settings=None):
         got.switch_times.view(np.uint64), want.switch_times.view(np.uint64)
     )
     return got
+
+
+@dataclass(frozen=True)
+class StepPath:
+    """One side of `flow._STACK_MAX_N`: up to it a classical step is one
+    product with the stacked powers of B, above it an O(N) step in
+    eigen-coordinates.  A row holds the systems the classical-flow tests
+    run on its path."""
+
+    name: str
+    dims: tuple  # random dense systems, one step from every chart
+    property_dims: tuple  # the dimensions hypothesis draws
+    property_grid: TimeGrid  # global phase and H -> cH
+    bit_runs: tuple  # pytest.param(seed, dims, H scale, grid): the oracle
+    qubits: int  # X on the first qubit drives the last amplitude through 0
+    overflow_n: int  # diag(1e200, -1e200, 0, ...) overflows in step 1
+
+    def __post_init__(self):
+        dims = {*self.dims, *self.property_dims, 2**self.qubits, self.overflow_n}
+        dims.update(*(run.values[1] for run in self.bit_runs))
+        assert {n > _STACK_MAX_N for n in dims} == {self.name == "spectral"}
+
+
+STEP_PATHS = (
+    StepPath(
+        "stacked",
+        dims=tuple(range(2, 9)),
+        property_dims=tuple(range(2, 9)),
+        property_grid=TimeGrid(t_end=5.0, dt=1e-2, output_stride=10),
+        # at dt = 1e-3 the B^3 u and B^4 u terms are too small for their
+        # rounding to reach u; the coarse step makes every row of K count
+        bit_runs=(
+            pytest.param(31, range(2, 9), 1.0, TimeGrid(2.0, 1e-3, 7), id="1.0"),
+            pytest.param(31, range(2, 9), 1e6, TimeGrid(2.0 / 1e6, 1e-3 / 1e6, 7), id="1000000.0"),
+            pytest.param(31, range(2, 9), 1.0, TimeGrid(20.0, 0.05, 7), id="1.0-coarse"),
+        ),
+        qubits=2,
+        overflow_n=4,
+    ),
+    StepPath(
+        "spectral",
+        dims=(21, 64, 256),
+        property_dims=(32, 64),
+        property_grid=TimeGrid(t_end=2.0, dt=1e-2, output_stride=10),
+        # N = 256 passes the switch level on every step; at N = 21-32 |u|^2
+        # often stays below it, so samples are also formed without a probe
+        bit_runs=(
+            pytest.param(37, [256], 1.0, TimeGrid(0.2, 1e-3, 20), id="256"),
+            pytest.param(41, [21, 24, 32], 1.0, TimeGrid(4.0, 1e-2, 7), id="21-24-32"),
+        ),
+        qubits=5,
+        overflow_n=21,
+    ),
+)
+STACKED, SPECTRAL = STEP_PATHS
 
 
 @pytest.fixture

@@ -212,9 +212,10 @@ def integrate_classical_reference(
     grid: TimeGrid,
     settings: FlowSettings | None = None,
 ) -> ClassicalTrajectory:
-    """`flow.integrate_classical` written as a plain per-step loop.  Above
-    `_STACK_MAX_N` the state is q, and u = V q is formed only to probe for a
-    switch or to sample, as the integrator does."""
+    """`flow.integrate_classical` written as a plain per-step loop, with
+    the switch rule applied before the first step and after every step.
+    Above `_STACK_MAX_N` the state is q, and u = V q is formed only to
+    probe for a switch or to sample, as the integrator does."""
     settings = settings or FlowSettings()
     n = point0.dimension
     H = require_hermitian(H, n)
@@ -223,6 +224,15 @@ def integrate_classical_reference(
     pivot = point0.pivot
     spectral = n > _STACK_MAX_N
     u = np.array(point0.homogeneous(), dtype=complex)
+    switch_times: list[float] = []
+    # the switch rule before the first step, in the computational basis
+    if np.vdot(u, u).real > usq_switch:
+        new_pivot = select_pivot(u)
+        if new_pivot != pivot:
+            u = u / u[new_pivot]
+            u[new_pivot] = 1.0
+            pivot = new_pivot
+            switch_times.append(0.0)
     if spectral:
         Z, V = _spectral_basis_reference(H, grid.dt)
         q = V.conj().T @ u
@@ -232,7 +242,6 @@ def integrate_classical_reference(
     samples = grid.sample_indices().tolist()
     us = np.empty((len(samples), n), dtype=complex)
     pivots = np.empty(len(samples), dtype=int)
-    switch_times: list[float] = []
 
     k = 0
     for step in range(grid.n_steps + 1):

@@ -60,6 +60,21 @@ class TestToFromChart:
             with pytest.raises(ValueError, match="out of range"):
                 to_chart(psi, pivot)
 
+    @pytest.mark.parametrize(
+        "psi, pivot, rule",
+        [
+            (np.eye(2) / np.sqrt(2), 0, r"state must be 1-D, got shape \(2, 2\)"),
+            ([0.6, 0.8], 1.0, "pivot must be an integer, got 1.0"),
+            ([0.6, 0.8], False, "pivot must be an integer, got False"),
+            ([0.6, 0.8], np.int32(2), "pivot 2 out of range for dimension 2"),
+        ],
+    )
+    def test_to_chart_refused_at_entry(self, psi, pivot, rule):
+        with pytest.raises(ValueError, match=rule):
+            to_chart(psi, pivot)
+        point = to_chart([0.6, 0.8], np.int32(1))  # a NumPy integer passes
+        assert point.pivot == 1 and point.coords[0] == 0.75
+
     def test_from_chart_examples(self):
         np.testing.assert_allclose(
             from_chart(ChartPoint(3, np.zeros(3))), [0, 0, 0, 1]
@@ -101,6 +116,22 @@ class TestChartPoint:
     def test_rejects_out_of_range_pivot(self):
         with pytest.raises(ValueError, match="pivot"):
             ChartPoint(5, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "pivot, coords, rule",
+        [
+            (0, [[1, 2], [3, 4]], r"chart coordinates must be 1-D, got shape \(2, 2\)"),
+            (0, 1.0, r"chart coordinates must be 1-D, got shape \(\)"),
+            (1.5, [1, 2], "pivot must be an integer, got 1.5"),
+            (True, [1, 2], "pivot must be an integer, got True"),
+            (np.int64(3), [1, 2], "pivot 3 out of range for dimension 3"),
+        ],
+    )
+    def test_refused_at_entry(self, pivot, coords, rule):
+        with pytest.raises(ValueError, match=rule):
+            ChartPoint(pivot, coords)
+        point = ChartPoint(np.int64(1), [1, 2])  # a NumPy integer passes
+        assert point.pivot == 1 and type(point.pivot) is int
 
     def test_coords_read_only(self):
         point = ChartPoint(0, np.zeros(3))
@@ -190,6 +221,10 @@ class TestTransition:
     def test_same_pivot_is_identity(self):
         point = ChartPoint(2, np.array([1.0, 2.0]))
         assert transition(point, 2) is point
+        # the same pivot as a float or a bool is refused, as `to_chart` does
+        for pivot in (2.0, True):
+            with pytest.raises(ValueError, match="pivot must be an integer"):
+                transition(ChartPoint(int(pivot), [1.0, 2.0]), pivot)
 
     def test_double_transition_round_trip(self, rng):
         for _ in range(100):

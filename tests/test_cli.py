@@ -119,6 +119,21 @@ def test_version_flag(capsys):
     assert __version__ in capsys.readouterr().out
 
 
+def test_defaults_come_from_the_library(capsys):
+    # methods and tolerance are defined once, in `scenario`; the help text
+    # quotes the tolerance as it always has
+    parser = cpdyn.cli.build_parser()
+    assert parser.parse_args(["compare", "--config", "x"]).tolerance == (
+        cpdyn.scenario.DEFAULT_TOLERANCE
+    )
+    with pytest.raises(SystemExit):
+        main(["compare", "--help"])
+    assert "(default: 1e-6)" in " ".join(capsys.readouterr().out.split())
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert "{quantum,classical,both}" in capsys.readouterr().out
+
+
 def test_validate_ok(capsys):
     assert main(["validate", "--config", FIG1_LEFT]) == 0
     assert "ok:" in capsys.readouterr().out

@@ -5,33 +5,17 @@ import pytest
 
 import cpdyn.flow
 from cpdyn.chart import ChartPoint, from_chart, select_pivot, to_chart
-from cpdyn.flow import (
-    _STACK_MAX_N,
-    _probe_slack,
-    FlowSettings,
-    classical_hamiltonian,
-    grad_conj,
-    hamilton_rhs,
-    integrate_classical,
-)
+from cpdyn.flow import _probe_slack, FlowSettings, classical_hamiltonian, grad_conj
+from cpdyn.flow import hamilton_rhs, integrate_classical
 from cpdyn.observables import energy
 from cpdyn.pauli import PauliTerm, build_hamiltonian, build_two_qubit_hamiltonian
 from cpdyn.quantum import NumericFailure, TimeGrid, evolve_exact_grid
 from cpdyn.scenario import load_scenario
 
 import oracles
-from conftest import (
-    assert_same_trajectory,
-    random_coords,
-    random_hermitian,
-    random_state,
-)
-from oracles import (
-    _rhs,
-    fd_grad_conj,
-    quotient_rule_velocity,
-    rk4_step,
-)
+from conftest import SPECTRAL, STACKED, STEP_PATHS, assert_same_trajectory, random_coords
+from conftest import random_hermitian, random_state
+from oracles import _rhs, fd_grad_conj, quotient_rule_velocity, rk4_step
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -139,17 +123,23 @@ class TestFlowSettings:
         with pytest.raises(ValueError):
             FlowSettings(switch_threshold=1.0)
 
+    @pytest.mark.parametrize("threshold", ["0.2", True])
+    def test_refused_at_entry(self, threshold):
+        with pytest.raises(ValueError, match="switch_threshold must be a real number"):
+            FlowSettings(threshold)
+        assert FlowSettings(np.float32(0.5)).switch_threshold == 0.5
+
 
 class TestIntegrateClassical:
     @pytest.mark.parametrize("scale, dt", [(1.0, 1e-3), (1e6, 1e-9)])
     def test_step_matches_stage_form(self, rng, scale, dt):
         # the Krylov-form step is the RK4 step of the projective equation,
         # in every chart and at any scale of H (B = -i dt H is what counts),
-        # on both sides of the stacked/spectral threshold.  The stage form
-        # works in the computational basis, so an eigendecomposition error
-        # that the quantum route shares cannot hide here.
+        # on both step paths.  The stage form works in the computational
+        # basis, so an eigendecomposition error that the quantum route
+        # shares cannot hide here.
         eps = np.finfo(float).eps
-        for n in [*range(2, 9), _STACK_MAX_N + 1, 64, 256]:
+        for n in (n for path in STEP_PATHS for n in path.dims):
             H = random_hermitian(rng, n) * scale
             pivots = range(n) if n <= 8 else rng.choice(n, 4, replace=False)
             # |x| small enough that the pivot entry stays the largest
@@ -229,32 +219,11 @@ class TestIntegrateClassical:
         h0 = energy(H, traj.u) / traj.nfac
         assert np.max(np.abs(h0 - h0[0])) < 1e-8
 
-    def test_switches_through_chart_singularity(self):
-        # X (x) I rotation drives the initial pivot amplitude through zero
-        H = build_two_qubit_hamiltonian(0, 1.0, 0, 0, 0)
-        psi0 = np.array([0, 0, 0, 1.0])
-        grid = TimeGrid(10.0, 1e-3, 100)
-        traj = integrate_classical(H, to_chart(psi0, 3), grid)
-        assert traj.n_switches >= 1
-        quantum = evolve_exact_grid(H, psi0, grid)
-        gaps = 1 - np.abs(np.sum(quantum.states.conj() * traj.states(), axis=1))
-        assert np.max(gaps) < 1e-6
-        # the trajectory never lingers in a badly anchored chart
-        nfacs = 1 + np.sum(np.abs(traj.coords) ** 2, axis=1)
-        assert np.all(1 / np.sqrt(nfacs) > 0.2 * 0.9)
-        # with every step sampled, each switch is a pivot change between
-        # consecutive samples, which counts n_switches_cum independently
-        fine = integrate_classical(H, to_chart(psi0, 3), TimeGrid(10.0, 1e-3, 1))
-        changes = np.cumsum(np.concatenate([[0], fine.pivots[1:] != fine.pivots[:-1]]))
-        np.testing.assert_array_equal(fine.n_switches_cum, changes)
-        assert fine.n_switches_cum[-1] == fine.n_switches >= 1
-
-    def test_switches_through_chart_singularity_spectral(self):
-        # the same rotation on the first of five qubits, N = 32: the
-        # amplitude of |11111> passes through zero
-        n = 32
-        assert n > _STACK_MAX_N
-        H = build_hamiltonian([PauliTerm(1.0, tuple("XIIII"))])
+    def test_switches_through_chart_singularity(self, path=STACKED):
+        # X on the first qubit drives the amplitude of |1...1>, the initial
+        # pivot, through zero
+        n = 2**path.qubits
+        H = build_hamiltonian([PauliTerm(1.0, ("X",) + ("I",) * (path.qubits - 1))])
         psi0 = np.zeros(n)
         psi0[-1] = 1.0
         grid = TimeGrid(10.0, 1e-3, 100)
@@ -265,11 +234,18 @@ class TestIntegrateClassical:
         quantum = evolve_exact_grid(H, psi0, grid)
         gaps = 1 - np.abs(np.sum(quantum.states.conj() * traj.states(), axis=1))
         assert np.max(gaps) < 1e-6
-        assert np.all(1 / np.sqrt(traj.nfac) > 0.2 * 0.9)
+        # the trajectory never lingers in a badly anchored chart
+        nfacs = 1 + np.sum(np.abs(traj.coords) ** 2, axis=1)
+        assert np.all(1 / np.sqrt(nfacs) > 0.2 * 0.9)
+        # with every step sampled, each switch is a pivot change between
+        # consecutive samples, which counts n_switches_cum independently
         fine = integrate_classical(H, to_chart(psi0, n - 1), TimeGrid(10.0, 1e-3, 1))
         changes = np.cumsum(np.concatenate([[0], fine.pivots[1:] != fine.pivots[:-1]]))
         np.testing.assert_array_equal(fine.n_switches_cum, changes)
         assert fine.n_switches_cum[-1] == fine.n_switches >= 1
+
+    def test_switches_through_chart_singularity_spectral(self):
+        self.test_switches_through_chart_singularity(SPECTRAL)
 
     def test_chart_covariance_of_observables(self, rng):
         # same ray, different admissible starting charts -> same populations
@@ -284,22 +260,18 @@ class TestIntegrateClassical:
         for other in runs[1:]:
             np.testing.assert_allclose(other, runs[0], atol=1e-8)
 
-    def test_non_finite_aborts(self):
-        H = np.diag([1e200, -1e200, 0.0, 0.0])
-        point0 = ChartPoint(3, np.array([1.0, 1.0, 1.0]))
-        with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(NumericFailure):
-                integrate_classical(H, point0, TimeGrid(1.0, 0.1))
-
-    def test_non_finite_aborts_spectral(self):
-        # z^2 = (-i dt lam)^2 overflows, so the first step is not finite
-        n = _STACK_MAX_N + 1
+    def test_non_finite_aborts(self, path=STACKED):
+        # B^2 and z^2 = (-i dt lam)^2 overflow, so the first step is not finite
+        n = path.overflow_n
         H = np.diag([1e200, -1e200] + [0.0] * (n - 2))
         point0 = ChartPoint(n - 1, np.ones(n - 1))
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NumericFailure) as failure:
                 integrate_classical(H, point0, TimeGrid(1.0, 0.1))
         assert failure.value.step == 1
+
+    def test_non_finite_aborts_spectral(self):
+        self.test_non_finite_aborts(SPECTRAL)
 
     def test_large_scale_hamiltonian(self):
         # an exactly Hermitian H with entries of order 1e6, time scaled to match
@@ -342,47 +314,32 @@ class TestBitIdentity:
         if path.stem == "fig2_right":
             assert traj.n_switches == 10
 
-    # At dt = 1e-3 the B^3 u and B^4 u terms are too small for their
-    # rounding to reach u; the coarse step makes every row of K count.
     @pytest.mark.parametrize(
-        "scale, dt, t_end",
-        [(1.0, 1e-3, 2.0), (1e6, 1e-3, 2.0), (1.0, 0.05, 20.0)],
-        ids=["1.0", "1000000.0", "1.0-coarse"],
+        "seed, dims, scale, grid", [run for path in STEP_PATHS for run in path.bit_runs]
     )
-    def test_random_systems(self, scale, dt, t_end):
-        rng = np.random.default_rng(31)
+    def test_random_systems(self, seed, dims, scale, grid):
+        rng = np.random.default_rng(seed)
         switches = 0
-        for n in range(2, 9):
+        for n in dims:
             H = random_hermitian(rng, n) * scale
             psi0 = random_state(rng, n)
-            grid = TimeGrid(t_end=t_end / scale, dt=dt / scale, output_stride=7)
             traj = assert_same_trajectory(H, to_chart(psi0, select_pivot(psi0)), grid)
             switches += traj.n_switches
         # the chart-switch branch and its refreshed pivot view are exercised
         assert switches > 0
 
-    def test_random_system_above_stack_threshold(self):
-        # N = 256 (eight qubits) steps in eigen-coordinates, past the
-        # switch level on every step
-        n = 256
-        assert n > _STACK_MAX_N
-        rng = np.random.default_rng(37)
-        H, psi0 = random_hermitian(rng, n), random_state(rng, n)
-        grid = TimeGrid(t_end=0.2, dt=1e-3, output_stride=20)
-        traj = assert_same_trajectory(H, to_chart(psi0, select_pivot(psi0)), grid)
-        assert traj.n_switches > 0
-
-    def test_random_systems_just_above_stack_threshold(self):
-        # at N = 21-32 |u|^2 often stays below the switch level, so samples
-        # are also formed without a probe
-        rng = np.random.default_rng(41)
-        switches = 0
-        for n in (_STACK_MAX_N + 1, _STACK_MAX_N + 4, 32):
+    def test_starts_past_switch_level(self):
+        # a chart anchored at the smallest amplitude is past the switch
+        # level at t = 0, so both loops hop to the largest one first
+        for path in STEP_PATHS:
+            n = max(path.property_dims)
+            rng = np.random.default_rng(2)
             H, psi0 = random_hermitian(rng, n), random_state(rng, n)
-            grid = TimeGrid(t_end=4.0, dt=1e-2, output_stride=7)
-            traj = assert_same_trajectory(H, to_chart(psi0, select_pivot(psi0)), grid)
-            switches += traj.n_switches
-        assert switches > 0
+            assert np.min(np.abs(psi0)) < 0.2  # 1/|u| at the default threshold
+            point0 = to_chart(psi0, int(np.argmin(np.abs(psi0))))
+            traj = assert_same_trajectory(H, point0, TimeGrid(1.0, 1e-2, 10))
+            assert traj.switch_times[0] == 0.0 and traj.n_switches_cum[0] == 1
+            assert traj.pivots[0] == select_pivot(psi0)
 
 
 class TestProbeSkip:
@@ -414,7 +371,8 @@ class TestProbeSkip:
     def test_near_tie_probes_at_once(self, monkeypatch, n, gap):
         # with the two largest amplitudes equal to within 1e-12 the slack
         # is below any distance a step moves q (and below 0 for an exact
-        # tie), so the loop probes on the first step
+        # tie), so the loop probes on the first step, after the probe of
+        # the switch rule at t = 0
         rng = np.random.default_rng(n)
         H = random_hermitian(rng, n, scale=2.0 / np.sqrt(n))
         psi0 = self.tied_state(rng, n, gap)
@@ -424,7 +382,7 @@ class TestProbeSkip:
         settings = FlowSettings(switch_threshold=0.9)  # |u|^2 >= 2 passes it
         calls = self.count_probes(monkeypatch, cpdyn.flow)
         integrate_classical(H, point0, TimeGrid(1e-2, 1e-2), settings)
-        assert len(calls) == 1
+        assert len(calls) == 2  # at t = 0 and after the step
         assert_same_trajectory(H, point0, TimeGrid(0.5, 1e-2, 5), settings)
 
     @pytest.mark.parametrize("n", [32, 64, 256])
@@ -448,8 +406,8 @@ class TestProbeSkip:
 
     def test_probes_at_most_a_quarter_of_the_steps(self, monkeypatch):
         # N = 256 with every amplitude below the default threshold 0.2: the
-        # oracle probes on each of the 2,000 steps, the integrator only
-        # where the bound allows a switch
+        # oracle probes at t = 0 and after each of the 2,000 steps, the
+        # integrator only where the bound allows a switch
         n = 256
         rng = np.random.default_rng(37)
         H = random_hermitian(rng, n, scale=2.0 / np.sqrt(n))
@@ -459,6 +417,6 @@ class TestProbeSkip:
         probes = self.count_probes(monkeypatch, cpdyn.flow)
         oracle_probes = self.count_probes(monkeypatch, oracles)
         traj = assert_same_trajectory(H, point0, grid)
-        assert len(oracle_probes) == grid.n_steps == 2000
+        assert len(oracle_probes) == grid.n_steps + 1 == 2001
         assert traj.n_switches > 0
         assert len(probes) <= grid.n_steps // 4

@@ -1,4 +1,6 @@
-"""Hypothesis property tests of the classical flow's invariances."""
+"""Hypothesis property tests of the classical flow's invariances on both
+step paths of `integrate_classical`, one system per row of
+`conftest.STEP_PATHS`."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,14 +10,30 @@ from cpdyn.chart import PIVOT_FLOOR, select_pivot, to_chart
 from cpdyn.flow import FlowSettings, integrate_classical
 from cpdyn.quantum import TimeGrid
 
-from conftest import assert_same_trajectory, random_hermitian, random_state
+from conftest import SPECTRAL, STACKED, STEP_PATHS, assert_same_trajectory
+from conftest import random_hermitian, random_state
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-dimensions = st.integers(min_value=2, max_value=6)
+log_cs = st.floats(min_value=-3.0, max_value=6.0)
+phases = st.floats(min_value=-np.pi, max_value=np.pi)
 
 # t = 2 in 2000 RK4 steps; on random N = 2..8 systems of scale 2 the runs
-# below agree to a few 1e-10, the size of the accumulated O(dt^4) error
+# below agree to a few 1e-10, the size of the accumulated O(dt^4) error.
+# Above N = 8, H is scaled by sqrt(8/N), which keeps dt times the spread
+# of the spectrum at the N <= 8 level: unscaled, the truncation error of
+# the N = 64 runs alone is about 1e-8.
 REVERSIBLE_GRID = TimeGrid(t_end=2.0, dt=1e-3, output_stride=50)
+
+
+def _system(path, seed, data, reversible=False):
+    """(H, psi0): a random system of a dimension drawn from the row `path`,
+    from `seed`."""
+    n = data.draw(st.sampled_from(path.property_dims), label=f"{path.name} n")
+    rng = np.random.default_rng(seed)
+    H = random_hermitian(rng, n)
+    if reversible and n > 8:
+        H *= np.sqrt(8 / n)
+    return H, random_state(rng, n)
 
 
 def _flow(H, psi0, grid):
@@ -28,94 +46,87 @@ def _phase_aligned_distance(a, b) -> float:
     return float(np.max(np.linalg.norm(a - overlap / np.abs(overlap) * b, axis=-1)))
 
 
-@given(seed=seeds, n=dimensions, log_c=st.floats(min_value=-3.0, max_value=6.0))
-@settings(max_examples=20)
-def test_scaling_of_h_with_time(seed, n, log_c):
+def _check_scaling_of_h_with_time(path, seed, data, log_c):
     # (cH, dt/c, t_end/c) gives the same step matrix B = -i dt H up to
-    # rounding, hence the same samples and chart history
-    rng = np.random.default_rng(seed)
-    H = random_hermitian(rng, n)
-    psi0 = random_state(rng, n)
+    # rounding, hence the same samples and chart history; above the split,
+    # eigh of cH gives c lam and the same eigenvectors up to rounding (and
+    # up to their phases, which cancel in u = V V^H u)
     c = 10.0**log_c
-    base = _flow(H, psi0, TimeGrid(t_end=5.0, dt=1e-2, output_stride=10))
-    scaled = _flow(c * H, psi0, TimeGrid(t_end=5.0 / c, dt=1e-2 / c, output_stride=10))
+    H, psi0 = _system(path, seed, data)
+    grid = path.property_grid
+    base = _flow(H, psi0, grid)
+    scaled = _flow(c * H, psi0, TimeGrid(grid.t_end / c, grid.dt / c, grid.output_stride))
     np.testing.assert_array_equal(scaled.pivots, base.pivots)
     np.testing.assert_allclose(scaled.coords, base.coords, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(scaled.states(), base.states(), rtol=0, atol=1e-12)
 
 
-@given(seed=seeds, n=dimensions, phase=st.floats(min_value=-np.pi, max_value=np.pi))
+@given(seed=seeds, data=st.data(), log_c=log_cs)
 @settings(max_examples=20)
-def test_global_phase_leaves_populations(seed, n, phase):
-    rng = np.random.default_rng(seed)
-    H = random_hermitian(rng, n)
-    psi0 = random_state(rng, n)
-    grid = TimeGrid(t_end=5.0, dt=1e-2, output_stride=10)
-    base = _flow(H, psi0, grid)
-    rotated = _flow(H, np.exp(1j * phase) * psi0, grid)
+def test_scaling_of_h_with_time(seed, data, log_c):
+    _check_scaling_of_h_with_time(STACKED, seed, data, log_c)
+
+
+@given(seed=seeds, data=st.data(), log_c=log_cs)
+@settings(max_examples=20)
+def test_scaling_of_h_with_time_spectral(seed, data, log_c):
+    _check_scaling_of_h_with_time(SPECTRAL, seed, data, log_c)
+
+
+def _check_global_phase(path, seed, data, phase):
+    H, psi0 = _system(path, seed, data)
+    base = _flow(H, psi0, path.property_grid)
+    rotated = _flow(H, np.exp(1j * phase) * psi0, path.property_grid)
     np.testing.assert_allclose(
         np.abs(rotated.states()) ** 2, np.abs(base.states()) ** 2, rtol=0, atol=1e-12
     )
-
-
-@given(seed=seeds, n=st.integers(min_value=2, max_value=8))
-@settings(max_examples=20)
-def test_chart_covariance(seed, n):
-    # the flow started in any admissible chart traces the same rays
-    rng = np.random.default_rng(seed)
-    H = random_hermitian(rng, n)
-    psi0 = random_state(rng, n)
-    runs = [
-        integrate_classical(H, to_chart(psi0, pivot), REVERSIBLE_GRID).states()
-        for pivot in range(n)
-        if abs(psi0[pivot]) > PIVOT_FLOOR
-    ]
-    for states in runs[1:]:
-        assert _phase_aligned_distance(states, runs[0]) < 1e-8
-
-
-@given(seed=seeds, n=st.integers(min_value=2, max_value=8))
-@settings(max_examples=20)
-def test_time_reversal(seed, n):
-    # evolving under -H for the same time returns to the initial ray
-    rng = np.random.default_rng(seed)
-    H = random_hermitian(rng, n)
-    psi0 = random_state(rng, n)
-    forward = _flow(H, psi0, REVERSIBLE_GRID)
-    point = to_chart(forward.u[-1], int(forward.pivots[-1]))
-    back = integrate_classical(-H, point, REVERSIBLE_GRID)
-    assert _phase_aligned_distance(back.states()[-1], psi0) < 1e-8
-
-
-# N above `flow._STACK_MAX_N`: the flow steps in eigen-coordinates
-spectral_dimensions = st.sampled_from([32, 64])
-SPECTRAL_GRID = TimeGrid(t_end=2.0, dt=1e-2, output_stride=10)
-
-
-@given(seed=seeds, n=spectral_dimensions, phase=st.floats(min_value=-np.pi, max_value=np.pi))
-@settings(max_examples=10)
-def test_global_phase_leaves_chart_history_spectral(seed, n, phase):
-    rng = np.random.default_rng(seed)
-    H = random_hermitian(rng, n)
-    psi0 = random_state(rng, n)
-    base = _flow(H, psi0, SPECTRAL_GRID)
-    rotated = _flow(H, np.exp(1j * phase) * psi0, SPECTRAL_GRID)
-    assert base.n_switches > 0
+    # the same chart history, which above the split always has a switch
+    assert base.n_switches > 0 or path is STACKED
     np.testing.assert_array_equal(rotated.pivots, base.pivots)
     np.testing.assert_array_equal(rotated.switch_times, base.switch_times)
 
 
-@given(seed=seeds, n=spectral_dimensions, c=st.sampled_from([1e-3, 1e6]))
-@settings(max_examples=10)
-def test_scaling_of_h_with_time_spectral(seed, n, c):
-    # eigh of cH gives c lam and the same eigenvectors up to rounding (and
-    # up to their phases, which cancel in u = V V^H u)
-    rng = np.random.default_rng(seed)
-    H = random_hermitian(rng, n)
-    psi0 = random_state(rng, n)
-    base = _flow(H, psi0, SPECTRAL_GRID)
-    scaled = _flow(c * H, psi0, TimeGrid(t_end=2.0 / c, dt=1e-2 / c, output_stride=10))
-    np.testing.assert_array_equal(scaled.pivots, base.pivots)
-    np.testing.assert_allclose(scaled.states(), base.states(), rtol=0, atol=1e-12)
+@given(seed=seeds, data=st.data(), phase=phases)
+@settings(max_examples=20)
+def test_global_phase_leaves_populations(seed, data, phase):
+    _check_global_phase(STACKED, seed, data, phase)
+
+
+@given(seed=seeds, data=st.data(), phase=phases)
+@settings(max_examples=20)
+def test_global_phase_leaves_chart_history_spectral(seed, data, phase):
+    _check_global_phase(SPECTRAL, seed, data, phase)
+
+
+@given(seed=seeds, data=st.data())
+@settings(max_examples=20)
+def test_chart_covariance(seed, data):
+    # the flow started in any admissible chart traces the same rays; at
+    # N >= 32 the charts of the largest, smallest and median amplitude
+    for path in STEP_PATHS:
+        H, psi0 = _system(path, seed, data, reversible=True)
+        n = psi0.size
+        order = np.argsort(np.abs(psi0))
+        pivots = order[[-1, 0, n // 2]] if n >= 32 else range(n)
+        runs = [
+            integrate_classical(H, to_chart(psi0, int(pivot)), REVERSIBLE_GRID).states()
+            for pivot in pivots
+            if abs(psi0[pivot]) > PIVOT_FLOOR
+        ]
+        for states in runs[1:]:
+            assert _phase_aligned_distance(states, runs[0]) < 1e-8
+
+
+@given(seed=seeds, data=st.data())
+@settings(max_examples=20)
+def test_time_reversal(seed, data):
+    # evolving under -H for the same time returns to the initial ray
+    for path in STEP_PATHS:
+        H, psi0 = _system(path, seed, data, reversible=True)
+        forward = _flow(H, psi0, REVERSIBLE_GRID)
+        point = to_chart(forward.u[-1], int(forward.pivots[-1]))
+        back = integrate_classical(-H, point, REVERSIBLE_GRID)
+        assert _phase_aligned_distance(back.states()[-1], psi0) < 1e-8
 
 
 @given(

@@ -12,6 +12,7 @@ from cpdyn.quantum import TimeGrid
 from cpdyn.scenario import (
     KNOWN_OBSERVABLES,
     ConfigError,
+    ScenarioConfig,
     compare,
     emit_csv,
     load_scenario,
@@ -140,6 +141,14 @@ class TestLoadScenario:
         doc = minimal_doc()
         del doc["name"]
         assert load_scenario(write_scenario(tmp_path, doc, "demo.json")).name == "demo"
+
+    def test_omitted_fields_take_the_dataclass_defaults(self):
+        doc = minimal_doc(grid={"t_end": 1.0, "dt": 0.01})
+        del doc["observables"]
+        config = scenario_from_dict(doc)
+        assert config.flow == cpdyn.flow.FlowSettings()
+        assert config.observables == ScenarioConfig.observables
+        assert config.grid == TimeGrid(1.0, 0.01)
 
     def test_sample_entries_capped(self):
         # N = 4, so the 2^24-entry cap allows 2^22 samples; the check is
