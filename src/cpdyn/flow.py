@@ -21,54 +21,47 @@ whose pivot component vanishes identically.  The integrator is fixed-step
 RK4 on u (the Kahler geometry admits no standard symplectic splitting here;
 energy drift is recorded as the quality signal).  With B = -i dt H the
 step-scaled right-hand side is Bv - (Bv)[pivot] v, so every RK4 stage lies
-in span{u, Bu, ..., B^4 u} and a step is exactly u + sum_j d_j B^j u:
+in span{u, Bu, ..., B^4 u} and a step is exactly sum_j w_j B^j u:
 `quantum.rk4_weights` turns the pivot entries s_j = (B^j u)[pivot] into
-the weights d_j.  How a step gets the s_j and applies the weights depends
+the weights w_j.  How a step gets the s_j and applies the weights depends
 on N.
 
 * Up to `_STACK_MAX_N` one product with the stacked matrix
   [I; B; B^2; B^3; B^4], built once per run, fills K = [u; Bu; ...; B^4 u],
-  and the new state is (1 + d0, d1, ..., d4) . K: 5N^2 multiply-adds.
+  and the new state is w . K: 5N^2 multiply-adds.
 * Above it the run starts with one eigendecomposition H = V diag(lam) V^H
   of its own and steps the coordinates q = V^H u, in which B^j is the
   diagonal z^j, z = -i dt lam.  One (5, N) product (z^j V[pivot]) . q gives
-  u[pivot] and the s_j, and the step is q *= sum_j w_j z^j, where w is
-  (1 + d0, d1, ..., d4) divided by u[pivot]: the weights are those of
-  u / u[pivot], so the pivot entry returns to 1 on every step, as it does
-  in exact arithmetic.  |u|^2 = |q|^2, V being unitary, so a step is O(N).
-  u = V q (N^2 multiply-adds) is formed at samples, and on a step where
-  |u|^2 passes the switch level (at N = 256 and threshold 0.2, every
-  step) only when a switch is possible: V being unitary, no entry of u
-  moves by more than |q - q0| from u0 = V q0, the u last formed, so while
-  |q - q0| stays below 1 - max_{i != pivot} |u0_i| (less a rounding
-  allowance) no amplitude can overtake the pivot and the probe is
-  skipped.  A probe that does not switch changes nothing, so skipping it
-  leaves the trajectory bit for bit as it was.  Each stage still
-  evaluates the projective vector field Bv - (Bv)[pivot] v; only the
-  coordinates of v change.
+  u[pivot] and the s_j, and the step is q *= sum_j w_j z^j, with w the
+  weights of u / u[pivot] divided by u[pivot], so the pivot entry returns
+  to 1 on every step, as it does in exact arithmetic.  |u|^2 = |q|^2, V
+  being unitary, so a step is O(N).  u = V q (N^2 multiply-adds) is formed
+  at samples and at switch probes, and a step past the switch level
+  probes only when `_probe_slack` cannot rule a switch out; a probe that
+  does not switch changes nothing, so skipping it changes no bit.  Each
+  stage still evaluates the projective vector field Bv - (Bv)[pivot] v;
+  only the coordinates of v change.
 
-The threshold is measured: on a 2-CPU x86-64 host the two paths step
-equally fast at N = 18-20, the stacked one is 3-14% faster at N = 14-16 and
-the spectral one 6% faster at N = 22-24 and 28% at N = 32.  At N = 256 a
-step takes 32 us, where two products with [B; B^2] (4N^2 multiply-adds,
-no set-up) take 67-83 us.  The eigendecomposition is O(N^3) and paid
-once, so a short run at large N is slower than with those products: the
-two break even near 470 steps at N = 256, 360 at N = 512 and 660 at
-N = 1024 (`eigh` alone takes 0.02, 0.13 and 0.8 s there).  The stack,
-the eigenvectors and every work buffer are built once per run, so a step
-allocates no array: it writes only into those buffers and into the
-preallocated sample buffer.
+Both paths stay, on measurements on a 2-CPU x86-64 host.  They step
+equally fast at N = 18-20; the stacked one is 3-14% faster at N = 14-16,
+the spectral one 6% faster at N = 22-24 and 28% at N = 32.  Forcing the
+eigen-coordinate step at every N (0.16.0, `perfbench/run.py --seed 1
+--seconds 12 --trace 0`, two runs) raised `wall_s` from 1.26-1.30 s to
+1.46-1.50 s on the bundled figures (N = 4) and from 0.33-0.34 s to
+0.37-0.38 s on the N = 2..8 sweep, and a variant with the 1/u_p scaling
+and the 1/6 folded into the recurrence still stepped 8-14% slower than the
+stacked step at N = 2, 4 and 8.  `eigh` is O(N^3), paid once per run.  A
+step allocates no array: the stack, the eigenvectors and every work buffer
+are built once per run.
 
 Before the first step and after every step the integrator hops to the
-chart anchored at the largest |u_i|, rescaling u so that u[new] = 1,
-whenever the implied pivot amplitude 1/|u| = 1/sqrt(nfac) is below a
-threshold.  The rule at t = 0 keeps a caller's chart anchored at a small
-amplitude from taking its first step next to the pole of the Riccati
-equation; a hop there is a switch at time 0, and sample 0 is in the new
-chart.  Chart, pivot and switch rule act on u in the computational basis
-on both paths.  The trajectory keeps the sampled u, with u[pivot] = 1
-exactly; everything else it reports (coordinates, nfac = |u|^2, states)
-is read from them.
+chart anchored at the largest |u_i| whenever the pivot amplitude
+1/|u| = 1/sqrt(nfac) is below a threshold (see `integrate_classical`); at
+t = 0 this keeps a caller's chart anchored at a small amplitude from
+stepping next to the pole of the Riccati equation.  Chart, pivot and
+switch rule act on u in the computational basis on both paths.  The
+trajectory keeps the sampled u, with u[pivot] = 1 exactly; everything else
+it reports (coordinates, nfac = |u|^2, states) is read from them.
 """
 
 from __future__ import annotations
@@ -224,13 +217,8 @@ def integrate_classical(
 
     Up to N = `_STACK_MAX_N` a step costs one 5N x N product; above it a
     step is O(N) in eigen-coordinates, after one `eigh` of H per run, plus
-    one N x N product u = V q at each sample and at each switch probe.  A
-    step past the switch level probes only when q has moved from where u
-    was last formed by at least 1 - max_{i != pivot} |u_i| there (less a
-    rounding allowance): closer than that, V being unitary, no amplitude
-    can overtake the pivot.  The O(N^3) start makes runs of a few hundred
-    steps at large N slower than a step of 4N^2 would; the module
-    docstring gives the measured break-even.
+    one N x N product u = V q at each sample and at each switch probe that
+    `_probe_slack` does not rule out.
     """
     settings = settings or FlowSettings()
     n = point0.dimension
@@ -271,13 +259,9 @@ def _stacked_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     one product with [I; B; ...; B^4], writing samples 1.. into `us` and
     `pivots`; returns the switch times."""
     n = u.size
-    powers = np.empty((5 * n, n), dtype=complex)
-    B, B2 = powers[n:2 * n], powers[2 * n:3 * n]
-    np.multiply(-1j * grid.dt, H, out=B)
-    np.matmul(B, B, out=B2)
-    powers[:n] = np.eye(n)
-    np.matmul(B, B2, out=powers[3 * n:4 * n])
-    np.matmul(B2, B2, out=powers[4 * n:])
+    B = (-1j * grid.dt) * H
+    B2 = B @ B
+    powers = np.concatenate([np.eye(n), B, B2, B @ B2, B2 @ B2])
     # K holds u, Bu, ..., B^4 u; s views the pivot entries of rows 1-4.
     # u is its own buffer: the update reads K.
     K = np.empty((5, n), dtype=complex)
@@ -292,9 +276,8 @@ def _stacked_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     k = 1
     for step in range(1, grid.n_steps + 1):
         dot(powers, u, out=k_all)
-        d0, d1, d2, d3, d4 = rk4_weights(*s.tolist())
-        w[:] = (1.0 + d0, d1, d2, d3, d4)
-        dot(w, K, out=u)  # u_new = u + sum_j d_j B^j u
+        w[:] = rk4_weights(*s.tolist())
+        dot(w, K, out=u)  # u_new = sum_j w_j B^j u
         u[pivot] = 1.0  # the exact step keeps it at 1; rounding may not
         usq = vdot(u, u).real
         if not usq < _NSQ_GUARD:
@@ -320,11 +303,8 @@ def _spectral_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     `_probe_slack` shows that it cannot switch."""
     n = u.size
     lam, V = np.linalg.eigh(H)
-    Z = np.empty((5, n), dtype=complex)  # row j: z^j
-    Z[0] = 1.0
-    np.multiply(-1j * grid.dt, lam, out=Z[1])
-    for j in range(2, 5):
-        np.multiply(Z[j - 1], Z[1], out=Z[j])
+    # row j: z^j
+    Z = np.vander((-1j * grid.dt) * lam, 5, increasing=True).T.copy()
     # row j of P . q is (B^j u)[pivot]: u_p itself, then s_1..s_4
     P = np.multiply(Z, V[pivot])
     q = V.conj().T @ u
@@ -348,10 +328,10 @@ def _spectral_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
         # the new u has pivot entry 1 up to rounding, and the next step
         # divides that rounding out again
         r = 1.0 / c
-        d0, d1, d2, d3, d4 = rk4_weights(s1 * r, s2 * r, s3 * r, s4 * r)
-        w[:] = ((1.0 + d0) * r, d1 * r, d2 * r, d3 * r, d4 * r)
+        w0, w1, w2, w3, w4 = rk4_weights(s1 * r, s2 * r, s3 * r, s4 * r)
+        w[:] = (w0 * r, w1 * r, w2 * r, w3 * r, w4 * r)
         dot(w, Z, out=g)
-        q *= g  # u_new = (u + sum_j d_j B^j u) / u_p
+        q *= g  # u_new = sum_j w_j B^j u / u_p
         usq = vdot(q, q).real  # |u|^2, V being unitary
         if not usq < _NSQ_GUARD:
             raise NumericFailure("non-finite chart coordinates", step)

@@ -13,11 +13,9 @@ Two integration routes are provided on purpose:
 Hamiltonians are time-independent dense Hermitian matrices.  For such an
 H every RK4 stage lies in the Krylov space span{u, Bu, ..., B^4 u} with
 B = -i dt H (cf. Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1997), so
-one step is exactly u + sum_j d_j B^j u.  `rk4_weights` runs the stage
-recurrence on the coefficients in that space and returns the weights d_j.
-It serves both integrators: the linear Schrodinger equation here (constant
-weights, so the step is psi + D psi with D = sum_j d_j B^j built once) and
-its projective form in `cpdyn.flow`.
+one step is exactly sum_j w_j B^j u, with the weights w_j from
+`rk4_weights`.  They serve the linear Schrodinger equation here (constant
+weights) and its projective form in `cpdyn.flow`.
 """
 
 from __future__ import annotations
@@ -155,7 +153,7 @@ def evolve_exact_grid(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> Quantu
 
 
 def rk4_weights(s1: complex, s2: complex, s3: complex, s4: complex) -> tuple:
-    """Weights (d0, ..., d4) of one classical RK4 step in Krylov form.
+    """Weights (w0, ..., w4) of one classical RK4 step in Krylov form.
 
     For an ODE whose step-scaled right-hand side at a point v of the
     Krylov space span{u, Bu, ..., B^4 u} is
@@ -165,8 +163,9 @@ def rk4_weights(s1: complex, s2: complex, s3: complex, s4: complex) -> tuple:
     and u[pivot] = 1, write v = sum_j v_j B^j u.  Then Bv shifts the
     coefficients up by one and beta(v) = sum_j v_j s_(j+1) with
     s_j = (B^j u)[pivot], so the four stages are a scalar recurrence and
-    the step is u_new = u + sum_j d_j B^j u.  With all s_j = 0 the ODE is
-    linear, du/dt = -iHu, and the weights are (0, 1, 1/2, 1/6, 1/24).
+    the step is u_new = sum_j w_j B^j u.  With all s_j = 0 the ODE is
+    linear, du/dt = -iHu, and the weights (1, 1, 1/2, 1/6, 1/24) are the
+    Taylor coefficients of exp(z) through z^4.
 
     Below, y holds the coefficients of a stage point and a, b, c, e those
     of dt k1, ..., dt k4.  A stage point of degree m gives a dt k of degree
@@ -189,7 +188,7 @@ def rk4_weights(s1: complex, s2: complex, s3: complex, s4: complex) -> tuple:
     beta = y0 * s1 + c1 * s2 + c2 * s3 + 0.25 * s4
     e0, e1, e2, e3 = -beta * y0, y0 - beta * c1, c1 - beta * c2, c2 - beta * 0.25
     return (
-        (a0 + 2.0 * (b0 + c0) + e0) / 6.0,
+        1.0 + (a0 + 2.0 * (b0 + c0) + e0) / 6.0,
         (1.0 + 2.0 * (b1 + c1) + e1) / 6.0,
         (2.0 * (0.5 + c2) + e2) / 6.0,
         (0.5 + e3) / 6.0,
@@ -200,8 +199,8 @@ def rk4_weights(s1: complex, s2: complex, s3: complex, s4: complex) -> tuple:
 def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajectory:
     """Fixed-step RK4 on the Schrodinger equation.
 
-    The step is psi += D psi, with D = sum_j d_j B^j (`rk4_weights` at
-    s = 0, B = -i dt H) built once in Horner form, and D psi written into
+    The step is psi += D psi, with D = sum_{j>=1} w_j B^j (`rk4_weights`
+    at s = 0, B = -i dt H) built once in Horner form, and D psi written into
     one increment buffer, so a step allocates no array.  Adding the increment
     rather than applying I + D keeps the rounding error of the propagator
     from repeating every step.  The state is never renormalized, so the
@@ -230,10 +229,10 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     psi = np.array(make_state(psi0))
     H = require_hermitian(H, psi.size)
 
-    d0, d1, d2, d3, d4 = rk4_weights(0.0, 0.0, 0.0, 0.0)
+    _, w1, w2, w3, w4 = rk4_weights(0.0, 0.0, 0.0, 0.0)
     B = (-1j * grid.dt) * H
     eye = np.eye(psi.size)
-    D = d0 * eye + B @ (d1 * eye + B @ (d2 * eye + B @ (d3 * eye + d4 * B)))
+    D = B @ (w1 * eye + B @ (w2 * eye + B @ (w3 * eye + w4 * B)))
 
     inc = np.empty_like(psi)
     samples = grid.sample_indices().tolist()

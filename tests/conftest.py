@@ -126,7 +126,7 @@ STEP_PATHS = (
         overflow_n=21,
     ),
 )
-STACKED, SPECTRAL = STEP_PATHS
+STEP_PATH_IDS = [path.name for path in STEP_PATHS]
 
 
 @pytest.fixture

@@ -5,19 +5,20 @@ Hessian oracle differentiates the Kahler potential by central differences,
 the gradient oracle differentiates the scalar Hamiltonian, and the
 chart-velocity oracle applies the quotient rule to the Schrodinger
 right-hand side.  The RK4 oracle evaluates the four stages one by one,
-against the Krylov form the package integrates with.
+against the Krylov form the package integrates with.  The propagator
+oracle sums the Taylor series of exp(-iHt), so it shares no
+eigendecomposition with the spectral routes it checks.
 
 `rk4_weights_reference`, `integrate_classical_reference` and
 `evolve_rk4_reference` are the Krylov-form weight recurrence and the two
-RK4 loops in their plain form: every stage coefficient computed, every
-view and array built afresh in each step, on either side of the
-integrator's choice by N between the stacked product and the step in
-eigen-coordinates.  `build_hamiltonian_reference`
-sums the dense Kronecker products of every Pauli term's 2x2 matrices
-(`PAULI_MATRICES`).  The package's buffered loops, folded recurrence and
-signed-permutation build must reproduce them bit for bit.
+RK4 loops in plain form, every coefficient and array computed afresh, on
+both step paths of the classical flow.  `build_hamiltonian_reference`
+sums the dense Kronecker products of each Pauli term's 2x2 matrices.  The
+package's buffered loops, folded recurrence and signed-permutation build
+must reproduce them bit for bit.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -40,6 +41,7 @@ from cpdyn.quantum import (
 )
 
 FD_STEP = 1e-5
+EPS = np.finfo(float).eps
 
 PAULI_MATRICES = {
     "I": np.array([[1, 0], [0, 1]], dtype=complex),
@@ -127,6 +129,29 @@ def _rhs(H: np.ndarray, u: np.ndarray, pivot: int) -> np.ndarray:
     return -1j * (hu - hu[pivot] * u)
 
 
+def taylor_expm_reference(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
+    """Rows exp(-iHt) psi0 at the increasing `times`, from no
+    eigendecomposition: each gap between two times is cut into substeps h
+    with h ||H||_1 <= 1, and each substep sums the Taylor series of
+    exp(-iHh) psi until a term is below eps times the sum in the 1-norm;
+    the terms after it shrink by at least 1/j each, so they add less than
+    that again (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011)."""
+    norm = np.abs(H).sum(axis=0).max()
+    psi, t0, rows = np.array(psi0, dtype=complex), 0.0, []
+    for t in times:
+        substeps = max(1, math.ceil((t - t0) * norm))
+        h = (t - t0) / substeps
+        for _ in range(substeps):
+            term, j = psi, 0
+            while np.abs(term).sum() > EPS * np.abs(psi).sum():
+                j += 1
+                term = (-1j * h / j) * (H @ term)
+                psi = psi + term
+        rows.append(psi)
+        t0 = t
+    return np.array(rows)
+
+
 def count_zero_crossings(values: np.ndarray) -> int:
     """Sign changes between consecutive samples (exact zeros break ties to
     the following sample)."""
@@ -159,7 +184,7 @@ def rk4_weights_reference(s1, s2, s3, s4) -> tuple:
         -beta * y0, y0 - beta * y1, y1 - beta * y2, y2 - beta * y3, y3
     )
     return (
-        (a0 + 2.0 * (b0 + c0) + e0) / 6.0,
+        1.0 + (a0 + 2.0 * (b0 + c0) + e0) / 6.0,
         (a1 + 2.0 * (b1 + c1) + e1) / 6.0,
         (2.0 * (b2 + c2) + e2) / 6.0,
         (2.0 * c3 + e3) / 6.0,
@@ -169,18 +194,16 @@ def rk4_weights_reference(s1, s2, s3, s4) -> tuple:
 
 def _stacked_powers_reference(H: np.ndarray, dt: float) -> np.ndarray:
     """The stack [I; B; B^2; B^3; B^4] of B = -i dt H."""
-    n = H.shape[0]
     B = np.multiply(-1j * dt, H)
     B2 = np.matmul(B, B)
-    return np.concatenate([np.eye(n), B, B2, np.matmul(B, B2), np.matmul(B2, B2)])
+    return np.concatenate([np.eye(len(H)), B, B2, np.matmul(B, B2), np.matmul(B2, B2)])
 
 
 def _stacked_step_reference(powers: np.ndarray, u: np.ndarray, pivot: int) -> np.ndarray:
     """u_new for one Krylov-form RK4 step, with a fresh K = [u; Bu; ...;
-    B^4 u] from one stack product, then (1 + d0, d1, ..., d4) . K."""
+    B^4 u] from one stack product, then w . K."""
     K = np.matmul(powers, u).reshape(5, u.size)
-    d = rk4_weights_reference(*K[1:, pivot].tolist())
-    return np.dot(np.array([1.0 + d[0], d[1], d[2], d[3], d[4]]), K)
+    return np.dot(np.array(rk4_weights_reference(*K[1:, pivot].tolist())), K)
 
 
 def _spectral_basis_reference(H: np.ndarray, dt: float) -> tuple:
@@ -201,17 +224,12 @@ def _spectral_step_reference(Z: np.ndarray, V: np.ndarray, q: np.ndarray,
     diagonal sum_j w_j z^j."""
     c, s1, s2, s3, s4 = ((Z * V[pivot]) @ q).tolist()
     r = 1.0 / c
-    d = rk4_weights_reference(s1 * r, s2 * r, s3 * r, s4 * r)
-    w = np.array([(1.0 + d[0]) * r, d[1] * r, d[2] * r, d[3] * r, d[4] * r])
+    w = np.array([wj * r for wj in rk4_weights_reference(s1 * r, s2 * r, s3 * r, s4 * r)])
     return q * (w @ Z)
 
 
-def integrate_classical_reference(
-    H: np.ndarray,
-    point0: ChartPoint,
-    grid: TimeGrid,
-    settings: FlowSettings | None = None,
-) -> ClassicalTrajectory:
+def integrate_classical_reference(H: np.ndarray, point0: ChartPoint, grid: TimeGrid,
+                                  settings: FlowSettings | None = None) -> ClassicalTrajectory:
     """`flow.integrate_classical` written as a plain per-step loop, with
     the switch rule applied before the first step and after every step.
     Above `_STACK_MAX_N` the state is q, and u = V q is formed only to
@@ -220,11 +238,9 @@ def integrate_classical_reference(
     n = point0.dimension
     H = require_hermitian(H, n)
     usq_switch = 1.0 / settings.switch_threshold**2
-
-    pivot = point0.pivot
     spectral = n > _STACK_MAX_N
     u = np.array(point0.homogeneous(), dtype=complex)
-    switch_times: list[float] = []
+    pivot, switch_times = point0.pivot, []
     # the switch rule before the first step, in the computational basis
     if np.vdot(u, u).real > usq_switch:
         new_pivot = select_pivot(u)
@@ -239,43 +255,39 @@ def integrate_classical_reference(
     else:
         powers = _stacked_powers_reference(H, grid.dt)
 
-    samples = grid.sample_indices().tolist()
-    us = np.empty((len(samples), n), dtype=complex)
-    pivots = np.empty(len(samples), dtype=int)
-
-    k = 0
-    for step in range(grid.n_steps + 1):
-        if step > 0:
-            if spectral:
-                q = _spectral_step_reference(Z, V, q, pivot)
-                usq = np.vdot(q, q).real
-            else:
-                u = _stacked_step_reference(powers, u, pivot)
-                u[pivot] = 1.0
-                usq = np.vdot(u, u).real
-            if not usq < _NSQ_GUARD:
-                raise NumericFailure("non-finite chart coordinates", step)
-            if spectral and (usq > usq_switch or step == samples[k]):
-                u = V @ q
-                u[pivot] = 1.0
-            if usq > usq_switch:
-                new_pivot = select_pivot(u)
-                if new_pivot != pivot:
-                    scale = u[new_pivot]
-                    u = u / scale
-                    u[new_pivot] = 1.0
-                    if spectral:
-                        q = q / scale
-                    pivot = new_pivot
-                    switch_times.append(step * grid.dt)
-        if step == samples[k]:
-            us[k], pivots[k] = u, pivot
-            k += 1
+    samples = set(grid.sample_indices().tolist())
+    us, pivots = [u], [pivot]
+    for step in range(1, grid.n_steps + 1):
+        if spectral:
+            q = _spectral_step_reference(Z, V, q, pivot)
+            usq = np.vdot(q, q).real
+        else:
+            u = _stacked_step_reference(powers, u, pivot)
+            u[pivot] = 1.0
+            usq = np.vdot(u, u).real
+        if not usq < _NSQ_GUARD:
+            raise NumericFailure("non-finite chart coordinates", step)
+        if spectral and (usq > usq_switch or step in samples):
+            u = V @ q
+            u[pivot] = 1.0
+        if usq > usq_switch:
+            new_pivot = select_pivot(u)
+            if new_pivot != pivot:
+                scale = u[new_pivot]
+                u = u / scale
+                u[new_pivot] = 1.0
+                if spectral:
+                    q = q / scale
+                pivot = new_pivot
+                switch_times.append(step * grid.dt)
+        if step in samples:
+            us.append(u)
+            pivots.append(pivot)
 
     return ClassicalTrajectory(
         times=grid.sample_times(),
-        u=us,
-        pivots=pivots,
+        u=np.array(us),
+        pivots=np.array(pivots),
         switch_times=np.asarray(switch_times),
     )
 
@@ -312,22 +324,17 @@ def evolve_rk4_reference(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> Qua
     psi = np.array(make_state(psi0))
     H = require_hermitian(H, psi.size)
 
-    d0, d1, d2, d3, d4 = rk4_weights(0.0, 0.0, 0.0, 0.0)
+    _, w1, w2, w3, w4 = rk4_weights(0.0, 0.0, 0.0, 0.0)
     B = (-1j * grid.dt) * H
     eye = np.eye(psi.size)
-    D = d0 * eye + B @ (d1 * eye + B @ (d2 * eye + B @ (d3 * eye + d4 * B)))
+    D = B @ (w1 * eye + B @ (w2 * eye + B @ (w3 * eye + w4 * B)))
 
-    samples = grid.sample_indices().tolist()
-    states = np.empty((len(samples), psi.size), dtype=complex)
-    states[0] = psi
-    k = 1
+    samples = set(grid.sample_indices().tolist())
+    states = [psi.copy()]
     for step in range(1, grid.n_steps + 1):
         psi += D @ psi
-        nsq = np.vdot(psi, psi).real
-        if not nsq < np.inf:  # catches NaN (comparison false) and Inf
+        if not np.vdot(psi, psi).real < np.inf:  # catches NaN (comparison false) and Inf
             raise NumericFailure("non-finite state in RK4", step)
-        if step == samples[k]:
-            states[k] = psi
-            k += 1
-
-    return QuantumTrajectory(times=grid.sample_times(), states=states)
+        if step in samples:
+            states.append(psi.copy())
+    return QuantumTrajectory(times=grid.sample_times(), states=np.array(states))

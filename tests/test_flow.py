@@ -13,9 +13,9 @@ from cpdyn.quantum import NumericFailure, TimeGrid, evolve_exact_grid
 from cpdyn.scenario import load_scenario
 
 import oracles
-from conftest import SPECTRAL, STACKED, STEP_PATHS, assert_same_trajectory, random_coords
+from conftest import STEP_PATH_IDS, STEP_PATHS, assert_same_trajectory, random_coords
 from conftest import random_hermitian, random_state
-from oracles import _rhs, fd_grad_conj, quotient_rule_velocity, rk4_step
+from oracles import _rhs, fd_grad_conj, quotient_rule_velocity, rk4_step, taylor_expm_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -219,7 +219,8 @@ class TestIntegrateClassical:
         h0 = energy(H, traj.u) / traj.nfac
         assert np.max(np.abs(h0 - h0[0])) < 1e-8
 
-    def test_switches_through_chart_singularity(self, path=STACKED):
+    @pytest.mark.parametrize("path", STEP_PATHS, ids=STEP_PATH_IDS)
+    def test_switches_through_chart_singularity(self, path):
         # X on the first qubit drives the amplitude of |1...1>, the initial
         # pivot, through zero
         n = 2**path.qubits
@@ -231,9 +232,11 @@ class TestIntegrateClassical:
         assert traj.n_switches >= 1
         rows = np.arange(len(traj.times))
         np.testing.assert_array_equal(traj.u[rows, traj.pivots], 1.0)
-        quantum = evolve_exact_grid(H, psi0, grid)
-        gaps = 1 - np.abs(np.sum(quantum.states.conj() * traj.states(), axis=1))
-        assert np.max(gaps) < 1e-6
+        # against the spectral route and the eigh-free Taylor oracle
+        for quantum in (evolve_exact_grid(H, psi0, grid).states,
+                        taylor_expm_reference(H, psi0, grid.sample_times())):
+            gaps = 1 - np.abs(np.sum(quantum.conj() * traj.states(), axis=1))
+            assert np.max(gaps) < 1e-6
         # the trajectory never lingers in a badly anchored chart
         nfacs = 1 + np.sum(np.abs(traj.coords) ** 2, axis=1)
         assert np.all(1 / np.sqrt(nfacs) > 0.2 * 0.9)
@@ -243,9 +246,6 @@ class TestIntegrateClassical:
         changes = np.cumsum(np.concatenate([[0], fine.pivots[1:] != fine.pivots[:-1]]))
         np.testing.assert_array_equal(fine.n_switches_cum, changes)
         assert fine.n_switches_cum[-1] == fine.n_switches >= 1
-
-    def test_switches_through_chart_singularity_spectral(self):
-        self.test_switches_through_chart_singularity(SPECTRAL)
 
     def test_chart_covariance_of_observables(self, rng):
         # same ray, different admissible starting charts -> same populations
@@ -260,7 +260,8 @@ class TestIntegrateClassical:
         for other in runs[1:]:
             np.testing.assert_allclose(other, runs[0], atol=1e-8)
 
-    def test_non_finite_aborts(self, path=STACKED):
+    @pytest.mark.parametrize("path", STEP_PATHS, ids=STEP_PATH_IDS)
+    def test_non_finite_aborts(self, path):
         # B^2 and z^2 = (-i dt lam)^2 overflow, so the first step is not finite
         n = path.overflow_n
         H = np.diag([1e200, -1e200] + [0.0] * (n - 2))
@@ -269,9 +270,6 @@ class TestIntegrateClassical:
             with pytest.raises(NumericFailure) as failure:
                 integrate_classical(H, point0, TimeGrid(1.0, 0.1))
         assert failure.value.step == 1
-
-    def test_non_finite_aborts_spectral(self):
-        self.test_non_finite_aborts(SPECTRAL)
 
     def test_large_scale_hamiltonian(self):
         # an exactly Hermitian H with entries of order 1e6, time scaled to match

@@ -3,6 +3,7 @@ step paths of `integrate_classical`, one system per row of
 `conftest.STEP_PATHS`."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from cpdyn.chart import PIVOT_FLOOR, select_pivot, to_chart
 from cpdyn.flow import FlowSettings, integrate_classical
 from cpdyn.quantum import TimeGrid
 
-from conftest import SPECTRAL, STACKED, STEP_PATHS, assert_same_trajectory
+from conftest import STEP_PATH_IDS, STEP_PATHS, assert_same_trajectory
 from conftest import random_hermitian, random_state
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -46,7 +47,10 @@ def _phase_aligned_distance(a, b) -> float:
     return float(np.max(np.linalg.norm(a - overlap / np.abs(overlap) * b, axis=-1)))
 
 
-def _check_scaling_of_h_with_time(path, seed, data, log_c):
+@pytest.mark.parametrize("path", STEP_PATHS, ids=STEP_PATH_IDS)
+@given(seed=seeds, data=st.data(), log_c=log_cs)
+@settings(max_examples=20)
+def test_scaling_of_h_with_time(path, seed, data, log_c):
     # (cH, dt/c, t_end/c) gives the same step matrix B = -i dt H up to
     # rounding, hence the same samples and chart history; above the split,
     # eigh of cH gives c lam and the same eigenvectors up to rounding (and
@@ -61,19 +65,10 @@ def _check_scaling_of_h_with_time(path, seed, data, log_c):
     np.testing.assert_allclose(scaled.states(), base.states(), rtol=0, atol=1e-12)
 
 
-@given(seed=seeds, data=st.data(), log_c=log_cs)
+@pytest.mark.parametrize("path", STEP_PATHS, ids=STEP_PATH_IDS)
+@given(seed=seeds, data=st.data(), phase=phases)
 @settings(max_examples=20)
-def test_scaling_of_h_with_time(seed, data, log_c):
-    _check_scaling_of_h_with_time(STACKED, seed, data, log_c)
-
-
-@given(seed=seeds, data=st.data(), log_c=log_cs)
-@settings(max_examples=20)
-def test_scaling_of_h_with_time_spectral(seed, data, log_c):
-    _check_scaling_of_h_with_time(SPECTRAL, seed, data, log_c)
-
-
-def _check_global_phase(path, seed, data, phase):
+def test_global_phase_leaves_populations_and_chart_history(path, seed, data, phase):
     H, psi0 = _system(path, seed, data)
     base = _flow(H, psi0, path.property_grid)
     rotated = _flow(H, np.exp(1j * phase) * psi0, path.property_grid)
@@ -81,21 +76,9 @@ def _check_global_phase(path, seed, data, phase):
         np.abs(rotated.states()) ** 2, np.abs(base.states()) ** 2, rtol=0, atol=1e-12
     )
     # the same chart history, which above the split always has a switch
-    assert base.n_switches > 0 or path is STACKED
+    assert base.n_switches > 0 or path.name == "stacked"
     np.testing.assert_array_equal(rotated.pivots, base.pivots)
     np.testing.assert_array_equal(rotated.switch_times, base.switch_times)
-
-
-@given(seed=seeds, data=st.data(), phase=phases)
-@settings(max_examples=20)
-def test_global_phase_leaves_populations(seed, data, phase):
-    _check_global_phase(STACKED, seed, data, phase)
-
-
-@given(seed=seeds, data=st.data(), phase=phases)
-@settings(max_examples=20)
-def test_global_phase_leaves_chart_history_spectral(seed, data, phase):
-    _check_global_phase(SPECTRAL, seed, data, phase)
 
 
 @given(seed=seeds, data=st.data())

@@ -17,8 +17,8 @@ from cpdyn.quantum import (
     rk4_weights,
 )
 
-from conftest import random_hermitian, random_state
-from oracles import evolve_rk4_reference, rk4_step, rk4_weights_reference
+from conftest import STEP_PATH_IDS, STEP_PATHS, random_hermitian, random_state
+from oracles import evolve_rk4_reference, rk4_step, rk4_weights_reference, taylor_expm_reference
 
 # pivot entries s_j = (B^j u)[pivot], bounded so that no product overflows
 pivot_entries = st.complex_numbers(
@@ -120,6 +120,18 @@ class TestEvolveExact:
                             evolve_exact_grid(H, psi0, grid).states[-1])
             assert abs(after - before) < 1e-10
 
+    @pytest.mark.parametrize("path", STEP_PATHS, ids=STEP_PATH_IDS)
+    def test_matches_taylor_reference(self, rng, path):
+        # the eigh-free propagator at every dimension of the step-path rows:
+        # an eigendecomposition error that both routes share shows up here
+        grid = TimeGrid(2.0, 1e-2, 50)
+        for n in path.dims:
+            H, psi0 = random_hermitian(rng, n, scale=2.0 / np.sqrt(n)), random_state(rng, n)
+            got = evolve_exact_grid(H, psi0, grid).states
+            want = taylor_expm_reference(H, psi0, grid.sample_times())
+            bound = 2 * n * np.finfo(float).eps * np.linalg.norm(H, 2) * grid.t_end
+            np.testing.assert_allclose(got, want, rtol=0, atol=bound)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             evolve_exact_grid(
@@ -147,7 +159,7 @@ def test_initial_state_refused_at_entry(evolve, psi0, message):
 
 class TestRk4Weights:
     def test_linear_case_is_taylor_polynomial(self):
-        assert rk4_weights(0, 0, 0, 0) == (0, 1, 1 / 2, 1 / 6, 1 / 24)
+        assert rk4_weights(0, 0, 0, 0) == (1, 1, 1 / 2, 1 / 6, 1 / 24)
 
     @given(st.lists(pivot_entries, min_size=4, max_size=4))
     @example([0j, 0j, 0j, 0j])
