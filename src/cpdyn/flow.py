@@ -29,9 +29,10 @@ on N.
 * Up to `_STACK_MAX_N` one product with the stacked matrix
   [I; B; B^2; B^3; B^4], built once per run, fills K = [u; Bu; ...; B^4 u],
   and the new state is w . K: 5N^2 multiply-adds.
-* Above it the run starts with one eigendecomposition H = V diag(lam) V^H
-  of its own and steps the coordinates q = V^H u, in which B^j is the
-  diagonal z^j, z = -i dt lam.  One (5, N) product (z^j V[pivot]) . q gives
+* Above it the run steps the coordinates q = V^H u of the eigendecomposition
+  H = V diag(lam) V^H, a `quantum.Spectrum` that the caller passes or the
+  run makes with one `eigh`; in these coordinates B^j is the diagonal z^j,
+  z = -i dt lam.  One (5, N) product (z^j V[pivot]) . q gives
   u[pivot] and the s_j, and the step is q *= sum_j w_j z^j, with w the
   weights of u / u[pivot] divided by u[pivot], so the pivot entry returns
   to 1 on every step, as it does in exact arithmetic.  |u|^2 = |q|^2, V
@@ -50,9 +51,10 @@ eigen-coordinate step at every N (0.16.0, `perfbench/run.py --seed 1
 1.46-1.50 s on the bundled figures (N = 4) and from 0.33-0.34 s to
 0.37-0.38 s on the N = 2..8 sweep, and a variant with the 1/u_p scaling
 and the 1/6 folded into the recurrence still stepped 8-14% slower than the
-stacked step at N = 2, 4 and 8.  `eigh` is O(N^3), paid once per run.  A
-step allocates no array: the stack, the eigenvectors and every work buffer
-are built once per run.
+stacked step at N = 2, 4 and 8.  `eigh` is O(N^3), paid at most once per
+run, and `scenario.run` shares one with the quantum route.  A step
+allocates no array: the stack and every work buffer are built once per
+run.
 
 Before the first step and after every step the integrator hops to the
 chart anchored at the largest |u_i| whenever the pivot amplitude
@@ -73,7 +75,14 @@ import numpy as np
 from .chart import ChartPoint, normalization, select_pivot
 from .observables import energy
 from .pauli import require_hermitian
-from .quantum import NumericFailure, TimeGrid, require_real, rk4_weights
+from .quantum import (
+    NumericFailure,
+    Spectrum,
+    TimeGrid,
+    require_real,
+    require_spectrum,
+    rk4_weights,
+)
 
 __all__ = [
     "FlowSettings",
@@ -204,6 +213,8 @@ def integrate_classical(
     point0: ChartPoint,
     grid: TimeGrid,
     settings: FlowSettings | None = None,
+    *,
+    spectrum: Spectrum | None = None,
 ) -> ClassicalTrajectory:
     """Fixed-step RK4 on the homogeneous vector u with automatic chart
     switching.
@@ -216,13 +227,18 @@ def integrate_classical(
     Raises NumericFailure on the first non-finite step.
 
     Up to N = `_STACK_MAX_N` a step costs one 5N x N product; above it a
-    step is O(N) in eigen-coordinates, after one `eigh` of H per run, plus
-    one N x N product u = V q at each sample and at each switch probe that
-    `_probe_slack` does not rule out.
+    step is O(N) in eigen-coordinates, plus one N x N product u = V q at
+    each sample and at each switch probe that `_probe_slack` does not rule
+    out.  The eigen-coordinates come from `spectrum` when it is given (see
+    `quantum.require_spectrum`), else from one `eigh` of H per run; up to
+    `_STACK_MAX_N` a given spectrum only spares the Hermiticity check.
     """
     settings = settings or FlowSettings()
     n = point0.dimension
-    H = require_hermitian(H, n)
+    if spectrum is None and n <= _STACK_MAX_N:
+        H = require_hermitian(H, n)
+    else:
+        spectrum = require_spectrum(H, n, spectrum)
     # switch when nfac = |u|^2 exceeds 1/threshold^2
     usq_switch = 1.0 / settings.switch_threshold**2
     u = np.array(point0.homogeneous(), dtype=complex)
@@ -242,8 +258,14 @@ def integrate_classical(
     pivots = np.empty(len(samples), dtype=int)
     us[0], pivots[0] = u, pivot
 
-    steps = _stacked_steps if n <= _STACK_MAX_N else _spectral_steps
-    switch_times += steps(H, u, pivot, grid, usq_switch, samples, us, pivots)
+    if n <= _STACK_MAX_N:
+        switch_times += _stacked_steps(
+            H, u, pivot, grid, usq_switch, samples, us, pivots
+        )
+    else:
+        switch_times += _spectral_steps(
+            spectrum.lam, spectrum.V, u, pivot, grid, usq_switch, samples, us, pivots
+        )
 
     us.setflags(write=False)
     return ClassicalTrajectory(
@@ -296,13 +318,12 @@ def _stacked_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     return switch_times
 
 
-def _spectral_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
+def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     """`_stacked_steps` in the coordinates q = V^H u of H = V diag(lam) V^H,
     where B^j is the diagonal z^j, z = -i dt lam.  u = V q is formed only to
     sample it or to probe for a switch, and a probe is skipped while
     `_probe_slack` shows that it cannot switch."""
     n = u.size
-    lam, V = np.linalg.eigh(H)
     # row j: z^j
     Z = np.vander((-1j * grid.dt) * lam, 5, increasing=True).T.copy()
     # row j of P . q is (B^j u)[pivot]: u_p itself, then s_1..s_4

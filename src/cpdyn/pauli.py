@@ -45,15 +45,16 @@ PAULI_SYMBOLS = "IXYZ"
 # H is a dense 2^n x 2^n complex matrix, 256 MiB at the ceiling of 12 qubits
 # (N = 4096).  A build allocates only H, but a `compare` makes more N x N
 # arrays (read from the code, not run at N = 4096):
-# - each `require_hermitian` call (the parser, `evolve_exact_grid` and
-#   `integrate_classical` make one each) forms H^dag and H - H^dag (complex)
-#   and |H - H^dag| and |H| (real) as temporaries;
-# - `evolve_exact_grid` and, above `flow._STACK_MAX_N`, `integrate_classical`
-#   each run their own `eigh`: a copy of H that becomes the eigenvectors,
-#   plus LAPACK (`heevd`) workspace of N^2 complex and 2 N^2 real entries;
+# - each `require_hermitian` call (two per `compare`: the parser's and the
+#   one in `quantum.spectrum`) forms H^dag and H - H^dag (complex) and
+#   |H - H^dag| and |H| (real) as temporaries;
+# - one `eigh`, in `quantum.spectrum`: a copy of H that becomes the
+#   eigenvectors, plus LAPACK (`heevd`) workspace of N^2 complex and 2 N^2
+#   real entries; both routes share its eigenvectors, so a `compare` holds
+#   one N x N eigenvector matrix (256 MiB at N = 4096), not one per route;
 # - the sampled states, up to 2^24 entries per trajectory, and the (S, N)
 #   phase and state stacks of `evolve_exact_grid`.
-# During either `eigh` H, the copy and the two workspaces are 256 MiB each,
+# During the `eigh` H, the copy and the two workspaces are 256 MiB each,
 # so a 12-qubit `compare` peaks above 1 GiB.
 MAX_QUBITS = 12
 

@@ -2,6 +2,7 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cpdyn.cli
@@ -9,7 +10,7 @@ import cpdyn.scenario
 from cpdyn import __version__
 from cpdyn.cli import main
 
-from conftest import minimal_doc
+from conftest import minimal_doc, random_hermitian, random_state
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FIG1_LEFT = str(SCENARIO_DIR / "fig1_left.json")
@@ -247,6 +248,23 @@ def test_compare_passes_on_bundled_scenario(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["passed"] is True
     assert report["fidelity_gap_max"] < 1e-6
+
+
+def test_compare_passes_on_dense_32_level_document(tmp_path, rng, capsys):
+    # above `flow._STACK_MAX_N`: both routes step with the one shared eigh
+    n = 32
+    H, psi0 = random_hermitian(rng, n, scale=2.0 / np.sqrt(n)), random_state(rng, n)
+    doc = {
+        "hamiltonian": {"dense": {"real": H.real.tolist(), "imag": H.imag.tolist()}},
+        "initial_state": {"real": psi0.real.tolist(), "imag": psi0.imag.tolist()},
+        "grid": {"t_end": 1.0, "dt": 0.01, "output_stride": 10},
+    }
+    config, report_path = tmp_path / "dense32.json", tmp_path / "report.json"
+    config.write_text(json.dumps(doc))
+    code = main(["compare", "--config", str(config), "--report", str(report_path)])
+    assert code == 0
+    assert "PASS" in capsys.readouterr().out
+    assert json.loads(report_path.read_text())["passed"] is True
 
 
 def test_compare_unreachable_tolerance_exits_1(capsys):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import cpdyn.flow
+import cpdyn.quantum
 import cpdyn.scenario
-from cpdyn.chart import to_chart
-from cpdyn.quantum import TimeGrid
+from cpdyn.chart import select_pivot, to_chart
+from cpdyn.flow import _STACK_MAX_N, integrate_classical
+from cpdyn.quantum import TimeGrid, evolve_exact_grid, make_state
 from cpdyn.scenario import (
     KNOWN_OBSERVABLES,
     ConfigError,
@@ -20,7 +22,15 @@ from cpdyn.scenario import (
     scenario_from_dict,
 )
 
-from conftest import minimal_doc, perfbench_module
+from conftest import (
+    STEP_PATH_IDS,
+    STEP_PATHS,
+    minimal_doc,
+    perfbench_module,
+    random_hermitian,
+    random_state,
+)
+from oracles import taylor_expm_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -219,6 +229,108 @@ class TestRun:
         config = scenario_from_dict(minimal_doc())
         with pytest.raises(ValueError, match="method"):
             run(config, method="quantumm")
+
+
+def random_config(rng, n: int, grid: TimeGrid) -> ScenarioConfig:
+    """A hand-built config of one random dense system, ||H||_2 of order 2."""
+    H = random_hermitian(rng, n, scale=2.0 / np.sqrt(n))
+    return ScenarioConfig("random", H, make_state(random_state(rng, n)), grid)
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Count the calls of `module.name` from now on; returns the counter."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSharedSpectrum:
+    """`run` decomposes H once and both routes use that one spectrum."""
+
+    @pytest.mark.parametrize("path", STEP_PATHS, ids=STEP_PATH_IDS)
+    def test_same_bits_as_the_routes_on_their_own(self, rng, path):
+        grid = TimeGrid(0.5, 1e-2, 5)
+        for n in path.dims:
+            config = random_config(rng, n, grid)
+            H, psi0 = config.hamiltonian, config.initial_state
+            result = run(config)
+            alone_q = evolve_exact_grid(H, psi0, grid)
+            alone_c = integrate_classical(H, to_chart(psi0, select_pivot(psi0)), grid)
+            q, c = result.quantum_trajectory, result.classical_trajectory
+            assert np.array_equal(q.states, alone_q.states)
+            assert np.array_equal(c.u, alone_c.u)
+            assert np.array_equal(c.pivots, alone_c.pivots)
+            assert np.array_equal(c.switch_times, alone_c.switch_times)
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_one_eigh_and_one_hermiticity_check_per_compare(self, rng, monkeypatch, n):
+        # a hand-built config skips the parser, whose check is the other one
+        config = random_config(rng, n, TimeGrid(0.5, 1e-2, 5))
+        eighs = count_calls(monkeypatch, np.linalg, "eigh")
+        checks = [
+            count_calls(monkeypatch, module, "require_hermitian")
+            for module in (cpdyn.quantum, cpdyn.flow)
+        ]
+        assert compare(config).passed
+        assert len(eighs) == 1
+        assert sum(map(len, checks)) == 1
+
+    def test_stacked_classical_run_makes_no_eigh(self, rng, monkeypatch):
+        config = random_config(rng, 4, TimeGrid(0.5, 1e-2, 5))
+        eighs = count_calls(monkeypatch, np.linalg, "eigh")
+        run(config, method="classical")
+        assert eighs == []
+
+    def test_spectrum_of_another_array_refused(self, rng):
+        config = random_config(rng, 4, TimeGrid(0.5, 1e-2, 5))
+        H, psi0 = config.hamiltonian, config.initial_state
+        spectrum = cpdyn.quantum.spectrum(H, 4)
+        point0 = to_chart(psi0, select_pivot(psi0))
+        # an equal copy was never validated
+        with pytest.raises(ValueError, match="another array than H"):
+            evolve_exact_grid(H.copy(), psi0, config.grid, spectrum=spectrum)
+        with pytest.raises(ValueError, match="another array than H"):
+            integrate_classical(H.copy(), point0, config.grid, spectrum=spectrum)
+        with pytest.raises(ValueError, match=re.escape("H is (4, 4), state has 2")):
+            evolve_exact_grid(H, make_state([1.0, 0.0]), config.grid, spectrum=spectrum)
+
+    def test_shared_spectrum_matches_eigh_free_reference(self, rng):
+        # sharing makes a wrong decomposition wrong in both routes alike, so
+        # `compare` alone would miss it; the Taylor oracle has no eigh
+        n, grid = 64, TimeGrid(2.0, 1e-2, 50)
+        assert n > _STACK_MAX_N and n in STEP_PATHS[-1].dims
+        config = random_config(rng, n, grid)
+        H = config.hamiltonian
+        result = run(config)
+        want = taylor_expm_reference(H, config.initial_state, grid.sample_times())
+        bound = 2 * n * np.finfo(float).eps * np.linalg.norm(H, 2) * grid.t_end
+        np.testing.assert_allclose(
+            result.quantum_trajectory.states, want, rtol=0, atol=bound
+        )
+        states = result.classical_trajectory.states()
+        gaps = 1 - np.abs(np.sum(want.conj() * states, axis=1))
+        assert np.max(gaps) < 1e-6
+
+    @pytest.mark.parametrize("method", ["both", "quantum", "classical"])
+    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("entry, message", [
+        (1.0, "operator is not Hermitian: max|H - H^dag| = 1.000e+00"),
+        (np.nan, "operator entries must be finite"),
+    ], ids=["non-hermitian", "non-finite"])
+    def test_bad_hamiltonian_refused_before_eigh(self, method, n, entry, message):
+        # a config built by hand skips the parser: `run` still refuses H by
+        # its rule, and no LinAlgError from eigh gets through
+        H = np.zeros((n, n))
+        H[0, 1] = entry
+        config = ScenarioConfig("bad", H, make_state(np.eye(n)[0]), TimeGrid(0.1, 1e-2))
+        with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
+            run(config, method=method)
+        assert excinfo.type is ValueError
 
 
 class TestEmitCsv:
