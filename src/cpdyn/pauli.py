@@ -46,8 +46,10 @@ PAULI_SYMBOLS = "IXYZ"
 # (N = 4096).  A build allocates only H, but a `compare` makes more N x N
 # arrays (read from the code, not run at N = 4096):
 # - each `require_hermitian` call (two per `compare`: the parser's and the
-#   one in `quantum.spectrum`) forms H^dag and H - H^dag (complex) and
-#   |H - H^dag| and |H| (real) as temporaries;
+#   one in `quantum.spectrum`) forms H^dag (complex) and one boolean array
+#   for an H exactly equal to H^dag, as every Pauli-built H is; only an H
+#   with a rounding residue also forms H - H^dag (complex) and |H - H^dag|
+#   and |H| (real);
 # - one `eigh`, in `quantum.spectrum`: a copy of H that becomes the
 #   eigenvectors, plus LAPACK (`heevd`) workspace of N^2 complex and 2 N^2
 #   real entries; both routes share its eigenvectors, so a `compare` holds
@@ -252,7 +254,14 @@ def require_hermitian(H: np.ndarray, dimension: int) -> np.ndarray:
         raise ValueError(f"dimension mismatch: H is {H.shape}, state has {dimension}")
     if not np.all(np.isfinite(H)):
         raise ValueError("operator entries must be finite")
-    dev = np.max(np.abs(H - H.conj().T))
+    H_dag = H.conj().T
+    # a Pauli-built H or an (A + A^dag)/2 is equal to H^dag, so its residue
+    # is exactly 0; +0.0 == -0.0, and NaN was refused above
+    if np.array_equal(H, H_dag):
+        return H
+    residue = H - H_dag
+    del H_dag  # freed before |H - H^dag| is formed
+    dev = np.max(np.abs(residue))
     bound = HERMITIAN_RTOL * np.finfo(float).eps * H.shape[0] * np.max(np.abs(H))
     if dev > bound:
         raise ValueError(

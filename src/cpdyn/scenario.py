@@ -340,14 +340,11 @@ def emit_csv(result: RunResult, path) -> None:
     significant digits so values round-trip exactly.
     """
     cols = _columns(result, result.config.observables)
-
-    def fmt(col: np.ndarray) -> list[str]:
-        if col.dtype.kind == "i":
-            return [str(v) for v in col.tolist()]
-        return [f"{v:.17g}" for v in col.tolist()]
-
+    # one template per row; "%.17g" % v is the same 'g' conversion as
+    # f"{v:.17g}", and "%d" % v is str(v) for an int
+    row = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in cols.values())
     lines = [f"# schema={CSV_SCHEMA_VERSION}", ",".join(cols)]
-    lines += map(",".join, zip(*map(fmt, cols.values())))
+    lines += [row % values for values in zip(*(c.tolist() for c in cols.values()))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -225,6 +225,26 @@ def test_validate_over_qubit_cap_exits_2(tmp_path, capsys, n_qubits):
     assert "dense-matrix cap" in err[0]
 
 
+def test_validate_ten_qubit_pauli_document(tmp_path, rng, capsys):
+    # the parse path at N = 1024: build H and check it, nothing more; a run
+    # at this size would make an eigh and N x N eigenvectors
+    labels = rng.integers(0, 4, (64, 10))
+    coeffs = rng.uniform(-1.0, 1.0, 64) / 8.0
+    pauli = " ".join(
+        f"{'-' if c < 0 else '+'} {abs(float(c))!r}*{''.join('IXYZ'[k] for k in row)}"
+        for c, row in zip(coeffs, labels)
+    )
+    psi0 = random_state(rng, 1024)
+    path = tmp_path / "ten_qubits.json"
+    path.write_text(json.dumps(minimal_doc(
+        hamiltonian={"pauli": pauli},
+        initial_state={"real": psi0.real.tolist(), "imag": psi0.imag.tolist()},
+        observables=["populations", "energy", "norm"],
+    )))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert "N=1024)" in capsys.readouterr().out
+
+
 def test_simulate_writes_csv(tmp_path, capsys):
     out = tmp_path / "run.csv"
     code = main(

@@ -235,6 +235,45 @@ def test_require_hermitian_rejects_bad_input():
         require_hermitian(np.array([[1, np.inf], [np.inf, 1]]), 2)
 
 
+def test_require_hermitian_passes_exactly_hermitian_input(rng):
+    # H equal to H^dag entry by entry has a residue of exactly 0
+    signed_zeros = np.diag([1.0, -1.0]).astype(complex)
+    signed_zeros[0, 1], signed_zeros[1, 0] = complex(0.0, 0.0), complex(-0.0, 0.0)
+    assert np.signbit(signed_zeros[1, 0].real) != np.signbit(signed_zeros[0, 1].real)
+    a = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    for H in (np.zeros((4, 4), dtype=complex), signed_zeros, (a + a.conj().T) / 2):
+        assert require_hermitian(H, len(H)) is H
+    for seed in (1, 2, 3):
+        for doc in _high_dim_documents(seed):
+            H = build_hamiltonian(parse_hamiltonian(doc["hamiltonian"]["pauli"]))
+            assert np.array_equal(H, H.conj().T)
+            assert require_hermitian(H, len(H)) is H
+
+
+def _peak_ratio(H: np.ndarray) -> float:
+    """Peak memory traced inside `require_hermitian(H)`, over H.nbytes."""
+    tracemalloc.start()
+    try:
+        require_hermitian(H, len(H))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / H.nbytes
+
+
+def test_require_hermitian_peak_memory(rng):
+    # an H equal to H^dag forms H^dag and one boolean array; an H with a
+    # residue frees H^dag before forming |H - H^dag|, so keeping it alive
+    # (2.5 x) fails
+    n = 256
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(a)
+    residue = (q * rng.uniform(-1, 1, n)) @ q.conj().T
+    assert np.max(np.abs(residue - residue.conj().T)) > 0
+    assert _peak_ratio((a + a.conj().T) / 2) <= 1.25
+    assert _peak_ratio(residue) <= 2.25
+
+
 def residue_hamiltonian(factor: float, scale: float) -> np.ndarray:
     """N=4 with max|H| = scale and max|H - H^dag| = `factor` times the
     bound; exact in float64 for a power-of-two scale."""
