@@ -43,18 +43,32 @@ on N.
   stage still evaluates the projective vector field Bv - (Bv)[pivot] v;
   only the coordinates of v change.
 
-Both paths stay, on measurements on a 2-CPU x86-64 host.  They step
-equally fast at N = 18-20; the stacked one is 3-14% faster at N = 14-16,
-the spectral one 6% faster at N = 22-24 and 28% at N = 32.  Forcing the
-eigen-coordinate step at every N (0.16.0, `perfbench/run.py --seed 1
---seconds 12 --trace 0`, two runs) raised `wall_s` from 1.26-1.30 s to
-1.46-1.50 s on the bundled figures (N = 4) and from 0.33-0.34 s to
-0.37-0.38 s on the N = 2..8 sweep, and a variant with the 1/u_p scaling
-and the 1/6 folded into the recurrence still stepped 8-14% slower than the
-stacked step at N = 2, 4 and 8.  `eigh` is O(N^3), paid at most once per
-run, and `scenario.run` shares one with the quantum route.  A step
-allocates no array: the stack and every work buffer are built once per
-run.
+On either path a step makes four calls: one fill product (K, or P . q
+for u_p and the s_j), `rk4_weights`, one combine product (w . K, or
+w . Z, which the spectral step applies as q *= g), and one `np.vdot` for
+|u|^2.  At N = 2..8 a step takes a few microseconds, most of it call
+overhead, so each product is the `dot` method of its fixed left operand,
+bound once per run and called with a positional `out` buffer (the
+quantum RK4 step does the same with D . psi).  `ndarray.dot` reaches the
+same C routine as `np.dot`, so no bit changes, without the
+`__array_function__` dispatcher that `np.dot` runs in Python on every call
+on numpy 2.  `np.vdot` stays: it has no method form, and a real dot of
+float views, though cheaper, rounds the last bit of |u|^2 differently
+from the conjugated complex product, which could move a switch decision.
+
+Both paths stay, on measurements on a 2-CPU x86-64 host.  With each path
+forced (0.20.0, microseconds per step, best of 41 runs of 3,000 steps)
+they step equally fast, within 4%, at N = 18-21; the stacked one is 4-9%
+faster at N = 14-16, the spectral one 6-7% faster at N = 22-24 and 28%
+at N = 32.  Forcing the eigen-coordinate step at every N (0.16.0,
+`perfbench/run.py --seed 1 --seconds 12 --trace 0`, two runs) raised
+`wall_s` from 1.26-1.30 s to 1.46-1.50 s on the bundled figures (N = 4)
+and from 0.33-0.34 s to 0.37-0.38 s on the N = 2..8 sweep, and a variant
+with the 1/u_p scaling and the 1/6 folded into the recurrence still
+stepped 8-14% slower than the stacked step at N = 2, 4 and 8.  `eigh` is
+O(N^3), paid at most once per run, and `scenario.run` shares one with the
+quantum route.  A step allocates no array: the stack and every work
+buffer are built once per run.
 
 Before the first step and after every step the integrator hops to the
 chart anchored at the largest |u_i| whenever the pivot amplitude
@@ -111,16 +125,31 @@ class FlowSettings:
     """Classical-integrator knobs: `switch_threshold` is the pivot-amplitude
     modulus below which the integrator changes chart.  The step is the grid
     step; a finer one is a smaller `TimeGrid.dt` with a larger stride.
+
+    The switch level |u|^2 = 1/threshold^2 must lie below `_NSQ_GUARD`, the
+    level that reports a diverged step, or no switch could happen (below
+    about 1e-162 threshold^2 is 0 and the level cannot be formed at all);
+    1e-150 is about the smallest threshold that passes.
     """
 
     switch_threshold: float = 0.2
 
     def __post_init__(self):
         require_real("switch_threshold", self.switch_threshold)
-        if not 0.0 < self.switch_threshold < 1.0:
+        threshold = self.switch_threshold
+        if not 0.0 < threshold < 1.0:
+            raise ValueError(f"switch_threshold must lie in (0, 1), got {threshold}")
+        if float(threshold) ** 2 == 0.0 or self.switch_level >= _NSQ_GUARD:
             raise ValueError(
-                f"switch_threshold must lie in (0, 1), got {self.switch_threshold}"
+                f"switch_threshold {threshold} is too small: the switch level "
+                f"1/threshold^2 must stay below {_NSQ_GUARD:g}"
             )
+
+    @property
+    def switch_level(self) -> float:
+        """|u|^2 = 1/threshold^2, in double precision, above which the
+        integrator changes chart."""
+        return 1.0 / float(self.switch_threshold) ** 2
 
 
 @dataclass
@@ -239,8 +268,7 @@ def integrate_classical(
         H = require_hermitian(H, n)
     else:
         spectrum = require_spectrum(H, n, spectrum)
-    # switch when nfac = |u|^2 exceeds 1/threshold^2
-    usq_switch = 1.0 / settings.switch_threshold**2
+    usq_switch = settings.switch_level
     u = np.array(point0.homogeneous(), dtype=complex)
     pivot = point0.pivot
     switch_times = []
@@ -290,16 +318,16 @@ def _stacked_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     k_all = K.reshape(5 * n)
     s = K[1:, pivot]
     w = np.empty(5, dtype=complex)
-    # np.dot into `out` runs the same BLAS product as np.matmul, with less
-    # dispatch per call
-    dot, vdot = np.dot, np.vdot
+    # bound `ndarray.dot` methods of the fixed left operands (see the
+    # module docstring)
+    fill, combine, vdot = powers.dot, w.dot, np.vdot
     switch_times = []
 
     k = 1
     for step in range(1, grid.n_steps + 1):
-        dot(powers, u, out=k_all)
-        w[:] = rk4_weights(*s.tolist())
-        dot(w, K, out=u)  # u_new = sum_j w_j B^j u
+        fill(u, k_all)
+        w[...] = rk4_weights(*s.tolist())
+        combine(K, u)  # u_new = sum_j w_j B^j u
         u[pivot] = 1.0  # the exact step keeps it at 1; rounding may not
         usq = vdot(u, u).real
         if not usq < _NSQ_GUARD:
@@ -338,20 +366,22 @@ def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> 
     dq = np.empty(n, dtype=complex)
     mag = np.empty(n)
     slack = _probe_slack(u, pivot, mag)
-    dot, vdot = np.dot, np.vdot
+    # bound `ndarray.dot` methods; a switch refills P in place, so its
+    # method stays bound to the current pivot row
+    pivot_entries, combine, form_u, vdot = P.dot, w.dot, V.dot, np.vdot
     switch_times = []
 
     k = 1
     for step in range(1, grid.n_steps + 1):
-        dot(P, q, out=p)
+        pivot_entries(q, p)
         c, s1, s2, s3, s4 = p.tolist()
         # the weights of u / u_p, whose pivot entry is 1, scaled by 1 / u_p:
         # the new u has pivot entry 1 up to rounding, and the next step
         # divides that rounding out again
         r = 1.0 / c
         w0, w1, w2, w3, w4 = rk4_weights(s1 * r, s2 * r, s3 * r, s4 * r)
-        w[:] = (w0 * r, w1 * r, w2 * r, w3 * r, w4 * r)
-        dot(w, Z, out=g)
+        w[...] = (w0 * r, w1 * r, w2 * r, w3 * r, w4 * r)
+        combine(Z, g)
         q *= g  # u_new = sum_j w_j B^j u / u_p
         usq = vdot(q, q).real  # |u|^2, V being unitary
         if not usq < _NSQ_GUARD:
@@ -362,7 +392,7 @@ def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> 
             np.subtract(q, q0, out=dq)
             probe = vdot(dq, dq).real >= slack * slack
         if probe or step == samples[k]:
-            dot(V, q, out=u)
+            form_u(q, u)
             u[pivot] = 1.0
             if probe:
                 new_pivot = select_pivot(u)
@@ -396,6 +426,6 @@ def _probe_slack(u, pivot, mag) -> float:
     orthonormality and of the moduli.  `mag` is an (N,) work buffer.
     """
     np.abs(u, out=mag)
-    norm = float(np.sqrt(np.dot(mag, mag)))
+    norm = float(np.sqrt(mag.dot(mag)))
     mag[pivot] = 0.0
     return 1.0 - float(mag.max()) - 8 * u.size * _EPS * norm

@@ -279,11 +279,13 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     samples = grid.sample_indices().tolist()
     states = np.empty((len(samples), psi.size), dtype=complex)
     states[0] = psi
-    dot, vdot, inf = np.dot, np.vdot, np.inf
+    # D . psi as a bound method: no numpy dispatch per step (see
+    # `cpdyn.flow`)
+    increment, vdot, inf = D.dot, np.vdot, np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(samples)):
             for _ in range(samples[k - 1], samples[k]):
-                dot(D, psi, out=inc)
+                increment(psi, inc)
                 psi += inc
             if not vdot(psi, psi).real < inf:  # NaN compares false
                 break
@@ -294,7 +296,7 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     # replay the stretch that ended non-finite, checking every step
     psi[...] = states[k - 1]
     for step in range(samples[k - 1] + 1, samples[k] + 1):
-        dot(D, psi, out=inc)
+        increment(psi, inc)
         psi += inc
         if not vdot(psi, psi).real < inf:
             raise NumericFailure("non-finite state in RK4", step)

@@ -61,6 +61,27 @@ def minimal_doc(**overrides):
     return doc
 
 
+def numpy_dot_calls(monkeypatch, run) -> list:
+    """How many times `run(grid)` calls the function `numpy.dot`, which goes
+    through numpy's `__array_function__` dispatcher, on a grid of 100 steps
+    and on one of 1,000, both with 11 samples."""
+    calls = 0
+    dot = np.dot
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return dot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "dot", counted)
+    counts = []
+    for grid in (TimeGrid(1.0, 0.01, 10), TimeGrid(10.0, 0.01, 100)):
+        calls = 0
+        run(grid)
+        counts.append(calls)
+    return counts
+
+
 def assert_same_trajectory(H, point0, grid, settings=None):
     """The integrator against its plain-loop oracle, bit for bit (a -0.0
     for a 0.0 would change a CSV field)."""

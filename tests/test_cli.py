@@ -180,6 +180,19 @@ def test_validate_malformed_field_exits_2(tmp_path, capsys, section, node, key):
     assert len(err) == 1 and err[0].startswith(f"error: {key}: "), err
 
 
+@pytest.mark.parametrize("threshold", [1e-200, 1e-155])
+def test_threshold_past_the_divergence_guard_exits_2(tmp_path, capsys, threshold):
+    # compare crashed with a ZeroDivisionError (exit 1, the tolerance-breach
+    # code) or never switched charts, while validate said ok
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(minimal_doc(flow={"switch_threshold": threshold})))
+    for command in ("validate", "compare"):
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: flow.switch_threshold: "), err
+
+
 def test_validate_state_norm_overflow_prints_one_line(tmp_path, capsys):
     # finite amplitudes whose norm overflows: the one error line, without
     # numpy's overflow warning above it

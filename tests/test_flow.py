@@ -14,7 +14,7 @@ from cpdyn.scenario import load_scenario
 
 import oracles
 from conftest import STEP_PATH_IDS, STEP_PATHS, assert_same_trajectory, random_coords
-from conftest import random_hermitian, random_state
+from conftest import numpy_dot_calls, random_hermitian, random_state
 from oracles import _rhs, fd_grad_conj, quotient_rule_velocity, rk4_step, taylor_expm_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -129,6 +129,23 @@ class TestFlowSettings:
             FlowSettings(threshold)
         assert FlowSettings(np.float32(0.5)).switch_threshold == 0.5
 
+    @pytest.mark.parametrize("threshold", [1e-200, 1e-162, 1e-155, 1e-152])
+    def test_refuses_threshold_past_the_divergence_guard(self, threshold):
+        # threshold^2 underflows to 0 (a ZeroDivisionError in the run) or
+        # 1/threshold^2 reaches the |u|^2 level that reports divergence, so
+        # the chart rule could never fire
+        with pytest.raises(ValueError, match="switch_threshold"):
+            FlowSettings(threshold)
+
+    @pytest.mark.parametrize("threshold", [1e-150, 1e-149])
+    def test_accepts_smallest_usable_threshold(self, threshold):
+        settings = FlowSettings(threshold)
+        assert 1.0 / settings.switch_threshold**2 < cpdyn.flow._NSQ_GUARD
+        H = build_two_qubit_hamiltonian(0.0, 1.0, 0.5, 0.3, 0.0)
+        point0 = to_chart(np.array([0.5, 0.5, 0.5, 0.5]), 3)
+        traj = integrate_classical(H, point0, TimeGrid(1.0, 0.01), settings)
+        assert traj.n_switches == 0
+
 
 class TestIntegrateClassical:
     @pytest.mark.parametrize("scale, dt", [(1.0, 1e-3), (1e6, 1e-9)])
@@ -156,6 +173,20 @@ class TestIntegrateClassical:
                     rtol=0,
                     atol=4 * n * eps * np.linalg.norm(want),
                 )
+
+    @pytest.mark.parametrize("path", STEP_PATHS, ids=STEP_PATH_IDS)
+    def test_steps_skip_numpy_dispatch(self, rng, monkeypatch, path):
+        # a step calls its products as bound `ndarray.dot` methods, which
+        # reach the same C routine as `numpy.dot` without its per-call
+        # dispatcher, so the `numpy.dot` calls of a run do not grow with
+        # its step count
+        n = max(path.dims)
+        H, psi = random_hermitian(rng, n, scale=2 / np.sqrt(n)), random_state(rng, n)
+        point0 = to_chart(psi, select_pivot(psi))
+        counts = numpy_dot_calls(
+            monkeypatch, lambda grid: integrate_classical(H, point0, grid)
+        )
+        assert counts[0] == counts[1], counts
 
     def test_zero_hamiltonian_is_constant(self):
         point0 = ChartPoint(3, np.array([1.0, 0.5j, -0.25]))

@@ -17,7 +17,8 @@ from cpdyn.quantum import (
     rk4_weights,
 )
 
-from conftest import STEP_PATH_IDS, STEP_PATHS, random_hermitian, random_state
+from conftest import STEP_PATH_IDS, STEP_PATHS, numpy_dot_calls
+from conftest import random_hermitian, random_state
 from oracles import evolve_rk4_reference, rk4_step, rk4_weights_reference, taylor_expm_reference
 
 # pivot entries s_j = (B^j u)[pivot], bounded so that no product overflows
@@ -177,6 +178,13 @@ class TestRk4Weights:
 
 
 class TestEvolveRk4:
+    def test_steps_skip_numpy_dispatch(self, rng, monkeypatch):
+        # the step calls D . psi as a bound `ndarray.dot` method, so the
+        # `numpy.dot` calls of a run do not grow with its step count
+        H, psi0 = random_hermitian(rng, 8, scale=0.5), random_state(rng, 8)
+        counts = numpy_dot_calls(monkeypatch, lambda grid: evolve_rk4(H, psi0, grid))
+        assert counts[0] == counts[1], counts
+
     def test_matches_stage_form(self, rng):
         # same states as the stage-by-stage RK4 step to rounding, and no more
         # norm drift over 10k steps than it has (stepping with I + D as one
