@@ -43,18 +43,31 @@ on N.
   stage still evaluates the projective vector field Bv - (Bv)[pivot] v;
   only the coordinates of v change.
 
-On either path a step makes four calls: one fill product (K, or P . q
-for u_p and the s_j), `rk4_weights`, one combine product (w . K, or
-w . Z, which the spectral step applies as q *= g), and one `np.vdot` for
-|u|^2.  At N = 2..8 a step takes a few microseconds, most of it call
-overhead, so each product is the `dot` method of its fixed left operand,
-bound once per run and called with a positional `out` buffer (the
-quantum RK4 step does the same with D . psi).  `ndarray.dot` reaches the
-same C routine as `np.dot`, so no bit changes, without the
-`__array_function__` dispatcher that `np.dot` runs in Python on every call
-on numpy 2.  `np.vdot` stays: it has no method form, and a real dot of
-float views, though cheaper, rounds the last bit of |u|^2 differently
-from the conjugated complex product, which could move a switch decision.
+On either path a step makes three calls: one fill product (K, or P . q
+for u_p and the s_j), `rk4_weights`, and one combine product (w . K, or
+w . Z, which the spectral step applies as q *= g).  A fourth, `np.vdot`
+for |u|^2, with the divergence guard and the switch rule that read it,
+runs only on the steps that a growth bound leaves open: with
+beta >= |B|_2, computed once per run, no step from |u| <= nu = 1/threshold
+grows |u| by more than a factor rho (`_growth_bound`), so after each
+|u|^2 at or below the switch level the next m steps, rho^m |u| < nu,
+cannot reach it (`_steps_clear`).  Past the level, where this countdown
+never skips, the spectral loop tests the probe distance first and forms
+|u|^2 only when that test cannot rule a probe out.  On the benchmark's
+workloads (seed 1) |u|^2 is formed on 2.7% of the steps of the bundled
+figures, 5.1% of the N = 2..8 sweep and 9.2% of high-dim (N = 256, past
+the level on every step).  The steps that form it decide as before, so
+no decision and no bit changes.
+
+At N = 2..8 a step takes a few microseconds, most of it call overhead, so
+each product is the `dot` method of its fixed left operand, bound once
+per run and called with a positional `out` buffer (the quantum RK4 step
+does the same with D . psi).  `ndarray.dot` reaches the same C routine as
+`np.dot`, so no bit changes, without the `__array_function__` dispatcher
+that `np.dot` runs in Python on every call on numpy 2.  `np.vdot` stays:
+it has no method form, and a real dot of float views, though cheaper,
+rounds the last bit of |u|^2 differently from the conjugated complex
+product, which could move a switch decision.
 
 Both paths stay, on measurements on a 2-CPU x86-64 host.  With each path
 forced (0.20.0, microseconds per step, best of 41 runs of 3,000 steps)
@@ -82,6 +95,7 @@ it reports (coordinates, nfac = |u|^2, states) is read from them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,6 +132,10 @@ _NSQ_GUARD = 1e300
 _STACK_MAX_N = 20
 
 _EPS = np.finfo(float).eps
+
+# Relative allowance of `_growth_bound` for the rounding of one step and of
+# the bound itself.
+_STEP_ROUNDING = 1e-10
 
 
 @dataclass(frozen=True)
@@ -258,7 +276,13 @@ def integrate_classical(
     Up to N = `_STACK_MAX_N` a step costs one 5N x N product; above it a
     step is O(N) in eigen-coordinates, plus one N x N product u = V q at
     each sample and at each switch probe that `_probe_slack` does not rule
-    out.  The eigen-coordinates come from `spectrum` when it is given (see
+    out.  |u|^2, the divergence guard and the switch rule run only on the
+    steps that the growth bound of `_steps_clear` leaves open (2.7% of the
+    bundled figures' steps, 5.1% of random N = 2..8 systems) and, past the
+    switch level on the spectral path, where the probe distance does not
+    rule a probe out; with a step past the RK4 stability bound, or a switch
+    radius too large for the bound, every step checks.  The
+    eigen-coordinates come from `spectrum` when it is given (see
     `quantum.require_spectrum`), else from one `eigh` of H per run; up to
     `_STACK_MAX_N` a given spectrum only spares the Hermiticity check.
     """
@@ -307,7 +331,9 @@ def integrate_classical(
 def _stacked_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     """Step u from sample 0 over the grid with K = [u; Bu; ...; B^4 u] from
     one product with [I; B; ...; B^4], writing samples 1.. into `us` and
-    `pivots`; returns the switch times."""
+    `pivots`; returns the switch times.  |u|^2, the divergence guard and
+    the switch rule run only on the steps that `_steps_clear` leaves
+    open."""
     n = u.size
     B = (-1j * grid.dt) * H
     B2 = B @ B
@@ -318,28 +344,33 @@ def _stacked_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     k_all = K.reshape(5 * n)
     s = K[1:, pivot]
     w = np.empty(5, dtype=complex)
+    # |B|_2 <= sqrt(|B|_1 |B|_inf), the largest row sum of |B| (H Hermitian)
+    steps_clear = _steps_clear(float(np.abs(B).sum(axis=1).max()), usq_switch, n)
     # bound `ndarray.dot` methods of the fixed left operands (see the
     # module docstring)
     fill, combine, vdot = powers.dot, w.dot, np.vdot
     switch_times = []
 
-    k = 1
+    k = check_at = 1
     for step in range(1, grid.n_steps + 1):
         fill(u, k_all)
         w[...] = rk4_weights(*s.tolist())
         combine(K, u)  # u_new = sum_j w_j B^j u
         u[pivot] = 1.0  # the exact step keeps it at 1; rounding may not
-        usq = vdot(u, u).real
-        if not usq < _NSQ_GUARD:
-            raise NumericFailure("non-finite chart coordinates", step)
-        if usq > usq_switch:
-            new_pivot = select_pivot(u)
-            if new_pivot != pivot:
-                u /= u[new_pivot]
-                u[new_pivot] = 1.0
-                pivot = new_pivot
-                s = K[1:, pivot]
-                switch_times.append(step * grid.dt)
+        if step >= check_at:
+            usq = vdot(u, u).real
+            if not usq < _NSQ_GUARD:
+                raise NumericFailure("non-finite chart coordinates", step)
+            if usq > usq_switch:
+                new_pivot = select_pivot(u)
+                if new_pivot != pivot:
+                    u /= u[new_pivot]
+                    u[new_pivot] = 1.0
+                    pivot = new_pivot
+                    s = K[1:, pivot]
+                    switch_times.append(step * grid.dt)
+                    usq = vdot(u, u).real
+            check_at = step + 1 + steps_clear(usq)
         if step == samples[k]:
             us[k], pivots[k] = u, pivot
             k += 1
@@ -350,7 +381,14 @@ def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> 
     """`_stacked_steps` in the coordinates q = V^H u of H = V diag(lam) V^H,
     where B^j is the diagonal z^j, z = -i dt lam.  u = V q is formed only to
     sample it or to probe for a switch, and a probe is skipped while
-    `_probe_slack` shows that it cannot switch."""
+    `_probe_slack` shows that it cannot switch.
+
+    |u|^2 = |q|^2 is formed on the steps that `_steps_clear` leaves open,
+    and past the level, where the countdown never skips, only when the
+    probe distance does not rule a probe out.  Skipping the guard there is
+    safe: slack > 0 needs 8 N eps |u0| < 1, so |q| <= |q0| + slack stays
+    finite and far below `_NSQ_GUARD`, and a NaN in q fails the distance
+    test, which is written `not dsq < slack^2` for that reason."""
     n = u.size
     # row j: z^j
     Z = np.vander((-1j * grid.dt) * lam, 5, increasing=True).T.copy()
@@ -366,12 +404,23 @@ def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> 
     dq = np.empty(n, dtype=complex)
     mag = np.empty(n)
     slack = _probe_slack(u, pivot, mag)
+    # |B|_2 = dt max |lam|
+    steps_clear = _steps_clear(
+        float(grid.dt * np.abs(lam).max()), usq_switch, n, divides_by_pivot=True
+    )
     # bound `ndarray.dot` methods; a switch refills P in place, so its
     # method stays bound to the current pivot row
     pivot_entries, combine, form_u, vdot = P.dot, w.dot, V.dot, np.vdot
     switch_times = []
 
-    k = 1
+    def moved():
+        """Whether q may have moved far enough from q0 for a probe to switch;
+        a probe that cannot switch leaves q as it is, so it is skipped."""
+        np.subtract(q, q0, out=dq)
+        return not vdot(dq, dq).real < slack * slack
+
+    k = check_at = 1
+    usq = 0.0  # the last |u|^2 formed (none yet: step 1 forms it)
     for step in range(1, grid.n_steps + 1):
         pivot_entries(q, p)
         c, s1, s2, s3, s4 = p.tolist()
@@ -383,14 +432,18 @@ def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> 
         w[...] = (w0 * r, w1 * r, w2 * r, w3 * r, w4 * r)
         combine(Z, g)
         q *= g  # u_new = sum_j w_j B^j u / u_p
-        usq = vdot(q, q).real  # |u|^2, V being unitary
-        if not usq < _NSQ_GUARD:
-            raise NumericFailure("non-finite chart coordinates", step)
-        probe = usq > usq_switch
-        if probe and slack > 0.0:
-            # a probe that cannot switch leaves q as it is, so skip it
-            np.subtract(q, q0, out=dq)
-            probe = vdot(dq, dq).real >= slack * slack
+        probe = False
+        if step >= check_at:
+            # last seen past the level: the probe distance decides first
+            distance_first = usq > usq_switch and slack > 0.0
+            if not distance_first or moved():
+                usq = vdot(q, q).real  # |u|^2, V being unitary
+                if not usq < _NSQ_GUARD:
+                    raise NumericFailure("non-finite chart coordinates", step)
+                probe = usq > usq_switch and (
+                    distance_first or not slack > 0.0 or moved()
+                )
+            check_at = step + 1 + steps_clear(usq)
         if probe or step == samples[k]:
             form_u(q, u)
             u[pivot] = 1.0
@@ -404,12 +457,81 @@ def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> 
                     pivot = new_pivot
                     np.multiply(Z, V[pivot], out=P)
                     switch_times.append(step * grid.dt)
+                    usq = vdot(q, q).real
+                    check_at = step + 1 + steps_clear(usq)
             q0[:] = q
             slack = _probe_slack(u, pivot, mag)
             if step == samples[k]:
                 us[k], pivots[k] = u, pivot
                 k += 1
     return switch_times
+
+
+def _steps_clear(beta: float, level: float, n: int, divides_by_pivot: bool = False):
+    """The countdown of the step loops: a function that maps an exact
+    |u|^2 = usq after a step to the number m of following steps whose |u|
+    provably stays below the switch radius nu = sqrt(`level`), so that
+    those steps need neither |u|^2 nor the divergence guard nor the switch
+    rule.  With rho from `_growth_bound`, m is the largest with
+    rho^m |u| <= nu (1 - 1e-12 - N eps), 0 for usq > `level`.  The N eps
+    covers the rounding of `np.vdot` in usq, and the 1e-12 that of the
+    logarithms and the quotient below (at most about 2,000 eps, as
+    |log nu| <= 346); the rounding of the steps themselves compounds, so
+    it is in rho.  Every step checks (m = 0) where rho is no finite bound.
+    The arithmetic is in Python floats, so an overflow gives inf rather
+    than a numpy warning.
+    """
+    rho = _growth_bound(beta, level, n, divides_by_pivot)
+    if not 1.0 < rho < math.inf:
+        return lambda usq: 0
+    log_reach = math.log(math.sqrt(level) * (1.0 - 1e-12 - n * _EPS))
+    per_step = 1.0 / math.log(rho)
+    return lambda usq: max(0, int((log_reach - 0.5 * math.log(usq)) * per_step))
+
+
+def _growth_bound(
+    beta: float, level: float, n: int, divides_by_pivot: bool = False
+) -> float:
+    """A factor rho with |u_new| <= rho |u| for one step from any u with
+    u[pivot] = 1 and |u| <= nu = sqrt(`level`), for beta >= |B|_2; inf
+    where no finite bound applies.
+
+    |s_j| = |(B^j u)[pivot]| <= beta^j |u|.  Fed the negated bounds
+    -beta^j R, every intermediate of the `rk4_weights` recurrence is >= 0
+    and bounds the modulus of its counterpart (each is a sum of products of
+    earlier ones), so the returned W_j >= |w_j| while |u| <= R, and
+
+        |u_new| = |sum_j w_j B^j u| <= rho |u|,   rho = sum_j W_j beta^j.
+
+    On the stacked path R = nu.  The spectral step (`divides_by_pivot`)
+    applies the weights of u / u_p, and |u_p - 1| <= 8 N eps |u| (as in
+    `_probe_slack`) scales |u| by at most kappa = 1 / (1 - 8 N eps nu):
+    there R = kappa nu and rho carries one more factor kappa.  rho is
+    raised by `_STEP_ROUNDING` = 1e-10 for the rounding of a step: that of
+    the fill, the combine and the pivot reset (a few N eps |u| each, about
+    N^1.5 eps for the stacked fill at N <= 20), of the rounded powers of B,
+    of beta and of V's orthonormality (N eps each) and of the evaluation
+    of W and rho (a few dozen eps).  N eps stays below 1e-11 up to
+    N = 45,000, where V alone takes 32 GB.
+
+    inf where beta is not in [0, 1) (a step past the RK4 stability bound)
+    or 8 N eps nu >= 1/2 on the spectral path; rho overflows to inf, in
+    Python floats, for a huge switch radius.  No `**`, which raises on
+    overflow.
+    """
+    nu = math.sqrt(level)
+    pivot_error = 8 * n * _EPS * nu if divides_by_pivot else 0.0
+    if not (0.0 <= beta < 1.0 and pivot_error < 0.5):
+        return math.inf
+    kappa = 1.0 / (1.0 - pivot_error)
+    radius = kappa * nu
+    b2 = beta * beta
+    b3, b4 = b2 * beta, b2 * b2
+    w0, w1, w2, w3, w4 = rk4_weights(
+        -beta * radius, -b2 * radius, -b3 * radius, -b4 * radius
+    )
+    bound = w0 + w1 * beta + w2 * b2 + w3 * b3 + w4 * b4
+    return kappa * (1.0 + _STEP_ROUNDING) * bound
 
 
 def _probe_slack(u, pivot, mag) -> float:

@@ -55,7 +55,8 @@ DEFAULT_TOLERANCE = 1e-6
 _MAX_SAMPLE_ENTRIES = 4**pauli.MAX_QUBITS
 
 # Steps a run may take: 10^8, 2,000 times the longest bundled scenario (fig4,
-# 50,000 steps) and about 10 minutes of N = 4 classical steps at 5 us each.
+# 50,000 steps) and about 7 minutes of N = 4 classical steps at 4 us each
+# (fig4 in process, best of 7 runs, 2-CPU x86-64 host).
 _MAX_STEPS = 10**8
 
 

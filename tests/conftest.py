@@ -61,25 +61,28 @@ def minimal_doc(**overrides):
     return doc
 
 
-def numpy_dot_calls(monkeypatch, run) -> list:
-    """How many times `run(grid)` calls the function `numpy.dot`, which goes
-    through numpy's `__array_function__` dispatcher, on a grid of 100 steps
-    and on one of 1,000, both with 11 samples."""
+def numpy_calls(monkeypatch, name: str, run) -> int:
+    """How many times `run()` calls the function `numpy.<name>`."""
     calls = 0
-    dot = np.dot
+    function = getattr(np, name)
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return dot(*args, **kwargs)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(np, "dot", counted)
-    counts = []
-    for grid in (TimeGrid(1.0, 0.01, 10), TimeGrid(10.0, 0.01, 100)):
-        calls = 0
-        run(grid)
-        counts.append(calls)
-    return counts
+    monkeypatch.setattr(np, name, counted)
+    run()
+    monkeypatch.setattr(np, name, function)
+    return calls
+
+
+def numpy_dot_calls(monkeypatch, run) -> list:
+    """How many times `run(grid)` calls the function `numpy.dot`, which goes
+    through numpy's `__array_function__` dispatcher, on a grid of 100 steps
+    and on one of 1,000, both with 11 samples."""
+    grids = (TimeGrid(1.0, 0.01, 10), TimeGrid(10.0, 0.01, 100))
+    return [numpy_calls(monkeypatch, "dot", lambda: run(grid)) for grid in grids]
 
 
 def assert_same_trajectory(H, point0, grid, settings=None):
@@ -142,6 +145,7 @@ STEP_PATHS = (
         bit_runs=(
             pytest.param(37, [256], 1.0, TimeGrid(0.2, 1e-3, 20), id="256"),
             pytest.param(41, [21, 24, 32], 1.0, TimeGrid(4.0, 1e-2, 7), id="21-24-32"),
+            pytest.param(41, [21, 24, 32], 1e6, TimeGrid(4e-6, 1e-8, 7), id="21-24-32-1000000.0"),
         ),
         qubits=5,
         overflow_n=21,

@@ -14,7 +14,7 @@ from cpdyn.scenario import load_scenario
 
 import oracles
 from conftest import STEP_PATH_IDS, STEP_PATHS, assert_same_trajectory, random_coords
-from conftest import numpy_dot_calls, random_hermitian, random_state
+from conftest import numpy_calls, numpy_dot_calls, random_hermitian, random_state
 from oracles import _rhs, fd_grad_conj, quotient_rule_velocity, rk4_step, taylor_expm_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -188,6 +188,36 @@ class TestIntegrateClassical:
         )
         assert counts[0] == counts[1], counts
 
+    def test_forms_usq_only_where_the_level_is_in_reach(self, monkeypatch):
+        # between two steps that form |u|^2, the growth bound of
+        # `flow._growth_bound` keeps |u| below the switch radius, so fig1_left
+        # forms |u|^2 on few of its steps; where that bound is no finite
+        # bound (a huge switch radius, a step past the RK4 stability bound)
+        # it is formed once at t = 0, once per step and once per switch
+        config = load_scenario(SCENARIO_DIR / "fig1_left.json")
+        H, psi0, grid = config.hamiltonian, config.initial_state, config.grid
+        point0 = to_chart(psi0, select_pivot(psi0))
+        runs = []
+
+        def usq_calls(grid, settings):
+            return numpy_calls(
+                monkeypatch,
+                "vdot",
+                lambda: runs.append(integrate_classical(H, point0, grid, settings)),
+            )
+
+        assert grid.n_steps == 10_000
+        assert usq_calls(grid, config.flow) <= 0.05 * grid.n_steps
+        assert_same_trajectory(H, point0, grid, config.flow)
+        dt = 3.0 / np.linalg.norm(H, 2)  # past 2 sqrt(2), the RK4 bound
+        for grid, settings in (
+            (grid, FlowSettings(1e-150)),
+            (TimeGrid(100 * dt, dt, 10), config.flow),
+        ):
+            calls = usq_calls(grid, settings)
+            assert calls == 1 + grid.n_steps + runs[-1].n_switches
+            assert_same_trajectory(H, point0, grid, settings)
+
     def test_zero_hamiltonian_is_constant(self):
         point0 = ChartPoint(3, np.array([1.0, 0.5j, -0.25]))
         traj = integrate_classical(np.zeros((4, 4)), point0, TimeGrid(1.0, 0.01, 10))
@@ -300,7 +330,9 @@ class TestIntegrateClassical:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NumericFailure) as failure:
                 integrate_classical(H, point0, TimeGrid(1.0, 0.1))
-        assert failure.value.step == 1
+            with pytest.raises(NumericFailure) as oracle_failure:
+                oracles.integrate_classical_reference(H, point0, TimeGrid(1.0, 0.1))
+        assert failure.value.step == oracle_failure.value.step == 1
 
     def test_large_scale_hamiltonian(self):
         # an exactly Hermitian H with entries of order 1e6, time scaled to match
@@ -366,9 +398,18 @@ class TestBitIdentity:
             H, psi0 = random_hermitian(rng, n), random_state(rng, n)
             assert np.min(np.abs(psi0)) < 0.2  # 1/|u| at the default threshold
             point0 = to_chart(psi0, int(np.argmin(np.abs(psi0))))
-            traj = assert_same_trajectory(H, point0, TimeGrid(1.0, 1e-2, 10))
+            grid = TimeGrid(1.0, 1e-2, 10)
+            traj = assert_same_trajectory(H, point0, grid)
             assert traj.switch_times[0] == 0.0 and traj.n_switches_cum[0] == 1
             assert traj.pivots[0] == select_pivot(psi0)
+            # the same chart with the level a few eps above its |u|^2: no hop
+            # at t = 0, and |u|^2 is formed and the chart changed after the
+            # first step, before any countdown
+            usq0 = np.vdot(point0.homogeneous(), point0.homogeneous()).real
+            settings = FlowSettings((1 - 4 * np.finfo(float).eps) / np.sqrt(usq0))
+            assert usq0 < settings.switch_level < usq0 * (1 + 1e-14)
+            traj = assert_same_trajectory(H, point0, grid, settings)
+            assert traj.n_switches_cum[0] == 0 and traj.switch_times[0] == grid.dt
 
 
 class TestProbeSkip:

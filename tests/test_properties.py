@@ -2,17 +2,21 @@
 step paths of `integrate_classical`, one system per row of
 `conftest.STEP_PATHS`."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdyn.chart import PIVOT_FLOOR, select_pivot, to_chart
-from cpdyn.flow import FlowSettings, integrate_classical
+from cpdyn.chart import PIVOT_FLOOR, ChartPoint, select_pivot, to_chart
+from cpdyn.flow import _STACK_MAX_N, FlowSettings, _growth_bound, integrate_classical
 from cpdyn.quantum import TimeGrid
 
 from conftest import STEP_PATH_IDS, STEP_PATHS, assert_same_trajectory
-from conftest import random_hermitian, random_state
+from conftest import random_coords, random_hermitian, random_state
+from oracles import _spectral_basis_reference, _spectral_step_reference
+from oracles import _stacked_powers_reference, _stacked_step_reference
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 log_cs = st.floats(min_value=-3.0, max_value=6.0)
@@ -139,3 +143,53 @@ def test_skipped_probes_leave_trajectory_spectral(seed, n, threshold, c, ratio):
         TimeGrid(t_end=2.0 / c, dt=1e-2 / c, output_stride=10),
         FlowSettings(switch_threshold=threshold),
     )
+
+
+@pytest.mark.parametrize("path", STEP_PATHS, ids=STEP_PATH_IDS)
+@given(
+    seed=seeds,
+    data=st.data(),
+    threshold=st.floats(min_value=0.05, max_value=0.95),
+    c=st.sampled_from([1e-3, 1.0, 1e6]),
+    log_beta=st.floats(min_value=-4.0, max_value=-0.05),
+    fill=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=100)
+def test_step_growth_bound(path, seed, data, threshold, c, log_beta, fill):
+    # one Krylov RK4 step from any u with u[pivot] = 1 and |u| up to the
+    # switch radius grows |u| by at most the factor of `flow._growth_bound`,
+    # which lets the step loops skip |u|^2.  The step is the oracle's, with
+    # its own copy of the weights, so a change of `rk4_weights` that breaks
+    # the sign argument of the bound fails here.  beta = 10^log_beta bounds
+    # |B|_2 as the loop computes it: the largest row sum of |dt H| up to
+    # N = 20, dt max |lam| above
+    spectral = path.name == "spectral"
+    dims = path.property_dims if spectral else range(2, _STACK_MAX_N + 1)
+    n = data.draw(st.sampled_from(dims), label="n")
+    rng = np.random.default_rng(seed)
+    H = c * random_hermitian(rng, n)
+    level = FlowSettings(threshold).switch_level
+    # |u|^2 = 1 + fill (level - 1): from the pivot entry alone up to the level
+    x = random_coords(rng, n - 1)
+    x *= np.sqrt(fill * (level - 1.0)) / np.linalg.norm(x)
+    point = ChartPoint(int(rng.integers(n)), x)
+    u = point.homogeneous()
+    if spectral:
+        top = np.abs(np.linalg.eigh(H)[0]).max()
+        dt = 10.0**log_beta / top
+        Z, V = _spectral_basis_reference(H, dt)
+        q = V.conj().T @ u
+        before = np.linalg.norm(q)
+        after = np.linalg.norm(_spectral_step_reference(Z, V, q, point.pivot))
+        beta = dt * top
+    else:
+        rows = np.abs(H).sum(axis=1).max()
+        dt = 10.0**log_beta / rows
+        before = np.linalg.norm(u)
+        step = _stacked_step_reference(_stacked_powers_reference(H, dt), u, point.pivot)
+        step[point.pivot] = 1.0
+        after = np.linalg.norm(step)
+        beta = dt * rows
+    rho = _growth_bound(float(beta), level, n, divides_by_pivot=spectral)
+    assert 1.0 < rho < math.inf
+    assert after <= rho * before
