@@ -51,13 +51,12 @@ runs only on the steps that a growth bound leaves open: with
 beta >= |B|_2, computed once per run, no step from |u| <= nu = 1/threshold
 grows |u| by more than a factor rho (`_growth_bound`), so after each
 |u|^2 at or below the switch level the next m steps, rho^m |u| < nu,
-cannot reach it (`_steps_clear`).  Past the level, where this countdown
-never skips, the spectral loop tests the probe distance first and forms
-|u|^2 only when that test cannot rule a probe out.  On the benchmark's
-workloads (seed 1) |u|^2 is formed on 2.7% of the steps of the bundled
-figures, 5.1% of the N = 2..8 sweep and 9.2% of high-dim (N = 256, past
-the level on every step).  The steps that form it decide as before, so
-no decision and no bit changes.
+cannot reach it (`_steps_clear`).  Past the level this countdown is 0, so
+the loops check the next step without asking it, and the spectral loop
+forms |u|^2 there only when the probe distance cannot rule a probe out.
+The steps that form |u|^2 decide as every step would, so no decision and
+no bit depends on the skipping.  CHANGES.md (0.21.0) gives the share of
+steps that form it on the benchmark's workloads.
 
 At N = 2..8 a step takes a few microseconds, most of it call overhead, so
 each product is the `dot` method of its fixed left operand, bound once
@@ -69,28 +68,29 @@ it has no method form, and a real dot of float views, though cheaper,
 rounds the last bit of |u|^2 differently from the conjugated complex
 product, which could move a switch decision.
 
-Both paths stay, on measurements on a 2-CPU x86-64 host.  With each path
-forced (0.20.0, microseconds per step, best of 41 runs of 3,000 steps)
-they step equally fast, within 4%, at N = 18-21; the stacked one is 4-9%
-faster at N = 14-16, the spectral one 6-7% faster at N = 22-24 and 28%
-at N = 32.  Forcing the eigen-coordinate step at every N (0.16.0,
-`perfbench/run.py --seed 1 --seconds 12 --trace 0`, two runs) raised
-`wall_s` from 1.26-1.30 s to 1.46-1.50 s on the bundled figures (N = 4)
-and from 0.33-0.34 s to 0.37-0.38 s on the N = 2..8 sweep, and a variant
-with the 1/u_p scaling and the 1/6 folded into the recurrence still
-stepped 8-14% slower than the stacked step at N = 2, 4 and 8.  `eigh` is
-O(N^3), paid at most once per run, and `scenario.run` shares one with the
-quantum route.  A step allocates no array: the stack and every work
-buffer are built once per run.
+Both paths stay because each is the faster one on its side of
+`_STACK_MAX_N`: below it the stacked step, which needs no `eigh` and
+less scalar work per step, wins while its 5N^2 multiply-adds are cheap,
+and above it the O(N) eigen-coordinate step wins.  The measurements
+behind the threshold are in CHANGES.md (0.17.0 for the step forced at
+every N, 0.20.0 for the crossover).  `eigh` is O(N^3), paid at most once
+per run, and `scenario.run` shares one with the quantum route.  A step
+allocates no array: the stack and every work buffer are built once per
+run.
 
 Before the first step and after every step the integrator hops to the
 chart anchored at the largest |u_i| whenever the pivot amplitude
 1/|u| = 1/sqrt(nfac) is below a threshold (see `integrate_classical`); at
 t = 0 this keeps a caller's chart anchored at a small amplitude from
-stepping next to the pole of the Riccati equation.  Chart, pivot and
-switch rule act on u in the computational basis on both paths.  The
-trajectory keeps the sampled u, with u[pivot] = 1 exactly; everything else
-it reports (coordinates, nfac = |u|^2, states) is read from them.
+stepping next to the pole of the Riccati equation.  The hop is written
+once, in `_hop`: `select_pivot`, the division of u by its entry at the new
+pivot and that entry set to exactly 1.  The stacked loop then re-points
+its view of the pivot entries, the spectral loop divides q by the same
+entry and refills P, and each records the switch time and forms |u|^2
+again.  Chart, pivot and switch rule act on u in the computational basis
+on both paths.  The trajectory keeps the sampled u, with u[pivot] = 1
+exactly; everything else it reports (coordinates, nfac = |u|^2, states)
+is read from them.
 """
 
 from __future__ import annotations
@@ -268,20 +268,23 @@ def integrate_classical(
 
     At t = 0 and after every step, if the implied pivot amplitude 1/|u| is
     below settings.switch_threshold, the state hops to the chart anchored
-    at the maximum-modulus amplitude and integration continues.  A hop at
-    t = 0 is recorded as a switch at time 0, and sample 0 is taken after
-    it.  Chart switches happen between steps, never inside RK4 stages.
-    Raises NumericFailure on the first non-finite step.
+    at the maximum-modulus amplitude (`_hop`, the one hop at t = 0 and in
+    both step loops) and integration continues.  A hop at t = 0 is
+    recorded as a switch at time 0, and sample 0 is taken after it.  Chart
+    switches happen between steps, never inside RK4 stages.  Raises
+    NumericFailure on the first non-finite step.
 
     Up to N = `_STACK_MAX_N` a step costs one 5N x N product; above it a
     step is O(N) in eigen-coordinates, plus one N x N product u = V q at
     each sample and at each switch probe that `_probe_slack` does not rule
     out.  |u|^2, the divergence guard and the switch rule run only on the
-    steps that the growth bound of `_steps_clear` leaves open (2.7% of the
-    bundled figures' steps, 5.1% of random N = 2..8 systems) and, past the
-    switch level on the spectral path, where the probe distance does not
-    rule a probe out; with a step past the RK4 stability bound, or a switch
-    radius too large for the bound, every step checks.  The
+    steps that the growth bound of `_steps_clear` leaves open.  Past the
+    switch level that countdown is 0: every step is checked, without
+    asking it, and on the spectral path |u|^2 is formed only where the
+    probe distance does not rule a probe out.  With a step past the RK4
+    stability bound, or a switch radius too large for the bound, every
+    step checks.  The skipped work never decides anything, so the
+    trajectory is the same bits as with every step checked.  The
     eigen-coordinates come from `spectrum` when it is given (see
     `quantum.require_spectrum`), else from one `eigh` of H per run; up to
     `_STACK_MAX_N` a given spectrum only spares the Hermiticity check.
@@ -298,13 +301,9 @@ def integrate_classical(
     switch_times = []
     # the rule holds at t = 0 too: a chart anchored at a small amplitude
     # would take the first step next to the pole of its Riccati equation
-    if np.vdot(u, u).real > usq_switch:
-        new_pivot = select_pivot(u)
-        if new_pivot != pivot:
-            u /= u[new_pivot]
-            u[new_pivot] = 1.0
-            pivot = new_pivot
-            switch_times.append(0.0)
+    if np.vdot(u, u).real > usq_switch and (hop := _hop(u, pivot)):
+        pivot = hop[0]
+        switch_times.append(0.0)
     samples = grid.sample_indices().tolist()
     us = np.empty((len(samples), n), dtype=complex)
     pivots = np.empty(len(samples), dtype=int)
@@ -326,6 +325,19 @@ def integrate_classical(
         pivots=pivots,
         switch_times=np.asarray(switch_times),
     )
+
+
+def _hop(u, pivot):
+    """The chart hop, in place: None while `select_pivot(u)` keeps `pivot`;
+    else u is divided by its entry at the new pivot, that entry is set to
+    exactly 1, and (new pivot, divisor) is returned."""
+    new_pivot = select_pivot(u)
+    if new_pivot == pivot:
+        return None
+    scale = u[new_pivot]
+    u /= scale
+    u[new_pivot] = 1.0
+    return new_pivot, scale
 
 
 def _stacked_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
@@ -361,16 +373,13 @@ def _stacked_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
             usq = vdot(u, u).real
             if not usq < _NSQ_GUARD:
                 raise NumericFailure("non-finite chart coordinates", step)
-            if usq > usq_switch:
-                new_pivot = select_pivot(u)
-                if new_pivot != pivot:
-                    u /= u[new_pivot]
-                    u[new_pivot] = 1.0
-                    pivot = new_pivot
-                    s = K[1:, pivot]
-                    switch_times.append(step * grid.dt)
-                    usq = vdot(u, u).real
-            check_at = step + 1 + steps_clear(usq)
+            if usq > usq_switch and (hop := _hop(u, pivot)):
+                pivot = hop[0]
+                s = K[1:, pivot]
+                switch_times.append(step * grid.dt)
+                usq = vdot(u, u).real
+            # past the level the countdown is 0
+            check_at = step + 1 if usq > usq_switch else step + 1 + steps_clear(usq)
         if step == samples[k]:
             us[k], pivots[k] = u, pivot
             k += 1
@@ -383,12 +392,13 @@ def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> 
     sample it or to probe for a switch, and a probe is skipped while
     `_probe_slack` shows that it cannot switch.
 
-    |u|^2 = |q|^2 is formed on the steps that `_steps_clear` leaves open,
-    and past the level, where the countdown never skips, only when the
-    probe distance does not rule a probe out.  Skipping the guard there is
-    safe: slack > 0 needs 8 N eps |u0| < 1, so |q| <= |q0| + slack stays
-    finite and far below `_NSQ_GUARD`, and a NaN in q fails the distance
-    test, which is written `not dsq < slack^2` for that reason."""
+    Each step that `_steps_clear` leaves open tests the probe distance
+    |q - q0| once.  |u|^2 = |q|^2 is formed there, except past the level,
+    where the countdown never skips, on a step whose distance rules a
+    probe out.  Skipping the guard there is safe: slack > 0 needs
+    8 N eps |u0| < 1, so |q| <= |q0| + slack stays finite and far below
+    `_NSQ_GUARD`, and a NaN in q fails the distance test, which is written
+    `not dsq < slack^2` for that reason."""
     n = u.size
     # row j: z^j
     Z = np.vander((-1j * grid.dt) * lam, 5, increasing=True).T.copy()
@@ -413,12 +423,6 @@ def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> 
     pivot_entries, combine, form_u, vdot = P.dot, w.dot, V.dot, np.vdot
     switch_times = []
 
-    def moved():
-        """Whether q may have moved far enough from q0 for a probe to switch;
-        a probe that cannot switch leaves q as it is, so it is skipped."""
-        np.subtract(q, q0, out=dq)
-        return not vdot(dq, dq).real < slack * slack
-
     k = check_at = 1
     usq = 0.0  # the last |u|^2 formed (none yet: step 1 forms it)
     for step in range(1, grid.n_steps + 1):
@@ -433,37 +437,35 @@ def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> 
         combine(Z, g)
         q *= g  # u_new = sum_j w_j B^j u / u_p
         probe = False
-        if step >= check_at:
-            # last seen past the level: the probe distance decides first
-            distance_first = usq > usq_switch and slack > 0.0
-            if not distance_first or moved():
+        checked = step >= check_at
+        if checked:
+            # whether q may have moved far enough from q0 for a probe to
+            # switch; past the level a q that has not needs neither |u|^2
+            # nor the probe, which would leave q as it is
+            np.subtract(q, q0, out=dq)
+            far = not slack > 0.0 or not vdot(dq, dq).real < slack * slack
+            if far or not usq > usq_switch:
                 usq = vdot(q, q).real  # |u|^2, V being unitary
                 if not usq < _NSQ_GUARD:
                     raise NumericFailure("non-finite chart coordinates", step)
-                probe = usq > usq_switch and (
-                    distance_first or not slack > 0.0 or moved()
-                )
-            check_at = step + 1 + steps_clear(usq)
+            probe = far and usq > usq_switch
         if probe or step == samples[k]:
             form_u(q, u)
             u[pivot] = 1.0
-            if probe:
-                new_pivot = select_pivot(u)
-                if new_pivot != pivot:
-                    scale = u[new_pivot]
-                    u /= scale
-                    q /= scale
-                    u[new_pivot] = 1.0
-                    pivot = new_pivot
-                    np.multiply(Z, V[pivot], out=P)
-                    switch_times.append(step * grid.dt)
-                    usq = vdot(q, q).real
-                    check_at = step + 1 + steps_clear(usq)
+            if probe and (hop := _hop(u, pivot)):
+                pivot, scale = hop
+                q /= scale
+                np.multiply(Z, V[pivot], out=P)
+                switch_times.append(step * grid.dt)
+                usq = vdot(q, q).real
             q0[:] = q
             slack = _probe_slack(u, pivot, mag)
             if step == samples[k]:
                 us[k], pivots[k] = u, pivot
                 k += 1
+        if checked:
+            # past the level the countdown is 0
+            check_at = step + 1 if usq > usq_switch else step + 1 + steps_clear(usq)
     return switch_times
 
 

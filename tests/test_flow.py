@@ -5,7 +5,7 @@ import pytest
 
 import cpdyn.flow
 from cpdyn.chart import ChartPoint, from_chart, select_pivot, to_chart
-from cpdyn.flow import _probe_slack, FlowSettings, classical_hamiltonian, grad_conj
+from cpdyn.flow import _hop, _probe_slack, FlowSettings, classical_hamiltonian, grad_conj
 from cpdyn.flow import hamilton_rhs, integrate_classical
 from cpdyn.observables import energy
 from cpdyn.pauli import PauliTerm, build_hamiltonian, build_two_qubit_hamiltonian
@@ -217,6 +217,30 @@ class TestIntegrateClassical:
             calls = usq_calls(grid, settings)
             assert calls == 1 + grid.n_steps + runs[-1].n_switches
             assert_same_trajectory(H, point0, grid, settings)
+
+    def test_spectral_forms_usq_only_where_the_level_is_in_reach(self, monkeypatch):
+        # the eigen-coordinate loop counts down the same way: one amplitude
+        # near 0.95 under a weak H keeps |u|^2 near 1.1, far below the level
+        # 25, and the loop forms |u|^2 (and tests the probe distance) on a
+        # few of its 10,000 steps; 11 `np.vdot` calls were measured
+        n = 32
+        rng = np.random.default_rng(3)
+        psi0 = 0.3 * random_state(rng, n)
+        psi0[5] = 0.95
+        psi0 /= np.linalg.norm(psi0)
+        H = random_hermitian(rng, n, scale=0.1 / np.sqrt(n))
+        point0 = to_chart(psi0, select_pivot(psi0))
+        grid = TimeGrid(t_end=10.0, dt=1e-3, output_stride=100)
+        runs = []
+        calls = numpy_calls(
+            monkeypatch,
+            "vdot",
+            lambda: runs.append(integrate_classical(H, point0, grid)),
+        )
+        assert runs[0].n_switches == 0
+        assert runs[0].nfac.max() < 2.0 < FlowSettings().switch_level
+        assert calls <= 0.002 * grid.n_steps
+        assert_same_trajectory(H, point0, grid)
 
     def test_zero_hamiltonian_is_constant(self):
         point0 = ChartPoint(3, np.array([1.0, 0.5j, -0.25]))
@@ -490,3 +514,78 @@ class TestProbeSkip:
         assert len(oracle_probes) == grid.n_steps + 1 == 2001
         assert traj.n_switches > 0
         assert len(probes) <= grid.n_steps // 4
+
+    def test_past_the_level_needs_no_countdown(self, monkeypatch):
+        # the same system is past the switch level on every step, where the
+        # countdown of `flow._steps_clear` is 0, so the loop does not ask it
+        calls = []
+        steps_clear = cpdyn.flow._steps_clear
+
+        def counted_steps_clear(*args, **kwargs):
+            countdown = steps_clear(*args, **kwargs)
+
+            def counted(usq):
+                calls.append(usq)
+                return countdown(usq)
+
+            return counted
+
+        monkeypatch.setattr(cpdyn.flow, "_steps_clear", counted_steps_clear)
+        n = 256
+        rng = np.random.default_rng(37)
+        H = random_hermitian(rng, n, scale=2.0 / np.sqrt(n))
+        psi0 = random_state(rng, n)
+        point0 = to_chart(psi0, select_pivot(psi0))
+        grid = TimeGrid(t_end=2.0, dt=1e-3, output_stride=20)
+        traj = assert_same_trajectory(H, point0, grid)
+        assert traj.nfac.min() > FlowSettings().switch_level
+        assert calls == []
+
+
+class TestHop:
+    """`flow._hop`, the one chart hop of the integrator, applies
+    `chart.select_pivot` and rescales u in place, bit for bit as u divided
+    by its entry at the new pivot, with that entry exactly 1."""
+
+    @staticmethod
+    def check(u, pivot):
+        u0 = u.copy()
+        hop = _hop(u, pivot)
+        new_pivot = select_pivot(u0)
+        if new_pivot == pivot:
+            assert hop is None
+            want = u0
+        else:
+            assert hop[0] == new_pivot
+            assert hop[1] == u0[new_pivot]
+            want = u0 / u0[new_pivot]
+            want[new_pivot] = 1.0
+        assert np.array_equal(u.view(np.uint64), want.view(np.uint64))
+        return hop
+
+    def test_random_vectors(self, rng):
+        outcomes = set()
+        for n in (2, 3, 8, 21, 256):
+            for _ in range(20):
+                u = random_coords(rng, n, radius=0.3)
+                pivot = int(rng.integers(n))
+                u[pivot] = 1.0
+                outcomes.add(self.check(u, pivot) is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "u, pivot, new_pivot",
+        [
+            # exact ties with the pivot at higher indices: the pivot stays
+            ([0.5, 1.0, 0.25j, -1.0, 1j], 1, None),
+            # an exact tie with the pivot at a lower index wins
+            ([0.5, -1.0, 0.25j, 1.0, 1j], 3, 1),
+            # a tie of larger entries goes to the lowest of them, above
+            # the pivot and below it (|3 + 4i| is exactly 5)
+            ([0.2, 1.0, 3 + 4j, 5j, -5.0], 1, 2),
+            ([5j, -5.0, 1.0, 3 + 4j], 2, 0),
+        ],
+    )
+    def test_ties_go_to_the_lowest_index(self, u, pivot, new_pivot):
+        hop = self.check(np.array(u, dtype=complex), pivot)
+        assert (None if hop is None else hop[0]) == new_pivot
