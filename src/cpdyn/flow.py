@@ -37,26 +37,28 @@ on N.
   weights of u / u[pivot] divided by u[pivot], so the pivot entry returns
   to 1 on every step, as it does in exact arithmetic.  |u|^2 = |q|^2, V
   being unitary, so a step is O(N).  u = V q (N^2 multiply-adds) is formed
-  at samples and at switch probes, and a step past the switch level
-  probes only when `_probe_slack` cannot rule a switch out; a probe that
-  does not switch changes nothing, so skipping it changes no bit.  Each
-  stage still evaluates the projective vector field Bv - (Bv)[pivot] v;
-  only the coordinates of v change.
+  at samples and at switch probes.  Each stage still evaluates the
+  projective vector field Bv - (Bv)[pivot] v; only the coordinates of v
+  change.
 
 On either path a step makes three calls: one fill product (K, or P . q
 for u_p and the s_j), `rk4_weights`, and one combine product (w . K, or
-w . Z, which the spectral step applies as q *= g).  A fourth, `np.vdot`
-for |u|^2, with the divergence guard and the switch rule that read it,
-runs only on the steps that a growth bound leaves open: with
-beta >= |B|_2, computed once per run, no step from |u| <= nu = 1/threshold
-grows |u| by more than a factor rho (`_growth_bound`), so after each
-|u|^2 at or below the switch level the next m steps, rho^m |u| < nu,
-cannot reach it (`_steps_clear`).  Past the level this countdown is 0, so
-the loops check the next step without asking it, and the spectral loop
-forms |u|^2 there only when the probe distance cannot rule a probe out.
-The steps that form |u|^2 decide as every step would, so no decision and
-no bit depends on the skipping.  CHANGES.md (0.21.0) gives the share of
-steps that form it on the benchmark's workloads.
+w . Z, which the spectral step applies as q *= g).  |u|^2, the divergence
+guard that reads it and the switch rule run only where each loop's one
+skip rule leaves them open:
+
+* the stacked loop counts down with a growth bound: with beta >= |B|_2,
+  computed once per run, no step from |u| <= nu = 1/threshold grows |u|
+  by more than a factor rho (`_growth_bound`), so after each |u|^2 at or
+  below the switch level the next m steps, rho^m |u| < nu, cannot reach
+  it (`_steps_clear`); past the level every step checks;
+* the spectral loop tests the probe distance |q - q0| after every step,
+  q0 being q where u was last formed, and a step that `_probe_slack`
+  shows cannot switch needs neither |u|^2 nor the guard nor a probe.
+
+The steps that check decide as every step would, so no decision and no bit
+depends on the skipping.  CHANGES.md (0.21.0 and 0.23.0) gives the share
+of steps that form |u|^2 on the benchmark's workloads.
 
 At N = 2..8 a step takes a few microseconds, most of it call overhead, so
 each product is the `dot` method of its fixed left operand, bound once
@@ -85,12 +87,12 @@ t = 0 this keeps a caller's chart anchored at a small amplitude from
 stepping next to the pole of the Riccati equation.  The hop is written
 once, in `_hop`: `select_pivot`, the division of u by its entry at the new
 pivot and that entry set to exactly 1.  The stacked loop then re-points
-its view of the pivot entries, the spectral loop divides q by the same
-entry and refills P, and each records the switch time and forms |u|^2
-again.  Chart, pivot and switch rule act on u in the computational basis
-on both paths.  The trajectory keeps the sampled u, with u[pivot] = 1
-exactly; everything else it reports (coordinates, nfac = |u|^2, states)
-is read from them.
+its view of the pivot entries and forms |u|^2 again for its countdown,
+the spectral loop divides q by the same entry and refills P, and each
+records the switch time.  Chart, pivot and switch rule act on u in the
+computational basis on both paths.  The trajectory keeps the sampled u,
+with u[pivot] = 1 exactly; everything else it reports (coordinates,
+nfac = |u|^2, states) is read from them.
 """
 
 from __future__ import annotations
@@ -276,18 +278,17 @@ def integrate_classical(
 
     Up to N = `_STACK_MAX_N` a step costs one 5N x N product; above it a
     step is O(N) in eigen-coordinates, plus one N x N product u = V q at
-    each sample and at each switch probe that `_probe_slack` does not rule
-    out.  |u|^2, the divergence guard and the switch rule run only on the
-    steps that the growth bound of `_steps_clear` leaves open.  Past the
-    switch level that countdown is 0: every step is checked, without
-    asking it, and on the spectral path |u|^2 is formed only where the
-    probe distance does not rule a probe out.  With a step past the RK4
-    stability bound, or a switch radius too large for the bound, every
-    step checks.  The skipped work never decides anything, so the
-    trajectory is the same bits as with every step checked.  The
-    eigen-coordinates come from `spectrum` when it is given (see
-    `quantum.require_spectrum`), else from one `eigh` of H per run; up to
-    `_STACK_MAX_N` a given spectrum only spares the Hermiticity check.
+    each sample and at each switch probe.  |u|^2, the divergence guard and
+    the switch rule run only where the loop's one skip rule leaves them
+    open: the growth-bound countdown of `_steps_clear` up to
+    `_STACK_MAX_N` (every step checks past the switch level, with a step
+    past the RK4 stability bound or with a switch radius too large for
+    the bound), the probe distance of `_probe_slack` above it.  The
+    skipped work never decides anything, so the trajectory is the same
+    bits as with every step checked.  The eigen-coordinates come from
+    `spectrum` when it is given (see `quantum.require_spectrum`), else
+    from one `eigh` of H per run; up to `_STACK_MAX_N` a given spectrum
+    only spares the Hermiticity check.
     """
     settings = settings or FlowSettings()
     n = point0.dimension
@@ -343,9 +344,9 @@ def _hop(u, pivot):
 def _stacked_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     """Step u from sample 0 over the grid with K = [u; Bu; ...; B^4 u] from
     one product with [I; B; ...; B^4], writing samples 1.. into `us` and
-    `pivots`; returns the switch times.  |u|^2, the divergence guard and
-    the switch rule run only on the steps that `_steps_clear` leaves
-    open."""
+    `pivots`; returns the switch times.  The one skip rule of this loop is
+    the countdown of `_steps_clear`: |u|^2, the divergence guard and the
+    switch rule run only on the steps that it leaves open."""
     n = u.size
     B = (-1j * grid.dt) * H
     B2 = B @ B
@@ -389,16 +390,17 @@ def _stacked_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
 def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     """`_stacked_steps` in the coordinates q = V^H u of H = V diag(lam) V^H,
     where B^j is the diagonal z^j, z = -i dt lam.  u = V q is formed only to
-    sample it or to probe for a switch, and a probe is skipped while
-    `_probe_slack` shows that it cannot switch.
+    sample it or to probe for a switch.
 
-    Each step that `_steps_clear` leaves open tests the probe distance
-    |q - q0| once.  |u|^2 = |q|^2 is formed there, except past the level,
-    where the countdown never skips, on a step whose distance rules a
-    probe out.  Skipping the guard there is safe: slack > 0 needs
-    8 N eps |u0| < 1, so |q| <= |q0| + slack stays finite and far below
-    `_NSQ_GUARD`, and a NaN in q fails the distance test, which is written
-    `not dsq < slack^2` for that reason."""
+    The one skip rule of this loop is the probe distance: after every step
+    it tests whether q may have moved far enough from q0, the q at which u
+    was last formed, for a probe to switch (`_probe_slack`).  Only a step
+    that fails the test forms |u|^2 = |q|^2, runs the divergence guard and
+    probes when |u|^2 is past the level.  A step that passes needs none of
+    them: slack > 0 needs 8 N eps |u0| < 1, so |q| <= |q0| + slack stays
+    finite and far below `_NSQ_GUARD`, a NaN in q fails the test, which is
+    written `not dsq < slack^2` for that reason, and a probe would keep the
+    pivot and leave q as it is."""
     n = u.size
     # row j: z^j
     Z = np.vander((-1j * grid.dt) * lam, 5, increasing=True).T.copy()
@@ -414,17 +416,12 @@ def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> 
     dq = np.empty(n, dtype=complex)
     mag = np.empty(n)
     slack = _probe_slack(u, pivot, mag)
-    # |B|_2 = dt max |lam|
-    steps_clear = _steps_clear(
-        float(grid.dt * np.abs(lam).max()), usq_switch, n, divides_by_pivot=True
-    )
     # bound `ndarray.dot` methods; a switch refills P in place, so its
     # method stays bound to the current pivot row
     pivot_entries, combine, form_u, vdot = P.dot, w.dot, V.dot, np.vdot
     switch_times = []
 
-    k = check_at = 1
-    usq = 0.0  # the last |u|^2 formed (none yet: step 1 forms it)
+    k = 1
     for step in range(1, grid.n_steps + 1):
         pivot_entries(q, p)
         c, s1, s2, s3, s4 = p.tolist()
@@ -437,18 +434,12 @@ def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> 
         combine(Z, g)
         q *= g  # u_new = sum_j w_j B^j u / u_p
         probe = False
-        checked = step >= check_at
-        if checked:
-            # whether q may have moved far enough from q0 for a probe to
-            # switch; past the level a q that has not needs neither |u|^2
-            # nor the probe, which would leave q as it is
-            np.subtract(q, q0, out=dq)
-            far = not slack > 0.0 or not vdot(dq, dq).real < slack * slack
-            if far or not usq > usq_switch:
-                usq = vdot(q, q).real  # |u|^2, V being unitary
-                if not usq < _NSQ_GUARD:
-                    raise NumericFailure("non-finite chart coordinates", step)
-            probe = far and usq > usq_switch
+        np.subtract(q, q0, out=dq)
+        if not slack > 0.0 or not vdot(dq, dq).real < slack * slack:
+            usq = vdot(q, q).real  # |u|^2, V being unitary
+            if not usq < _NSQ_GUARD:
+                raise NumericFailure("non-finite chart coordinates", step)
+            probe = usq > usq_switch
         if probe or step == samples[k]:
             form_u(q, u)
             u[pivot] = 1.0
@@ -457,20 +448,16 @@ def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> 
                 q /= scale
                 np.multiply(Z, V[pivot], out=P)
                 switch_times.append(step * grid.dt)
-                usq = vdot(q, q).real
             q0[:] = q
             slack = _probe_slack(u, pivot, mag)
             if step == samples[k]:
                 us[k], pivots[k] = u, pivot
                 k += 1
-        if checked:
-            # past the level the countdown is 0
-            check_at = step + 1 if usq > usq_switch else step + 1 + steps_clear(usq)
     return switch_times
 
 
-def _steps_clear(beta: float, level: float, n: int, divides_by_pivot: bool = False):
-    """The countdown of the step loops: a function that maps an exact
+def _steps_clear(beta: float, level: float, n: int):
+    """The countdown of the stacked loop: a function that maps an exact
     |u|^2 = usq after a step to the number m of following steps whose |u|
     provably stays below the switch radius nu = sqrt(`level`), so that
     those steps need neither |u|^2 nor the divergence guard nor the switch
@@ -483,7 +470,7 @@ def _steps_clear(beta: float, level: float, n: int, divides_by_pivot: bool = Fal
     The arithmetic is in Python floats, so an overflow gives inf rather
     than a numpy warning.
     """
-    rho = _growth_bound(beta, level, n, divides_by_pivot)
+    rho = _growth_bound(beta, level)
     if not 1.0 < rho < math.inf:
         return lambda usq: 0
     log_reach = math.log(math.sqrt(level) * (1.0 - 1e-12 - n * _EPS))
@@ -491,49 +478,36 @@ def _steps_clear(beta: float, level: float, n: int, divides_by_pivot: bool = Fal
     return lambda usq: max(0, int((log_reach - 0.5 * math.log(usq)) * per_step))
 
 
-def _growth_bound(
-    beta: float, level: float, n: int, divides_by_pivot: bool = False
-) -> float:
-    """A factor rho with |u_new| <= rho |u| for one step from any u with
-    u[pivot] = 1 and |u| <= nu = sqrt(`level`), for beta >= |B|_2; inf
+def _growth_bound(beta: float, level: float) -> float:
+    """A factor rho with |u_new| <= rho |u| for one stacked step from any u
+    with u[pivot] = 1 and |u| <= nu = sqrt(`level`), for beta >= |B|_2; inf
     where no finite bound applies.
 
     |s_j| = |(B^j u)[pivot]| <= beta^j |u|.  Fed the negated bounds
-    -beta^j R, every intermediate of the `rk4_weights` recurrence is >= 0
+    -beta^j nu, every intermediate of the `rk4_weights` recurrence is >= 0
     and bounds the modulus of its counterpart (each is a sum of products of
-    earlier ones), so the returned W_j >= |w_j| while |u| <= R, and
+    earlier ones), so the returned W_j >= |w_j| while |u| <= nu, and
 
         |u_new| = |sum_j w_j B^j u| <= rho |u|,   rho = sum_j W_j beta^j.
 
-    On the stacked path R = nu.  The spectral step (`divides_by_pivot`)
-    applies the weights of u / u_p, and |u_p - 1| <= 8 N eps |u| (as in
-    `_probe_slack`) scales |u| by at most kappa = 1 / (1 - 8 N eps nu):
-    there R = kappa nu and rho carries one more factor kappa.  rho is
-    raised by `_STEP_ROUNDING` = 1e-10 for the rounding of a step: that of
-    the fill, the combine and the pivot reset (a few N eps |u| each, about
-    N^1.5 eps for the stacked fill at N <= 20), of the rounded powers of B,
-    of beta and of V's orthonormality (N eps each) and of the evaluation
-    of W and rho (a few dozen eps).  N eps stays below 1e-11 up to
-    N = 45,000, where V alone takes 32 GB.
+    rho is raised by `_STEP_ROUNDING` = 1e-10 for the rounding of a step:
+    that of the fill, the combine and the pivot reset (a few N eps |u|
+    each, about N^1.5 eps for the fill at N <= `_STACK_MAX_N`), of the
+    rounded powers of B and of beta (N eps each) and of the evaluation of
+    W and rho (a few dozen eps).
 
-    inf where beta is not in [0, 1) (a step past the RK4 stability bound)
-    or 8 N eps nu >= 1/2 on the spectral path; rho overflows to inf, in
-    Python floats, for a huge switch radius.  No `**`, which raises on
-    overflow.
+    inf where beta is not in [0, 1) (a step past the RK4 stability bound);
+    rho overflows to inf, in Python floats, for a huge switch radius.  No
+    `**`, which raises on overflow.
     """
-    nu = math.sqrt(level)
-    pivot_error = 8 * n * _EPS * nu if divides_by_pivot else 0.0
-    if not (0.0 <= beta < 1.0 and pivot_error < 0.5):
+    if not 0.0 <= beta < 1.0:
         return math.inf
-    kappa = 1.0 / (1.0 - pivot_error)
-    radius = kappa * nu
+    nu = math.sqrt(level)
     b2 = beta * beta
     b3, b4 = b2 * beta, b2 * b2
-    w0, w1, w2, w3, w4 = rk4_weights(
-        -beta * radius, -b2 * radius, -b3 * radius, -b4 * radius
-    )
+    w0, w1, w2, w3, w4 = rk4_weights(-beta * nu, -b2 * nu, -b3 * nu, -b4 * nu)
     bound = w0 + w1 * beta + w2 * b2 + w3 * b3 + w4 * b4
-    return kappa * (1.0 + _STEP_ROUNDING) * bound
+    return (1.0 + _STEP_ROUNDING) * bound
 
 
 def _probe_slack(u, pivot, mag) -> float:

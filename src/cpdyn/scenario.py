@@ -270,16 +270,16 @@ def run(config: ScenarioConfig, method: str = "both") -> RunResult:
     """Execute a scenario; deterministic for a fixed config.
 
     The classical side starts from the chart anchored at the maximum-modulus
-    initial amplitude.  H is decomposed at most once, and only when a route
-    uses the decomposition: the quantum route always, the classical one
-    above `flow._STACK_MAX_N`.  Both routes then share that one validated
-    `quantum.Spectrum`.
+    initial amplitude.  H is decomposed at most once: a run with the
+    quantum route makes one validated `quantum.Spectrum` and both routes
+    share it; a classical-only run leaves it to `flow.integrate_classical`,
+    which decomposes H only on the step path that needs it.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     result = RunResult(config=config)
     H, spectrum = config.hamiltonian, None
-    if method != "classical" or config.dimension > flow._STACK_MAX_N:
+    if method != "classical":
         spectrum = quantum.spectrum(H, config.dimension)
         H = spectrum.H
     if method in ("quantum", "both"):
@@ -418,19 +418,17 @@ def compare(
     qtraj = result.quantum_trajectory
     ctraj = result.classical_trajectory
 
-    # populations are compared as (S, N) stacks, not as 2N columns
-    cols = _columns(result, {*config.observables, "energy", "norm"} - {"populations"})
-    deviation: dict[str, float] = {}
-    for name in config.observables:
-        if name == "norm":
-            continue
-        if name == "populations":
-            side_q = observables.populations_quantum(qtraj.states)
-            side_c = observables.populations_quantum(ctraj.u) / ctraj.nfac[:, None]
-        else:
-            prefix = _PAIRED[name][0]
-            side_q, side_c = cols[f"{prefix}_q"], cols[f"{prefix}_c"]
-        deviation[name] = float(np.max(np.abs(side_q - side_c)))
+    cols = _columns(result, {*config.observables, "energy", "norm"})
+    # one column pair per level for populations, one for each other observable
+    levels = [f"p{i}" for i in range(config.dimension)]
+    deviation = {
+        name: float(np.max([
+            np.abs(cols[f"{p}_q"] - cols[f"{p}_c"])
+            for p in (levels if name == "populations" else [_PAIRED[name][0]])
+        ]))
+        for name in config.observables
+        if name != "norm"
+    }
 
     gaps = 1.0 - np.abs(np.sum(qtraj.states.conj() * ctraj.states(), axis=1))
     e_q, e_c = cols["E_q"], cols["E_c"]

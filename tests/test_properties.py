@@ -15,7 +15,6 @@ from cpdyn.quantum import TimeGrid
 
 from conftest import STEP_PATH_IDS, STEP_PATHS, assert_same_trajectory
 from conftest import random_coords, random_hermitian, random_state
-from oracles import _spectral_basis_reference, _spectral_step_reference
 from oracles import _stacked_powers_reference, _stacked_step_reference
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -145,27 +144,23 @@ def test_skipped_probes_leave_trajectory_spectral(seed, n, threshold, c, ratio):
     )
 
 
-@pytest.mark.parametrize("path", STEP_PATHS, ids=STEP_PATH_IDS)
 @given(
     seed=seeds,
-    data=st.data(),
+    n=st.integers(min_value=2, max_value=_STACK_MAX_N),
     threshold=st.floats(min_value=0.05, max_value=0.95),
     c=st.sampled_from([1e-3, 1.0, 1e6]),
     log_beta=st.floats(min_value=-4.0, max_value=-0.05),
     fill=st.floats(min_value=0.0, max_value=1.0),
 )
 @settings(max_examples=100)
-def test_step_growth_bound(path, seed, data, threshold, c, log_beta, fill):
-    # one Krylov RK4 step from any u with u[pivot] = 1 and |u| up to the
-    # switch radius grows |u| by at most the factor of `flow._growth_bound`,
-    # which lets the step loops skip |u|^2.  The step is the oracle's, with
-    # its own copy of the weights, so a change of `rk4_weights` that breaks
-    # the sign argument of the bound fails here.  beta = 10^log_beta bounds
-    # |B|_2 as the loop computes it: the largest row sum of |dt H| up to
-    # N = 20, dt max |lam| above
-    spectral = path.name == "spectral"
-    dims = path.property_dims if spectral else range(2, _STACK_MAX_N + 1)
-    n = data.draw(st.sampled_from(dims), label="n")
+def test_step_growth_bound(seed, n, threshold, c, log_beta, fill):
+    # one stacked Krylov RK4 step from any u with u[pivot] = 1 and |u| up
+    # to the switch radius grows |u| by at most the factor of
+    # `flow._growth_bound`, which lets the stacked loop skip |u|^2.  The
+    # step is the oracle's, with its own copy of the weights, so a change
+    # of `rk4_weights` that breaks the sign argument of the bound fails
+    # here.  beta = 10^log_beta bounds |B|_2 as the loop computes it: the
+    # largest row sum of |dt H|
     rng = np.random.default_rng(seed)
     H = c * random_hermitian(rng, n)
     level = FlowSettings(threshold).switch_level
@@ -174,22 +169,10 @@ def test_step_growth_bound(path, seed, data, threshold, c, log_beta, fill):
     x *= np.sqrt(fill * (level - 1.0)) / np.linalg.norm(x)
     point = ChartPoint(int(rng.integers(n)), x)
     u = point.homogeneous()
-    if spectral:
-        top = np.abs(np.linalg.eigh(H)[0]).max()
-        dt = 10.0**log_beta / top
-        Z, V = _spectral_basis_reference(H, dt)
-        q = V.conj().T @ u
-        before = np.linalg.norm(q)
-        after = np.linalg.norm(_spectral_step_reference(Z, V, q, point.pivot))
-        beta = dt * top
-    else:
-        rows = np.abs(H).sum(axis=1).max()
-        dt = 10.0**log_beta / rows
-        before = np.linalg.norm(u)
-        step = _stacked_step_reference(_stacked_powers_reference(H, dt), u, point.pivot)
-        step[point.pivot] = 1.0
-        after = np.linalg.norm(step)
-        beta = dt * rows
-    rho = _growth_bound(float(beta), level, n, divides_by_pivot=spectral)
+    rows = np.abs(H).sum(axis=1).max()
+    dt = 10.0**log_beta / rows
+    step = _stacked_step_reference(_stacked_powers_reference(H, dt), u, point.pivot)
+    step[point.pivot] = 1.0
+    rho = _growth_bound(float(dt * rows), level)
     assert 1.0 < rho < math.inf
-    assert after <= rho * before
+    assert np.linalg.norm(step) <= rho * np.linalg.norm(u)

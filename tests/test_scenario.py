@@ -280,11 +280,16 @@ class TestSharedSpectrum:
         assert len(eighs) == 1
         assert sum(map(len, checks)) == 1
 
-    def test_stacked_classical_run_makes_no_eigh(self, rng, monkeypatch):
-        config = random_config(rng, 4, TimeGrid(0.5, 1e-2, 5))
-        eighs = count_calls(monkeypatch, np.linalg, "eigh")
+    @pytest.mark.parametrize("n, eighs", [(4, 0), (64, 1)])
+    def test_classical_run_makes_eigh_only_above_the_stack(
+        self, rng, monkeypatch, n, eighs
+    ):
+        # a classical-only run leaves the decomposition to the flow, which
+        # makes one only on the eigen-coordinate path
+        config = random_config(rng, n, TimeGrid(0.5, 1e-2, 5))
+        calls = count_calls(monkeypatch, np.linalg, "eigh")
         run(config, method="classical")
-        assert eighs == []
+        assert len(calls) == eighs
 
     def test_spectrum_of_another_array_refused(self, rng):
         config = random_config(rng, 4, TimeGrid(0.5, 1e-2, 5))
