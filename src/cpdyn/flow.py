@@ -30,9 +30,9 @@ on N.
   [I; B; B^2; B^3; B^4], built once per run, fills K = [u; Bu; ...; B^4 u],
   and the new state is w . K: 5N^2 multiply-adds.
 * Above it the run steps the coordinates q = V^H u of the eigendecomposition
-  H = V diag(lam) V^H, a `quantum.Spectrum` that the caller passes or the
-  run makes with one `eigh`; in these coordinates B^j is the diagonal z^j,
-  z = -i dt lam.  One (5, N) product (z^j V[pivot]) . q gives
+  H = V diag(lam) V^H, a `quantum.Spectrum` that the caller passes as H or
+  the run makes with one `eigh`; in these coordinates B^j is the diagonal
+  z^j, z = -i dt lam.  One (5, N) product (z^j V[pivot]) . q gives
   u[pivot] and the s_j, and the step is q *= sum_j w_j z^j, with w the
   weights of u / u[pivot] divided by u[pivot], so the pivot entry returns
   to 1 on every step, as it does in exact arithmetic.  |u|^2 = |q|^2, V
@@ -110,8 +110,8 @@ from .quantum import (
     Spectrum,
     TimeGrid,
     require_real,
-    require_spectrum,
     rk4_weights,
+    spectrum,
 )
 
 __all__ = [
@@ -258,12 +258,10 @@ def hamilton_rhs(H: np.ndarray, point: ChartPoint) -> np.ndarray:
 
 
 def integrate_classical(
-    H: np.ndarray,
+    H: np.ndarray | Spectrum,
     point0: ChartPoint,
     grid: TimeGrid,
     settings: FlowSettings | None = None,
-    *,
-    spectrum: Spectrum | None = None,
 ) -> ClassicalTrajectory:
     """Fixed-step RK4 on the homogeneous vector u with automatic chart
     switching.
@@ -285,17 +283,20 @@ def integrate_classical(
     past the RK4 stability bound or with a switch radius too large for
     the bound), the probe distance of `_probe_slack` above it.  The
     skipped work never decides anything, so the trajectory is the same
-    bits as with every step checked.  The eigen-coordinates come from
-    `spectrum` when it is given (see `quantum.require_spectrum`), else
-    from one `eigh` of H per run; up to `_STACK_MAX_N` a given spectrum
-    only spares the Hermiticity check.
+    bits as with every step checked.
+
+    H is a matrix or its `quantum.Spectrum`.  The eigen-coordinates come
+    from `quantum.spectrum(H, N)`: H itself when it is a `Spectrum`, else
+    one `eigh` of H per run.  Up to `_STACK_MAX_N` a matrix H only passes
+    `require_hermitian`, and a `Spectrum` spares that check too.
     """
     settings = settings or FlowSettings()
     n = point0.dimension
-    if spectrum is None and n <= _STACK_MAX_N:
-        H = require_hermitian(H, n)
+    if isinstance(H, Spectrum) or n > _STACK_MAX_N:
+        spec = spectrum(H, n)
+        H = spec.H
     else:
-        spectrum = require_spectrum(H, n, spectrum)
+        H = require_hermitian(H, n)
     usq_switch = settings.switch_level
     u = np.array(point0.homogeneous(), dtype=complex)
     pivot = point0.pivot
@@ -316,7 +317,7 @@ def integrate_classical(
         )
     else:
         switch_times += _spectral_steps(
-            spectrum.lam, spectrum.V, u, pivot, grid, usq_switch, samples, us, pivots
+            spec.lam, spec.V, u, pivot, grid, usq_switch, samples, us, pivots
         )
 
     us.setflags(write=False)

@@ -4,8 +4,8 @@ Two integration routes are provided on purpose:
 
 * `evolve_exact_grid`: spectral propagator exp(-iHt) via one
   eigendecomposition, sampled on a time grid and exact up to floating
-  point.  This is the trusted oracle.  The decomposition is a `Spectrum`,
-  which `scenario.run` builds once and shares with the classical route.
+  point.  This is the trusted oracle.  H may be given as its `Spectrum`,
+  which `scenario.run` builds once and hands to the classical route too.
 * `evolve_rk4`: classical fixed-step 4th-order Runge-Kutta on the
   Schrodinger right-hand side.  Norm drift is left in, not corrected:
   `QuantumTrajectory.norm_drift` reports it as a quality signal for the
@@ -39,7 +39,6 @@ __all__ = [
     "evolve_rk4",
     "rk4_weights",
     "require_real",
-    "require_spectrum",
     "spectrum",
 ]
 
@@ -147,16 +146,25 @@ def make_state(amplitudes) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """H = V diag(lam) V^H for one H that passed `require_hermitian`; made
-    by `spectrum`.  `lam` and `V` are read-only, so the routes that share
-    them cannot change them for each other."""
+    by `spectrum`.  `evolve_exact_grid` and `integrate_classical` take one
+    where they take H, so the routes can share one eigh.  `lam` and `V`
+    are read-only, so the routes that share them cannot change them for
+    each other."""
 
     H: np.ndarray
     lam: np.ndarray
     V: np.ndarray
 
 
-def spectrum(H: np.ndarray, dimension: int) -> Spectrum:
-    """`require_hermitian(H, dimension)`, then one eigh of the validated H."""
+def spectrum(H: np.ndarray | Spectrum, dimension: int) -> Spectrum:
+    """The decomposition of H for states of length `dimension`.  A
+    `Spectrum` is returned as it is, after an O(1) check of its dimension
+    (it passed `require_hermitian` when it was made); a matrix goes through
+    `require_hermitian(H, dimension)` and one eigh."""
+    if isinstance(H, Spectrum):
+        if len(H.lam) != dimension:
+            raise ValueError(f"dimension mismatch: H is {H.H.shape}, state has {dimension}")
+        return H
     H = require_hermitian(H, dimension)
     lam, V = np.linalg.eigh(H)
     lam.setflags(write=False)
@@ -164,29 +172,14 @@ def spectrum(H: np.ndarray, dimension: int) -> Spectrum:
     return Spectrum(H, lam, V)
 
 
-def require_spectrum(H: np.ndarray, dimension: int, given: Spectrum | None) -> Spectrum:
-    """The decomposition a route uses: `given` after two O(1) checks, or a
-    new `spectrum(H, dimension)` when it is None.  `given.H` must be H
-    itself, the very array: a copy or an equal array was never validated
-    (`run` passes `spectrum.H` as H).  H must act on states of length
-    `dimension`, as `require_hermitian` checks."""
-    if given is None:
-        return spectrum(H, dimension)
-    if given.H is not H:
-        raise ValueError("spectrum was built from another array than H; pass spectrum.H")
-    if len(H) != dimension:
-        raise ValueError(f"dimension mismatch: H is {H.shape}, state has {dimension}")
-    return given
-
-
 def evolve_exact_grid(
-    H: np.ndarray, psi0: np.ndarray, grid: TimeGrid, *, spectrum: Spectrum | None = None
+    H: np.ndarray | Spectrum, psi0: np.ndarray, grid: TimeGrid
 ) -> QuantumTrajectory:
     """Spectral propagation sampled on a TimeGrid: rows exp(-iHt) psi0 at
-    the sample times, from one eigh of H, or from `spectrum` when given
-    (see `require_spectrum`).  psi0 must pass `make_state`."""
+    the sample times, from `spectrum(H, N)`: H itself when it is a
+    `Spectrum`, else one eigh of H.  psi0 must pass `make_state`."""
     psi0 = make_state(psi0)
-    spec = require_spectrum(H, psi0.size, spectrum)
+    spec = spectrum(H, psi0.size)
     coeffs = spec.V.conj().T @ psi0
     times = grid.sample_times()
     phases = np.exp(-1j * np.outer(times, spec.lam))  # (S, N)

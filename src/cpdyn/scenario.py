@@ -271,27 +271,27 @@ def run(config: ScenarioConfig, method: str = "both") -> RunResult:
 
     The classical side starts from the chart anchored at the maximum-modulus
     initial amplitude.  H is decomposed at most once: a run with the
-    quantum route makes one validated `quantum.Spectrum` and both routes
-    share it; a classical-only run leaves it to `flow.integrate_classical`,
-    which decomposes H only on the step path that needs it.
+    quantum route replaces H by its `quantum.Spectrum` and hands that to
+    both routes; a classical-only run hands the matrix to
+    `flow.integrate_classical`, which decomposes it only on the step path
+    that needs it.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     result = RunResult(config=config)
-    H, spectrum = config.hamiltonian, None
+    H = config.hamiltonian
     if method != "classical":
-        spectrum = quantum.spectrum(H, config.dimension)
-        H = spectrum.H
+        H = quantum.spectrum(H, config.dimension)
     if method in ("quantum", "both"):
         result.quantum_trajectory = quantum.evolve_exact_grid(
-            H, config.initial_state, config.grid, spectrum=spectrum
+            H, config.initial_state, config.grid
         )
     if method in ("classical", "both"):
         point0 = chart.to_chart(
             config.initial_state, chart.select_pivot(config.initial_state)
         )
         result.classical_trajectory = flow.integrate_classical(
-            H, point0, config.grid, config.flow, spectrum=spectrum
+            H, point0, config.grid, config.flow
         )
     return result
 
@@ -320,8 +320,8 @@ def _columns(result: RunResult, names) -> dict[str, np.ndarray]:
     cols: dict[str, np.ndarray] = {"t": result.times}
     if "populations" in names:
         for side, v, vsq in sides:
-            pops = observables.populations_quantum(v)
-            cols.update((f"p{i}_{side}", p / vsq) for i, p in enumerate(pops.T))
+            pops = observables.populations_quantum(v) / np.reshape(vsq, (-1, 1))
+            cols.update((f"p{i}_{side}", p) for i, p in enumerate(pops.T))
     for name, (prefix, func) in _PAIRED.items():
         if name in names:
             for side, v, vsq in sides:

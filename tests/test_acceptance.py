@@ -26,8 +26,14 @@ from cpdyn.observables import (
     quaternionic_z_classical,
     quaternionic_z_quantum,
 )
-from cpdyn.quantum import TimeGrid, evolve_exact_grid, evolve_rk4
-from cpdyn.scenario import compare, load_scenario, run, scenario_from_dict
+from cpdyn.quantum import TimeGrid, evolve_exact_grid, evolve_rk4, make_state
+from cpdyn.scenario import (
+    ScenarioConfig,
+    compare,
+    load_scenario,
+    run,
+    scenario_from_dict,
+)
 
 from conftest import random_coords, random_hermitian, random_state
 from oracles import count_zero_crossings, fd_grad_conj, fd_kahler_hessian
@@ -286,3 +292,35 @@ def test_criterion_8_representation_agreement():
         worst = max(worst, *devs)
         assert worst < 1e-12, f"representation disagreement {worst:.3e}"
     print(f"\nCRITERION 8: PASS: worst observable disagreement {worst:.3e}")
+
+
+def test_criterion_9_exact_equivalence_on_both_step_paths():
+    # criterion 1's grid and bound from N = 16 (stacked step) to N = 256
+    # (eigen-coordinate step): 2 systems per N with entries scaled by
+    # 2/sqrt(N), so that dt * spread stays near criterion 1's, and one
+    # unscaled system at N = 64 and at N = 256, where it reaches about 0.035
+    # and 0.072.  `run` on a hand-built config hands both routes one shared
+    # `Spectrum`.  The residual |c - <q, c> q| is reported, not gated: the
+    # gap is about half its square.
+    rng = np.random.default_rng(303)
+    grid = TimeGrid(t_end=10.0, dt=1e-3, output_stride=20)
+    dims = (16, 21, 32, 64, 128, 256)
+    systems = [(n, 2.0 / np.sqrt(n)) for n in dims for _ in range(2)]
+    systems += [(64, 2.0), (256, 2.0)]
+    worst_gap, worst_residual = 0.0, 0.0
+    for n, scale in systems:
+        H = random_hermitian(rng, n, scale=scale)
+        psi0 = make_state(random_state(rng, n))
+        result = run(ScenarioConfig("random", H, psi0, grid))
+        q = result.quantum_trajectory.states
+        c = result.classical_trajectory.states()
+        overlaps = np.sum(q.conj() * c, axis=1)
+        gap = float(np.max(1.0 - np.abs(overlaps)))
+        residual = float(np.max(np.linalg.norm(c - overlaps[:, None] * q, axis=1)))
+        worst_gap = max(worst_gap, gap)
+        worst_residual = max(worst_residual, residual)
+        assert gap < 1e-6, f"fidelity gap {gap:.3e} for N={n}, scale {scale:.3g}"
+    print(
+        f"\nCRITERION 9: PASS: {len(systems)} systems, worst fidelity gap "
+        f"{worst_gap:.3e} (< 1e-6), worst residual {worst_residual:.3e}"
+    )

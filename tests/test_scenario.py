@@ -56,6 +56,13 @@ class TestLoadScenario:
         data, _ = json.JSONDecoder().raw_decode(text[text.index("{"):])
         assert scenario_from_dict(data).observables == tuple(KNOWN_OBSERVABLES)
 
+    def test_library_quick_start_runs(self, capsys):
+        readme = (SCENARIO_DIR.parent / "README.md").read_text()
+        example = readme.split("## Library quick start", 1)[1].split("```python", 1)[1]
+        exec(example.split("```", 1)[0], {})
+        printed = re.fullmatch(r"max fidelity gap: (\S+)\n", capsys.readouterr().out)
+        assert float(printed[1]) < 1e-6
+
     def test_fig1_initial_state(self):
         config = load_scenario(SCENARIO_DIR / "fig1_left.json")
         np.testing.assert_allclose(
@@ -291,18 +298,18 @@ class TestSharedSpectrum:
         run(config, method="classical")
         assert len(calls) == eighs
 
-    def test_spectrum_of_another_array_refused(self, rng):
-        config = random_config(rng, 4, TimeGrid(0.5, 1e-2, 5))
-        H, psi0 = config.hamiltonian, config.initial_state
-        spectrum = cpdyn.quantum.spectrum(H, 4)
-        point0 = to_chart(psi0, select_pivot(psi0))
-        # an equal copy was never validated
-        with pytest.raises(ValueError, match="another array than H"):
-            evolve_exact_grid(H.copy(), psi0, config.grid, spectrum=spectrum)
-        with pytest.raises(ValueError, match="another array than H"):
-            integrate_classical(H.copy(), point0, config.grid, spectrum=spectrum)
-        with pytest.raises(ValueError, match=re.escape("H is (4, 4), state has 2")):
-            evolve_exact_grid(H, make_state([1.0, 0.0]), config.grid, spectrum=spectrum)
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_spectrum_of_another_dimension_refused(self, rng, n):
+        # both routes take a `Spectrum` where they take H, and check its
+        # dimension against the state's as they check a matrix
+        config = random_config(rng, n, TimeGrid(0.5, 1e-2, 5))
+        spectrum = cpdyn.quantum.spectrum(config.hamiltonian, n)
+        psi0 = make_state([1.0, 0.0])
+        message = re.escape(f"H is ({n}, {n}), state has 2")
+        with pytest.raises(ValueError, match=message):
+            evolve_exact_grid(spectrum, psi0, config.grid)
+        with pytest.raises(ValueError, match=message):
+            integrate_classical(spectrum, to_chart(psi0, 0), config.grid)
 
     def test_shared_spectrum_matches_eigh_free_reference(self, rng):
         # sharing makes a wrong decomposition wrong in both routes alike, so
