@@ -75,7 +75,10 @@ class ChartPoint:
 
 def _vector(values, what: str) -> np.ndarray:
     """`values` as a complex array, refused unless it is 1-D."""
-    values = np.asarray(values, dtype=complex)
+    try:
+        values = np.asarray(values, dtype=complex)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{what} must be finite") from None
     if values.ndim != 1:
         raise ValueError(f"{what} must be 1-D, got shape {values.shape}")
     return values

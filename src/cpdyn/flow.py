@@ -155,11 +155,11 @@ class FlowSettings:
     switch_threshold: float = 0.2
 
     def __post_init__(self):
-        require_real("switch_threshold", self.switch_threshold)
-        threshold = self.switch_threshold
+        threshold = require_real("switch_threshold", self.switch_threshold)
+        object.__setattr__(self, "switch_threshold", threshold)
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"switch_threshold must lie in (0, 1), got {threshold}")
-        if float(threshold) ** 2 == 0.0 or self.switch_level >= _NSQ_GUARD:
+        if threshold**2 == 0.0 or self.switch_level >= _NSQ_GUARD:
             raise ValueError(
                 f"switch_threshold {threshold} is too small: the switch level "
                 f"1/threshold^2 must stay below {_NSQ_GUARD:g}"
@@ -169,7 +169,7 @@ class FlowSettings:
     def switch_level(self) -> float:
         """|u|^2 = 1/threshold^2, in double precision, above which the
         integrator changes chart."""
-        return 1.0 / float(self.switch_threshold) ** 2
+        return 1.0 / self.switch_threshold**2
 
 
 @dataclass

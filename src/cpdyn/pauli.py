@@ -183,7 +183,9 @@ def build_hamiltonian(terms: list[PauliTerm]) -> np.ndarray:
 
     The addends are exactly +-c or +-ic, and each entry receives them in the
     same order as the sum of the terms' Kronecker products, so the result is
-    that sum bit for bit; an entry that receives none stays +0.0.
+    that sum bit for bit; an entry that receives none stays +0.0.  An entry
+    whose sum overflows becomes inf without a warning, and
+    `require_hermitian` refuses it.
 
     Raises ValueError above MAX_QUBITS qubits, before allocating H.
     """
@@ -210,15 +212,16 @@ def build_hamiltonian(terms: list[PauliTerm]) -> np.ndarray:
 
     out = np.zeros((dim, dim), dtype=complex)
     flat = out.reshape(-1)
-    for t in terms:
-        f = m = n_y = 0
-        for s in t.labels:
-            f = (f << 1) | (s in "XY")
-            m = (m << 1) | (s in "YZ")
-            n_y += s == "Y"
-        phase = t.coefficient * _Y_PHASES[n_y % 4]
-        # one index per row, all distinct, so += adds each addend once
-        flat[row_starts + (rows ^ f)] += np.where(odd[rows & m], -phase, phase)
+    with np.errstate(over="ignore"):
+        for t in terms:
+            f = m = n_y = 0
+            for s in t.labels:
+                f = (f << 1) | (s in "XY")
+                m = (m << 1) | (s in "YZ")
+                n_y += s == "Y"
+            phase = t.coefficient * _Y_PHASES[n_y % 4]
+            # one index per row, all distinct, so += adds each addend once
+            flat[row_starts + (rows ^ f)] += np.where(odd[rows & m], -phase, phase)
     return out
 
 

@@ -9,7 +9,13 @@ Two integration routes are provided on purpose:
 * `evolve_rk4`: classical fixed-step 4th-order Runge-Kutta on the
   Schrodinger right-hand side.  Norm drift is left in, not corrected:
   `QuantumTrajectory.norm_drift` reports it as a quality signal for the
-  step size.
+  step size.  A step multiplies the eigencomponent of lambda by R(iy),
+  y = -dt lambda, with |R(iy)| <= 1 for |y| <= 2 sqrt(2), RK4's stability
+  interval on the imaginary axis (Hairer & Wanner, *Solving ODEs II*,
+  sec. IV.2).  Once per run the largest row sum of |dt H|, which bounds
+  every |y|, decides whether a step can grow the state: below
+  `_RK4_STABLE` none can and no step is checked, else every step is
+  checked for a non-finite state.
 
 Hamiltonians are time-independent dense Hermitian matrices.  For such an
 H every RK4 stage lies in the Krylov space span{u, Bu, ..., B^4 u} with
@@ -44,6 +50,10 @@ __all__ = [
 
 STATE_NORM_TOL = 1e-10
 
+# Largest row sum of |dt H| below which `evolve_rk4` checks no step: it
+# bounds dt max|lambda|, and 2.8 lies below RK4's 2 sqrt(2) = 2.828...
+_RK4_STABLE = 2.8
+
 
 class NumericFailure(RuntimeError):
     """NaN/Inf encountered during integration; `step` is the failing index."""
@@ -53,11 +63,16 @@ class NumericFailure(RuntimeError):
         self.step = step
 
 
-def require_real(name: str, value) -> None:
-    """Refuse a setting that is not a real number (a string or a boolean,
-    say) with a ValueError naming it; NumPy scalars pass."""
+def require_real(name: str, value) -> float:
+    """`value` as a float.  A setting that is not a real number (a string
+    or a boolean, say) or an integer beyond the float range is refused with
+    a ValueError naming it; NumPy scalars pass."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -71,11 +86,10 @@ class TimeGrid:
 
     def __post_init__(self):
         for name in ("t_end", "dt"):
-            require_real(name, getattr(self, name))
-        if not (self.t_end > 0 and math.isfinite(self.t_end)):
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+            value = require_real(name, getattr(self, name))
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.dt > self.t_end:
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
         if not math.isfinite(self.t_end / self.dt):
@@ -103,10 +117,10 @@ class TimeGrid:
         return -(-self.n_steps // self.output_stride) + 1
 
     def sample_indices(self) -> np.ndarray:
-        idx = np.arange(0, self.n_steps + 1, self.output_stride)
-        if idx[-1] != self.n_steps:
-            idx = np.append(idx, self.n_steps)
-        return idx
+        """Every `output_stride`-th step index, then `n_steps`, as int64 for
+        every stride (one at or past `n_steps` samples 0 and `n_steps`)."""
+        idx = np.arange(0, self.n_steps, min(self.output_stride, self.n_steps))
+        return np.append(idx, self.n_steps)
 
     def sample_times(self) -> np.ndarray:
         return self.sample_indices() * self.dt
@@ -127,7 +141,10 @@ class QuantumTrajectory:
 
 def make_state(amplitudes) -> np.ndarray:
     """Validate and return a unit-norm complex state vector (read-only)."""
-    psi = np.asarray(amplitudes, dtype=complex)
+    try:
+        psi = np.asarray(amplitudes, dtype=complex)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("state amplitudes must be finite") from None
     if psi.ndim != 1 or psi.size < 2:
         raise ValueError(f"state must be 1-D with >= 2 amplitudes, got shape {psi.shape}")
     if not (np.all(np.isfinite(psi.real)) and np.all(np.isfinite(psi.imag))):
@@ -243,22 +260,15 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     psi0 must pass `make_state`, so a NumericFailure can only come from
     growth past the RK4 stability bound: each step multiplies the
     eigencomponent of lambda by R(iy) = 1 + iy - y^2/2 - iy^3/6 + y^4/24,
-    y = -dt lambda, and |R(iy)|^2 = 1 - y^6/72 + y^8/576 exceeds 1 once
-    dt max|lambda| > 2 sqrt(2).  It is raised at the first step whose state
-    is not finite (an entry or |psi|^2 is NaN or Inf).  Finiteness is
-    checked once per sample, not per step: a stretch between two samples
-    runs unchecked, and if it ends non-finite it is replayed from the
-    sample before it with the check on every step.  The replay names the
-    same step as a per-step check, because a failure persists to the end
-    of its stretch.  A non-finite entry never turns finite under
-    psi += D psi (NaN stays NaN, Inf stays Inf or becomes NaN).  An
-    overflow of |psi|^2 with finite entries persists too: I + D is a
-    polynomial in the Hermitian H, hence normal, so |psi_n|^2 =
-    sum_k |c_k|^2 |g_k|^(2n) is convex in n and keeps growing once it has
-    passed its starting value.  The unchecked stretches run with overflow
-    and invalid-value warnings off, since steps past a failure produce
-    them; the replay runs under the caller's settings, so a failing run
-    warns as a per-step check would.
+    y = -dt lambda, and |R(iy)|^2 = 1 - y^6/72 + y^8/576 exceeds 1 only
+    for |y| > 2 sqrt(2).  Once per run beta, the largest row sum of |B|,
+    bounds every |y|.  Below `_RK4_STABLE` no eigencomponent grows, and
+    since I + D is a polynomial in the Hermitian H, hence normal, |psi|
+    grows by at most its rounding, a factor 1 + O(N eps) per step: overflow
+    would take of the order of 700 / (N eps) steps, far beyond the 10^8 a
+    scenario may ask for.  Such a run checks no step.  Otherwise (beta NaN
+    or Inf too) every step checks that |psi|^2 is finite, and
+    NumericFailure names the first step where it is not.
     """
     psi = np.array(make_state(psi0))
     H = require_hermitian(H, psi.size)
@@ -267,6 +277,7 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     B = (-1j * grid.dt) * H
     eye = np.eye(psi.size)
     D = B @ (w1 * eye + B @ (w2 * eye + B @ (w3 * eye + w4 * B)))
+    checked = not np.max(np.sum(np.abs(B), axis=1)) < _RK4_STABLE
 
     inc = np.empty_like(psi)
     samples = grid.sample_indices().tolist()
@@ -275,23 +286,11 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     # D . psi as a bound method: no numpy dispatch per step (see
     # `cpdyn.flow`)
     increment, vdot, inf = D.dot, np.vdot, np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, len(samples)):
-            for _ in range(samples[k - 1], samples[k]):
-                increment(psi, inc)
-                psi += inc
-            if not vdot(psi, psi).real < inf:  # NaN compares false
-                break
-            states[k] = psi
-        else:
-            return QuantumTrajectory(times=grid.sample_times(), states=states)
-
-    # replay the stretch that ended non-finite, checking every step
-    psi[...] = states[k - 1]
-    for step in range(samples[k - 1] + 1, samples[k] + 1):
-        increment(psi, inc)
-        psi += inc
-        if not vdot(psi, psi).real < inf:
-            raise NumericFailure("non-finite state in RK4", step)
-    # not reached: the replay repeats the failed stretch bit for bit
-    raise NumericFailure("non-finite state in RK4", samples[k])
+    for k in range(1, len(samples)):
+        for step in range(samples[k - 1] + 1, samples[k] + 1):
+            increment(psi, inc)
+            psi += inc
+            if checked and not vdot(psi, psi).real < inf:  # NaN compares false
+                raise NumericFailure("non-finite state in RK4", step)
+        states[k] = psi
+    return QuantumTrajectory(times=grid.sample_times(), states=states)

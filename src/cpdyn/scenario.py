@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -106,27 +105,17 @@ def _fields(node, key: str, required=(), optional=()) -> None:
         _require(name in node, f"{key}: missing required field '{name}'")
 
 
-def _number(value, key: str) -> float:
-    """A JSON number as a float; a string or a boolean is refused."""
-    _require(
-        isinstance(value, numbers.Real) and not isinstance(value, bool),
-        f"{key}: expected a number, got {value!r}",
-    )
-    try:
-        return float(value)
-    except OverflowError as exc:  # an integer literal beyond the float range
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
 def _real_array(value, key: str) -> np.ndarray:
     """Nested JSON arrays of numbers as a float array; each entry is
-    refused as `_number` refuses a scalar (a ragged row is an entry)."""
+    refused as `quantum.require_real` refuses a scalar (a ragged row is an
+    entry)."""
     entries = np.asarray(value, dtype=object)
     first_of_type = {}
     for v in entries.flat:
         first_of_type.setdefault(type(v), v)
-    for example in first_of_type.values():
-        _number(example, key)
+    with _as_config_error(key):
+        for example in first_of_type.values():
+            quantum.require_real("an entry", example)
     try:
         return entries.astype(float)
     except OverflowError as exc:  # an integer literal beyond the float range
@@ -161,7 +150,10 @@ def _parse_hamiltonian(node, n: int) -> np.ndarray:
 
 def _parse_grid(node) -> quantum.TimeGrid:
     _fields(node, "grid", required=("t_end", "dt"), optional=("output_stride",))
-    values = {key: _number(node[key], f"grid.{key}") for key in ("t_end", "dt")}
+    values = {}
+    for key in ("t_end", "dt"):
+        with _as_config_error(f"grid.{key}"):
+            values[key] = quantum.require_real(key, node[key])
     with _as_config_error("grid"):
         stride = node.get("output_stride", quantum.TimeGrid.output_stride)
         return quantum.TimeGrid(**values, output_stride=stride)
@@ -171,10 +163,8 @@ def _parse_flow(node) -> flow.FlowSettings:
     _fields(node, "flow", optional=("switch_threshold",))
     if "switch_threshold" not in node:
         return flow.FlowSettings()
-    key = "flow.switch_threshold"
-    threshold = _number(node["switch_threshold"], key)
-    with _as_config_error(key):
-        return flow.FlowSettings(threshold)
+    with _as_config_error("flow.switch_threshold"):
+        return flow.FlowSettings(node["switch_threshold"])
 
 
 def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
@@ -248,6 +238,8 @@ def load_scenario(path) -> ScenarioConfig:
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"{path}: {exc}") from exc
     return scenario_from_dict(data, source=str(path))
 
 

@@ -13,7 +13,10 @@ script prints
   file-name order, then one line per file;
 - `high-dim seed S`: for each seed, one digest of the sampled `u`, pivots,
   switch times and quantum states of the seed's `high-dim` documents of
-  the benchmark, from `scenario.run(config, "both")`.
+  the benchmark, from `scenario.run(config, "both")`;
+- `sweep seed S`: for each seed, one digest of the `evolve_rk4` states of
+  the seed's `sweep` systems of the benchmark, the one route no other line
+  covers.
 
 Two checkouts give the same bytes and bits when they print the same lines.
 Not a test (pytest does not collect it); the high-dim documents take a
@@ -55,6 +58,17 @@ def bundled_outputs(root: Path) -> list[tuple[str, bytes]]:
     return out
 
 
+def load_workloads(root: Path):
+    """The checkout's `perfbench/workloads.py` as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "bit_digest_workloads", root / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def high_dim_digest(root: Path, seed: int) -> str:
     """sha256 of the sampled `u`, pivots, switch times and quantum states of
     the `high-dim` documents of `seed`, in document order."""
@@ -62,12 +76,7 @@ def high_dim_digest(root: Path, seed: int) -> str:
 
     from cpdyn import scenario
 
-    spec = importlib.util.spec_from_file_location(
-        "bit_digest_workloads", root / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look the module up
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads(root)
     rng = np.random.default_rng(seed)
     h = hashlib.sha256()
     for k in range(workloads.HIGH_DIM_DOCS):
@@ -76,6 +85,18 @@ def high_dim_digest(root: Path, seed: int) -> str:
         c = result.classical_trajectory
         for a in (c.u, c.pivots, c.switch_times, result.quantum_trajectory.states):
             h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def sweep_digest(root: Path, seed: int) -> str:
+    """sha256 of the `evolve_rk4` states of the `sweep` systems of `seed`,
+    in system order, from the workload's own operations."""
+    import numpy as np
+
+    h = hashlib.sha256()
+    for op in load_workloads(root).sweep(root, seed, None):
+        _, (_, _, rk4) = op.run()
+        h.update(np.ascontiguousarray(rk4.states).tobytes())
     return h.hexdigest()
 
 
@@ -93,6 +114,8 @@ def main(argv=None) -> int:
         print(f"  {hashlib.sha256(data).hexdigest()}  {name}")
     for seed in args.seeds:
         print(f"high-dim seed {seed} {high_dim_digest(root, seed)}")
+    for seed in args.seeds:
+        print(f"sweep seed {seed} {sweep_digest(root, seed)}")
     return 0
 
 

@@ -125,6 +125,8 @@ class TestChartPoint:
             (1.5, [1, 2], "pivot must be an integer, got 1.5"),
             (True, [1, 2], "pivot must be an integer, got True"),
             (np.int64(3), [1, 2], "pivot 3 out of range for dimension 3"),
+            # an integer beyond the float range (numpy raised OverflowError)
+            (0, [10**400], "chart coordinates must be finite"),
         ],
     )
     def test_refused_at_entry(self, pivot, coords, rule):

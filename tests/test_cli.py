@@ -31,6 +31,13 @@ MALFORMED = [
     ("grid", {"t_end": True, "dt": 0.01}, "grid.t_end", "grid.t_end-bool"),
     ("grid", {"t_end": 1.0, "dt": "0.01"}, "grid.dt", "grid.dt-string"),
     ("grid", {"t_end": 10**400, "dt": 0.01}, "grid.t_end", "grid.t_end-overflow"),
+    ("grid", {"t_end": 1.0, "dt": 10**400}, "grid.dt", "grid.dt-overflow"),
+    (
+        "flow",
+        {"switch_threshold": 10**400},
+        "flow.switch_threshold",
+        "flow.switch_threshold-overflow",
+    ),
     (
         "flow",
         {"switch_threshold": "0.3"},
@@ -66,6 +73,12 @@ MALFORMED = [
         {"real": [1.0, 0.0, 0.0, 0.0], "imag": [10**400, 0, 0, 0]},
         "initial_state",
         "initial_state.imag-overflow",
+    ),
+    (
+        "initial_state",
+        {"real": [1, 10**400, 0, 0]},
+        "initial_state",
+        "initial_state.real-later-overflow",
     ),
     (
         "grid",
@@ -212,6 +225,31 @@ def test_validate_state_norm_overflow_prints_one_line(tmp_path, capsys):
     ), err
 
 
+def test_validate_pauli_sum_overflow_prints_one_line(tmp_path, capsys):
+    # finite coefficients whose sum overflows: the one error line, without
+    # numpy's overflow warning above it (a traceback and exit 1 when the
+    # warning is an error, as in a test run)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(minimal_doc(hamiltonian={"pauli": "1e308*ZI + 1e308*ZI"})))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", "--config", str(path)]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: hamiltonian.pauli: operator entries must be finite"], err
+
+
+def test_validate_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.loads refuses an integer literal of more than 4,300 digits with a
+    # ValueError that is not a JSONDecodeError (a traceback and exit 1)
+    path = tmp_path / "digits.json"
+    text = json.dumps(minimal_doc(grid={"t_end": 1.0, "dt": 12345}))
+    path.write_text(text.replace("12345", "1" + "0" * 5000))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+
+
 def test_validate_quotes_step_count_over_cap(tmp_path, capsys):
     # validated only: a run of this document would take 1e15 steps
     path = tmp_path / "long.json"
@@ -268,6 +306,19 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert lines[0] == "# schema=1"
     assert "_c" not in lines[1]
     assert "wrote" in capsys.readouterr().out
+
+
+def test_simulate_stride_past_the_end_writes_both_ends(tmp_path, capsys):
+    # passed validate, then simulate exited 1 with a TypeError traceback
+    # from np.exp
+    path, out = tmp_path / "stride.json", tmp_path / "run.csv"
+    grid = {"t_end": 1.0, "dt": 0.01, "output_stride": 10**400}
+    path.write_text(json.dumps(minimal_doc(grid=grid)))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1"], rows
+    assert "(2 samples)" in capsys.readouterr().out
 
 
 def test_compare_passes_on_bundled_scenario(tmp_path, capsys):

@@ -17,7 +17,7 @@ from cpdyn.quantum import (
     rk4_weights,
 )
 
-from conftest import STEP_PATH_IDS, STEP_PATHS, numpy_dot_calls
+from conftest import STEP_PATH_IDS, STEP_PATHS, numpy_calls, numpy_dot_calls
 from conftest import random_hermitian, random_state
 from oracles import evolve_rk4_reference, rk4_step, rk4_weights_reference, taylor_expm_reference
 
@@ -40,6 +40,9 @@ class TestMakeState:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             make_state([np.nan, 0.0])
+        # an integer beyond the float range (numpy raised OverflowError)
+        with pytest.raises(ValueError, match="must be finite"):
+            make_state([10**400, 0])
 
 
 class TestTimeGrid:
@@ -60,6 +63,10 @@ class TestTimeGrid:
         for t_end, dt in ((True, 0.1), (1.0, True), ("1", 0.1), (1.0, "0.1")):
             with pytest.raises(ValueError, match="must be a real number"):
                 TimeGrid(t_end=t_end, dt=dt)
+        # an integer beyond the float range (was an OverflowError)
+        for t_end, dt in ((10**400, 1.0), (1.0, 10**400)):
+            with pytest.raises(ValueError, match="integer beyond the float range"):
+                TimeGrid(t_end=t_end, dt=dt)
         with pytest.raises(ValueError, match="whole number"):
             TimeGrid(t_end=1.0, dt=0.3)
         # t_end / dt is inf: no step count, rather than an OverflowError
@@ -77,11 +84,16 @@ class TestTimeGrid:
         np.testing.assert_allclose(grid.sample_times(), idx * 0.1)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 9, 10, 11, 12])
-    @pytest.mark.parametrize("stride", [1, 3, 5, 10, 13])
+    @pytest.mark.parametrize(
+        "stride", [1, 3, 5, 10, 13, 2**63, pytest.param(10**400, id="10^400")]
+    )
     def test_sample_count_matches_indices(self, n_steps, stride):
+        # int64 for every stride: 2^63 and up gave float64 indices, and
+        # 10^400 an object array that `np.exp` refused
         grid = TimeGrid(t_end=n_steps * 0.5, dt=0.5, output_stride=stride)
         want = sorted({*range(0, n_steps + 1, stride), n_steps})
-        assert grid.sample_indices().tolist() == want
+        idx = grid.sample_indices()
+        assert idx.dtype == np.int64 and idx.tolist() == want
         assert grid.n_samples == len(want)
 
 
@@ -178,6 +190,16 @@ class TestRk4Weights:
 
 
 class TestEvolveRk4:
+    def test_stable_run_checks_no_step(self, rng, monkeypatch):
+        # below the stability bound no step can grow the state, so the run
+        # forms no |psi|^2; above it (row sum 3.0) every step is checked,
+        # here on a system that stays stable (dt max|lambda| = 2.12)
+        H, psi0 = random_hermitian(rng, 4), random_state(rng, 4)
+        grid = TimeGrid(10.0, 1e-3, 20)
+        assert numpy_calls(monkeypatch, "vdot", lambda: evolve_rk4(H, psi0, grid)) == 0
+        H, grid = np.array([[1.0, 1.0], [1.0, -1.0]]), TimeGrid(450.0, 1.5, 20)
+        assert numpy_calls(monkeypatch, "vdot", lambda: evolve_rk4(H, [1, 0], grid)) == 300
+
     def test_steps_skip_numpy_dispatch(self, rng, monkeypatch):
         # the step calls D . psi as a bound `ndarray.dot` method, so the
         # `numpy.dot` calls of a run do not grow with its step count
@@ -279,7 +301,8 @@ def _dt_overflowing_at(H: np.ndarray, psi0: np.ndarray, step: int) -> float:
 def _unstable_dt(H: np.ndarray, psi0: np.ndarray, onset: str) -> float:
     """dt * ||H|| past the RK4 stability bound: the state grows until it
     overflows, near step 70 ("early") or at step 1992 ("late"), which lies
-    in the final stretch of stride 64 on grids of 2000 and 2003 steps."""
+    between the last two samples of stride 64 on grids of 2000 and 2003
+    steps."""
     if onset == "early":
         return 8.0 / np.max(np.abs(np.linalg.eigvalsh(H)))
     return _dt_overflowing_at(H, psi0, 1992)
@@ -297,20 +320,26 @@ class TestEvolveRk4BitIdentity:
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     def test_random_systems(self, scale):
+        # the random systems run unchecked; [[1, 1], [1, -1]] at dt 1.5 is
+        # checked on every step (row sum of |B| 3.0) but stable
+        # (dt max|lambda| = 2.12 < 2 sqrt(2)), and decays
         for stride in (1, 7, 64):
             rng = np.random.default_rng(41)
-            for n in range(2, 9):
-                H = random_hermitian(rng, n) * scale
-                psi0 = random_state(rng, n)
-                grid = TimeGrid(t_end=2.0 / scale, dt=1e-3 / scale, output_stride=stride)
+            runs = [(n, random_hermitian(rng, n), random_state(rng, n), 2.0, 1e-3)
+                    for n in range(2, 9)]
+            runs.append((2, np.array([[1.0, 1.0], [1.0, -1.0]]), [1.0, 0.0], 450.0, 1.5))
+            for n, H, psi0, t_end, dt in runs:
+                H = H * scale
+                grid = TimeGrid(t_end=t_end / scale, dt=dt / scale, output_stride=stride)
                 got = evolve_rk4(H, psi0, grid).states
                 want = evolve_rk4_reference(H, psi0, grid).states
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, stride)
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     def test_same_failing_step(self, scale):
-        # a failure inside a stretch, in the short final stretch (stride 64,
-        # late onset) and in a run that is one stretch (stride 2000)
+        # a failure between two samples, between the last two (stride 64,
+        # late onset) and in a run sampled only at its ends (stride 2000);
+        # past the stability bound every step is checked
         cases = itertools.product(("early", "late"), (1, 7, 64, 2000), (2000, 2003))
         for onset, stride, n_steps in cases:
             rng = np.random.default_rng(43)
@@ -332,8 +361,9 @@ class TestEvolveRk4BitIdentity:
                 evolve(np.eye(2), psi0, grid)
 
     def test_failing_run_warns_as_reference(self):
-        # one stretch: the unchecked steps run about 1900 steps past the
-        # failure and overflow in `dot`; none of that may reach the caller
+        # sampled only at its ends: the run stops at the failing step, as
+        # the reference does, so no step past it overflows in `dot` and
+        # warns
         rng = np.random.default_rng(47)
         H, psi0 = random_hermitian(rng, 4), random_state(rng, 4)
         dt = _unstable_dt(H, psi0, "early")
