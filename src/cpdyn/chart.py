@@ -15,10 +15,11 @@ pivots describe the same ray; `transition` converts between them.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .pauli import require_integer, require_numbers
 
 __all__ = [
     "ZeroPivotError",
@@ -53,13 +54,10 @@ class ChartPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        coords = _vector(self.coords, "chart coordinates")
+        coords = require_numbers("chart coordinates", self.coords, ndim=1).copy()
         if coords.size < 1:
             raise ValueError("a chart point needs at least one coordinate")
-        if not (np.all(np.isfinite(coords.real)) and np.all(np.isfinite(coords.imag))):
-            raise ValueError("chart coordinates must be finite")
         object.__setattr__(self, "pivot", _pivot(self.pivot, coords.size + 1))
-        coords = coords.copy()
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
@@ -73,25 +71,13 @@ class ChartPoint:
         return np.insert(self.coords, self.pivot, 1.0)
 
 
-def _vector(values, what: str) -> np.ndarray:
-    """`values` as a complex array, refused unless it is 1-D."""
-    try:
-        values = np.asarray(values, dtype=complex)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{what} must be finite") from None
-    if values.ndim != 1:
-        raise ValueError(f"{what} must be 1-D, got shape {values.shape}")
-    return values
-
-
 def _pivot(pivot, n: int) -> int:
-    """`pivot` as an int, refused unless it is an integer (a NumPy one
-    passes, a bool does not) in 0..n-1."""
-    if isinstance(pivot, bool) or not isinstance(pivot, numbers.Integral):
-        raise ValueError(f"pivot must be an integer, got {pivot!r}")
+    """`pivot` as an int, refused unless it passes `require_integer` and
+    lies in 0..n-1."""
+    pivot = require_integer("pivot", pivot)
     if not 0 <= pivot < n:
         raise ValueError(f"pivot {pivot} out of range for dimension {n}")
-    return int(pivot)
+    return pivot
 
 
 def select_pivot(psi: np.ndarray) -> int:
@@ -106,7 +92,7 @@ def select_pivot(psi: np.ndarray) -> int:
 def to_chart(psi: np.ndarray, pivot: int) -> ChartPoint:
     """Inhomogeneous coordinates of the ray through psi, dividing by
     psi[pivot].  Invariant under global rephasing of psi."""
-    psi = _vector(psi, "state")
+    psi = require_numbers("state", psi, ndim=1)
     pivot = _pivot(pivot, psi.size)
     div = psi[pivot]
     if abs(div) < PIVOT_FLOOR:

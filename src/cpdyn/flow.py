@@ -104,15 +104,8 @@ import numpy as np
 
 from .chart import ChartPoint, normalization, select_pivot
 from .observables import energy
-from .pauli import require_hermitian
-from .quantum import (
-    NumericFailure,
-    Spectrum,
-    TimeGrid,
-    require_real,
-    rk4_weights,
-    spectrum,
-)
+from .pauli import require_hermitian, require_real
+from .quantum import NumericFailure, Spectrum, TimeGrid, rk4_weights, spectrum
 
 __all__ = [
     "FlowSettings",
@@ -349,9 +342,14 @@ def _stacked_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     the countdown of `_steps_clear`: |u|^2, the divergence guard and the
     switch rule run only on the steps that it leaves open."""
     n = u.size
-    B = (-1j * grid.dt) * H
-    B2 = B @ B
-    powers = np.concatenate([np.eye(n), B, B2, B @ B2, B2 @ B2])
+    # built without a numpy warning: a dt H past the float range leaves a
+    # power non-finite, and K with it, so step 1 fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = (-1j * grid.dt) * H
+        B2 = B @ B
+        powers = np.concatenate([np.eye(n), B, B2, B @ B2, B2 @ B2])
+    if not np.isfinite(powers).all():
+        raise NumericFailure("non-finite chart coordinates", 1)
     # K holds u, Bu, ..., B^4 u; s views the pivot entries of rows 1-4.
     # u is its own buffer: the update reads K.
     K = np.empty((5, n), dtype=complex)
@@ -403,8 +401,12 @@ def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> 
     written `not dsq < slack^2` for that reason, and a probe would keep the
     pivot and leave q as it is."""
     n = u.size
-    # row j: z^j
-    Z = np.vander((-1j * grid.dt) * lam, 5, increasing=True).T.copy()
+    # row j: z^j; non-finite, it fails step 1 as a power does in
+    # `_stacked_steps`
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = np.vander((-1j * grid.dt) * lam, 5, increasing=True).T.copy()
+    if not np.isfinite(Z).all():
+        raise NumericFailure("non-finite chart coordinates", 1)
     # row j of P . q is (B^j u)[pivot]: u_p itself, then s_1..s_4
     P = np.multiply(Z, V[pivot])
     q = V.conj().T @ u

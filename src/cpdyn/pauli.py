@@ -19,10 +19,16 @@ bits of Y/Z labels and nY = the number of Y labels,
 
 and every other entry is 0.  `build_hamiltonian` writes each term into H
 by this rule, without forming a Kronecker product.
+
+The module also holds the number rules of every entry point of the
+package: `require_real` for a scalar, `require_numbers` for an array and
+`require_integer` for an integer.  They live here, beside
+`require_hermitian`, because this module imports nothing from the package.
 """
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from math import isfinite
@@ -38,6 +44,9 @@ __all__ = [
     "build_hamiltonian",
     "build_two_qubit_hamiltonian",
     "require_hermitian",
+    "require_integer",
+    "require_numbers",
+    "require_real",
 ]
 
 PAULI_SYMBOLS = "IXYZ"
@@ -64,6 +73,9 @@ MAX_QUBITS = 12
 # grows like N eps (Higham, Accuracy and Stability, 2nd ed., 2002, sec. 3.1).
 HERMITIAN_RTOL = 16
 
+# the refusal of an integer that float() cannot hold, by scalar and array
+_BEYOND_FLOAT = "{} must be finite, not an integer beyond the float range"
+
 
 class PauliSyntaxError(ValueError):
     """Malformed Pauli-string input; `position` is the 0-based offset."""
@@ -86,15 +98,14 @@ class PauliTerm:
 
     def __post_init__(self):
         # normalize numpy scalars / stray label types into plain Python values
-        object.__setattr__(self, "coefficient", float(self.coefficient))
+        coefficient = require_real("coefficient", self.coefficient)
+        object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         if not self.labels:
             raise ValueError("PauliTerm needs at least one qubit label")
         bad = [s for s in self.labels if s not in PAULI_SYMBOLS]
         if bad:
             raise ValueError(f"invalid Pauli symbol(s): {bad}")
-        if not isfinite(self.coefficient):
-            raise ValueError(f"non-finite coefficient: {self.coefficient}")
 
     @property
     def n_qubits(self) -> int:
@@ -235,11 +246,11 @@ def build_two_qubit_hamiltonian(
     """
     return build_hamiltonian(
         [
-            PauliTerm(float(c1), ("Z", "I")),
-            PauliTerm(float(c2), ("X", "I")),
-            PauliTerm(float(c3), ("Y", "I")),
-            PauliTerm(float(c4), ("Y", "Y")),
-            PauliTerm(float(c5), ("X", "Y")),
+            PauliTerm(c1, ("Z", "I")),
+            PauliTerm(c2, ("X", "I")),
+            PauliTerm(c3, ("Y", "I")),
+            PauliTerm(c4, ("Y", "Y")),
+            PauliTerm(c5, ("X", "Y")),
         ]
     )
 
@@ -247,16 +258,15 @@ def build_two_qubit_hamiltonian(
 def require_hermitian(H: np.ndarray, dimension: int) -> np.ndarray:
     """Validate that H is a finite N x N matrix, N = `dimension` >= 2 (the
     length of the states it acts on), with max|H - H^dag| <= HERMITIAN_RTOL
-    eps N max|H| entrywise (eps the float64 epsilon); returns H as complex."""
-    H = np.asarray(H, dtype=complex)
+    eps N max|H| entrywise (eps the float64 epsilon); returns H as complex.
+    The entries pass `require_numbers` first."""
+    H = require_numbers("operator entries", H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {H.shape}")
     if H.shape[0] < 2:
         raise ValueError("operator dimension must be at least 2")
     if H.shape[0] != dimension:
         raise ValueError(f"dimension mismatch: H is {H.shape}, state has {dimension}")
-    if not np.all(np.isfinite(H)):
-        raise ValueError("operator entries must be finite")
     H_dag = H.conj().T
     # a Pauli-built H or an (A + A^dag)/2 is equal to H^dag, so its residue
     # is exactly 0; +0.0 == -0.0, and NaN was refused above
@@ -272,3 +282,64 @@ def require_hermitian(H: np.ndarray, dimension: int) -> np.ndarray:
             f"{bound:.3e}"
         )
     return H
+
+
+# The number rules of every entry point: a real scalar, an array of numbers
+# and an integer.  Each refuses with a ValueError that names the input.
+
+
+def require_real(name: str, value) -> float:
+    """`value` as a finite float.  A value that is not a real number (a
+    string or a boolean, say), an integer beyond the float range, NaN and
+    +-inf are refused; NumPy scalars pass.  Pure Python, with no NumPy
+    call: every `PauliTerm` of a parsed document calls it, and float and
+    int come before the slower `numbers.Real` check."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(_BEYOND_FLOAT.format(name)) from None
+    if not isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def require_numbers(name: str, values, dtype=complex, ndim=None) -> np.ndarray:
+    """`values` as an array of `dtype` (float or complex) with finite
+    entries, and with `ndim` dimensions unless `ndim` is None.
+
+    An ndarray of integer, float or, for a complex `dtype`, complex dtype
+    (one that `dtype` holds) is converted without a look at its entries,
+    and without a copy where it is already of `dtype`.  Anything else
+    (nested lists, say) is checked one entry per Python type by
+    `require_real` (a complex entry, allowed only for a complex `dtype`, by
+    its real part), so a string, a boolean or a ragged row is refused.  Then
+    every entry must be finite."""
+    complexes = (complex, np.complexfloating) if dtype is complex else ()
+    # an ndarray or NumPy scalar whose numbers `dtype` holds (no list has a
+    # dtype, and a bool is no number)
+    if getattr(values, "dtype", bool) != bool and np.can_cast(values.dtype, dtype):
+        values = np.asarray(values, dtype)
+    else:
+        entries = np.asarray(values, dtype=object)
+        # the first entry of each type, the one an error quotes
+        for v in {type(v): v for v in reversed(entries.ravel().tolist())}.values():
+            require_real(name, v.real if isinstance(v, complexes) else v)
+        try:
+            values = entries.astype(dtype)
+        except OverflowError:  # a later integer beyond the float range
+            raise ValueError(_BEYOND_FLOAT.format(name)) from None
+    if ndim is not None and values.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
+def require_integer(name: str, value) -> int:
+    """`value` as an int, refused unless it is an integer (a NumPy one
+    passes, a bool does not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)

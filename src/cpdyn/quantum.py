@@ -28,12 +28,11 @@ weights) and its projective form in `cpdyn.flow`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import require_hermitian
+from .pauli import require_hermitian, require_integer, require_numbers, require_real
 
 __all__ = [
     "NumericFailure",
@@ -44,7 +43,6 @@ __all__ = [
     "evolve_exact_grid",
     "evolve_rk4",
     "rk4_weights",
-    "require_real",
     "spectrum",
 ]
 
@@ -63,18 +61,6 @@ class NumericFailure(RuntimeError):
         self.step = step
 
 
-def require_real(name: str, value) -> float:
-    """`value` as a float.  A setting that is not a real number (a string
-    or a boolean, say) or an integer beyond the float range is refused with
-    a ValueError naming it; NumPy scalars pass."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is an integer beyond the float range") from None
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform integration grid: step `dt` up to `t_end`, sampling every
@@ -87,20 +73,15 @@ class TimeGrid:
     def __post_init__(self):
         for name in ("t_end", "dt"):
             value = require_real(name, getattr(self, name))
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
             object.__setattr__(self, name, value)
         if self.dt > self.t_end:
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
         if not math.isfinite(self.t_end / self.dt):
             raise ValueError(f"t_end={self.t_end} / dt={self.dt} overflows the step count")
-        stride = self.output_stride
-        if (
-            isinstance(stride, bool)
-            or not isinstance(stride, numbers.Integral)
-            or stride < 1
-        ):
-            raise ValueError(f"output_stride must be an integer >= 1, got {stride!r}")
+        if require_integer("output_stride", self.output_stride) < 1:
+            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
         # tolerate t_end = k*dt held with float error, nothing more
         if abs(self.t_end / self.dt - self.n_steps) > 1e-9 * self.n_steps:
             raise ValueError(
@@ -140,22 +121,17 @@ class QuantumTrajectory:
 
 
 def make_state(amplitudes) -> np.ndarray:
-    """Validate and return a unit-norm complex state vector (read-only)."""
-    try:
-        psi = np.asarray(amplitudes, dtype=complex)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError("state amplitudes must be finite") from None
-    if psi.ndim != 1 or psi.size < 2:
-        raise ValueError(f"state must be 1-D with >= 2 amplitudes, got shape {psi.shape}")
-    if not (np.all(np.isfinite(psi.real)) and np.all(np.isfinite(psi.imag))):
-        raise ValueError("state amplitudes must be finite")
+    """Validate and return a unit-norm complex state vector (read-only);
+    the amplitudes pass `require_numbers` first."""
+    psi = np.array(require_numbers("state amplitudes", amplitudes, ndim=1))
+    if psi.size < 2:
+        raise ValueError(f"state must have >= 2 amplitudes, got shape {psi.shape}")
     # finite amplitudes can still have a norm that overflows to inf, which
     # the check below reports
     with np.errstate(over="ignore"):
         nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state norm is {nrm!r}, not 1 within {STATE_NORM_TOL}")
-    psi = psi.copy()
     psi.setflags(write=False)
     return psi
 
@@ -199,6 +175,12 @@ def evolve_exact_grid(
     spec = spectrum(H, psi0.size)
     coeffs = spec.V.conj().T @ psi0
     times = grid.sample_times()
+    # past the float range t max|lambda| would make the phases NaN: the
+    # first such sample is the failing step
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = np.flatnonzero(~np.isfinite(times * np.max(np.abs(spec.lam))))
+    if bad.size:
+        raise NumericFailure("non-finite t max|lambda|", int(grid.sample_indices()[bad[0]]))
     phases = np.exp(-1j * np.outer(times, spec.lam))  # (S, N)
     return QuantumTrajectory(times=times, states=(spec.V @ (phases * coeffs).T).T)
 
@@ -266,17 +248,23 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     since I + D is a polynomial in the Hermitian H, hence normal, |psi|
     grows by at most its rounding, a factor 1 + O(N eps) per step: overflow
     would take of the order of 700 / (N eps) steps, far beyond the 10^8 a
-    scenario may ask for.  Such a run checks no step.  Otherwise (beta NaN
-    or Inf too) every step checks that |psi|^2 is finite, and
-    NumericFailure names the first step where it is not.
+    scenario may ask for.  Such a run checks no step.  Otherwise every step
+    checks that |psi|^2 is finite, and NumericFailure names the first step
+    where it is not: step 1, before any step is taken, where D itself is
+    not finite.
     """
     psi = np.array(make_state(psi0))
     H = require_hermitian(H, psi.size)
 
     _, w1, w2, w3, w4 = rk4_weights(0.0, 0.0, 0.0, 0.0)
-    B = (-1j * grid.dt) * H
-    eye = np.eye(psi.size)
-    D = B @ (w1 * eye + B @ (w2 * eye + B @ (w3 * eye + w4 * B)))
+    # built without a numpy warning: a dt H past the float range leaves D
+    # non-finite, and D psi non-finite in each such row, so step 1 fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = (-1j * grid.dt) * H
+        eye = np.eye(psi.size)
+        D = B @ (w1 * eye + B @ (w2 * eye + B @ (w3 * eye + w4 * B)))
+    if not np.isfinite(D).all():
+        raise NumericFailure("non-finite state in RK4", 1)
     checked = not np.max(np.sum(np.abs(B), axis=1)) < _RK4_STABLE
 
     inc = np.empty_like(psi)

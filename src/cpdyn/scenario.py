@@ -22,7 +22,6 @@ does not know.
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -105,27 +104,11 @@ def _fields(node, key: str, required=(), optional=()) -> None:
         _require(name in node, f"{key}: missing required field '{name}'")
 
 
-def _real_array(value, key: str) -> np.ndarray:
-    """Nested JSON arrays of numbers as a float array; each entry is
-    refused as `quantum.require_real` refuses a scalar (a ragged row is an
-    entry)."""
-    entries = np.asarray(value, dtype=object)
-    first_of_type = {}
-    for v in entries.flat:
-        first_of_type.setdefault(type(v), v)
-    with _as_config_error(key):
-        for example in first_of_type.values():
-            quantum.require_real("an entry", example)
-    try:
-        return entries.astype(float)
-    except OverflowError as exc:  # an integer literal beyond the float range
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
 def _complex_array(node, key: str, ndim: int) -> np.ndarray:
     _fields(node, key, required=("real",), optional=("imag",))
-    real = _real_array(node["real"], key)
-    imag = _real_array(node["imag"], key) if "imag" in node else np.zeros_like(real)
+    # a ValueError here is named `key` by the caller's `_as_config_error`
+    real = pauli.require_numbers("an entry", node["real"], float)
+    imag = pauli.require_numbers("an entry", node.get("imag", np.zeros_like(real)), float)
     _require(
         real.ndim == ndim and imag.shape == real.shape,
         f"{key}: 'real' and 'imag' must both be {ndim}-dimensional and equal shape",
@@ -150,21 +133,18 @@ def _parse_hamiltonian(node, n: int) -> np.ndarray:
 
 def _parse_grid(node) -> quantum.TimeGrid:
     _fields(node, "grid", required=("t_end", "dt"), optional=("output_stride",))
-    values = {}
+    # a bad number is named by its own key, a bad grid by "grid"
     for key in ("t_end", "dt"):
         with _as_config_error(f"grid.{key}"):
-            values[key] = quantum.require_real(key, node[key])
+            pauli.require_real(key, node[key])
     with _as_config_error("grid"):
-        stride = node.get("output_stride", quantum.TimeGrid.output_stride)
-        return quantum.TimeGrid(**values, output_stride=stride)
+        return quantum.TimeGrid(**node)
 
 
 def _parse_flow(node) -> flow.FlowSettings:
     _fields(node, "flow", optional=("switch_threshold",))
-    if "switch_threshold" not in node:
-        return flow.FlowSettings()
     with _as_config_error("flow.switch_threshold"):
-        return flow.FlowSettings(node["switch_threshold"])
+        return flow.FlowSettings(**node)
 
 
 def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
@@ -399,13 +379,15 @@ def compare(
 
     The report fails (passed=False) when any observable deviation or the
     trajectory fidelity gap exceeds `tolerance`; nothing is clamped.  A
-    tolerance that is not finite and > 0 cannot gate and raises a
-    ConfigError before anything is integrated.
+    tolerance that fails `pauli.require_real` (a boolean or a string, say)
+    or is not > 0 cannot gate and raises a ConfigError before anything is
+    integrated.
     """
-    _require(
-        math.isfinite(tolerance) and tolerance > 0,
-        f"tolerance: must be finite and > 0, got {tolerance}",
-    )
+    try:
+        gates = pauli.require_real("tolerance", tolerance) > 0
+    except ValueError:
+        gates = False
+    _require(gates, f"tolerance: must be finite and > 0, got {tolerance}")
     result = run(config, method="both")
     qtraj = result.quantum_trajectory
     ctraj = result.classical_trajectory

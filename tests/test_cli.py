@@ -398,6 +398,35 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--method", "quantum"], ["simulate", "--method", "classical"], ["compare"]],
+    ids=["simulate-quantum", "simulate-classical", "compare"],
+)
+def test_overflowing_dt_h_exits_3_with_one_line(tmp_path, capsys, command):
+    # finite entries that validate, but dt H past the float range: the
+    # quantum route wrote NaN rows and exited 0, and the classical route
+    # printed numpy's overflow warnings above the error line
+    path = tmp_path / "huge.json"
+    doc = minimal_doc(
+        hamiltonian={"pauli": "1e308*ZI + 1e308*XX"},
+        initial_state={"real": [0.6, 0.8, 0.0, 0.0]},
+        grid={"t_end": 4.0, "dt": 2.0},
+    )
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    if command[0] == "simulate":
+        command = [*command, "--out", str(tmp_path / "out.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*command, "--config", str(path)]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: "), err
+    assert err[0].endswith(" at step 1"), err
+
+
 def test_missing_output_directory_exits_2_before_integrating(
     tmp_path, capsys, monkeypatch
 ):

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ from cpdyn.flow import _hop, _probe_slack, FlowSettings, classical_hamiltonian, 
 from cpdyn.flow import hamilton_rhs, integrate_classical
 from cpdyn.observables import energy
 from cpdyn.pauli import PauliTerm, build_hamiltonian, build_two_qubit_hamiltonian
-from cpdyn.quantum import NumericFailure, TimeGrid, evolve_exact_grid
+from cpdyn.pauli import parse_hamiltonian
+from cpdyn.quantum import NumericFailure, TimeGrid, evolve_exact_grid, evolve_rk4
 from cpdyn.scenario import load_scenario
 
 import oracles
@@ -573,3 +575,29 @@ class TestHop:
     def test_ties_go_to_the_lowest_index(self, u, pivot, new_pivot):
         hop = self.check(np.array(u, dtype=complex), pivot)
         assert (None if hop is None else hop[0]) == new_pivot
+
+
+@pytest.mark.parametrize("n_qubits", [2, 5], ids=["stacked", "spectral"])
+def test_overflowing_dt_h_fails_at_the_oracles_step(n_qubits):
+    # finite entries, but dt H past the float range: every route raises
+    # NumericFailure at step 1, where the oracles fail, and no numpy warning
+    # comes first (the exact grid returned NaN states)
+    rest = "I" * (n_qubits - 2)
+    H = build_hamiltonian(parse_hamiltonian(f"1e308*ZI{rest} + 1e308*XX{rest}"))
+    psi0 = np.zeros(2**n_qubits)
+    psi0[:2] = 0.6, 0.8
+    point0 = to_chart(psi0, select_pivot(psi0))
+    grid = TimeGrid(4.0, 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for oracle, start in ((oracles.evolve_rk4_reference, psi0),
+                              (oracles.integrate_classical_reference, point0)):
+            with pytest.raises(NumericFailure) as err:
+                oracle(H, start, grid)
+            assert err.value.step == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route, start in ((evolve_exact_grid, psi0), (evolve_rk4, psi0),
+                             (integrate_classical, point0)):
+            with pytest.raises(NumericFailure) as err:
+                route(H, start, grid)
+            assert err.value.step == 1, route

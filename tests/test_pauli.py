@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdyn.chart import ChartPoint
-from cpdyn.flow import classical_hamiltonian, grad_conj, hamilton_rhs, integrate_classical
+from cpdyn.chart import ChartPoint, to_chart
+from cpdyn.flow import FlowSettings, classical_hamiltonian, grad_conj, hamilton_rhs
+from cpdyn.flow import integrate_classical
 from cpdyn.pauli import (
     HERMITIAN_RTOL,
     MixedLabelLengthError,
@@ -22,7 +23,7 @@ from cpdyn.pauli import (
     parse_hamiltonian,
     require_hermitian,
 )
-from cpdyn.quantum import TimeGrid, evolve_exact_grid, evolve_rk4
+from cpdyn.quantum import TimeGrid, evolve_exact_grid, evolve_rk4, make_state
 from cpdyn.scenario import ConfigError, scenario_from_dict
 
 from conftest import perfbench_module, random_hermitian, random_state
@@ -71,6 +72,39 @@ def test_tensor_term_qubit_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# every entry point that takes a number, with the number in one place, and
+# the name its error gives
+ENTRY_POINTS = {
+    "make_state": (lambda v: make_state([v, 0.0]), "state amplitudes"),
+    "ChartPoint": (lambda v: ChartPoint(0, [v]), "chart coordinates"),
+    "to_chart": (lambda v: to_chart([1.0, v], 0), "state"),
+    "require_hermitian": (
+        lambda v: require_hermitian([[v, 0.0], [0.0, 1.0]], 2),
+        "operator entries",
+    ),
+    "PauliTerm": (lambda v: PauliTerm(v, ("Z", "I")), "coefficient"),
+    "TimeGrid": (lambda v: TimeGrid(v, 0.1), "t_end"),
+    "FlowSettings": (lambda v: FlowSettings(v), "switch_threshold"),
+}
+# each refused number, with the rule its error gives
+REFUSED_NUMBERS = {
+    "bool": (True, "must be a real number"),
+    "string": ("1", "must be a real number"),
+    "int-overflow": (10**400, "must be finite, not an integer beyond the float range"),
+    "nan": (float("nan"), "must be finite"),
+}
+
+
+@pytest.mark.parametrize("value, rule", REFUSED_NUMBERS.values(), ids=REFUSED_NUMBERS)
+@pytest.mark.parametrize("entry, name", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_entry_points_share_the_number_rules(entry, name, value, rule):
+    # one rule per kind of number (`require_real`, `require_numbers`): a
+    # boolean or a string was read as a number, and an integer beyond the
+    # float range raised a bare OverflowError, at some entry points
+    with pytest.raises(ValueError, match=re.escape(f"{name} {rule}")):
+        entry(value)
 
 
 def test_pauli_term_invariants():

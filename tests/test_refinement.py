@@ -65,8 +65,9 @@ def test_residual_converges_at_fourth_order(name, H, psi0):
 
 
 NEAR_POLE = pytest.mark.xfail(
-    reason="ROADMAP item 6: at switch_threshold 1e-4 the Riccati RK4 steps next "
-    "to its pole, and halving dt cuts the residual only 1.04x"
+    reason="ROADMAP item \"Keep the Riccati RK4 away from its poles\": at "
+    "switch_threshold 1e-4 the Riccati RK4 steps next to its pole, and halving "
+    "dt cuts the residual only 1.04x"
 )
 
 

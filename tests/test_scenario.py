@@ -396,6 +396,13 @@ class TestCompare:
         assert report.observable_deviation["populations"] < 1e-6
         assert report.fidelity_gap_max < 1e-6
 
+    @pytest.mark.parametrize("tolerance", [True, "1e-6"])
+    def test_tolerance_that_is_no_number_rejected(self, tolerance):
+        # a boolean gated as 1 and a string raised a bare TypeError
+        config = scenario_from_dict(minimal_doc())
+        with pytest.raises(ConfigError, match="tolerance: must be finite and > 0"):
+            compare(config, tolerance=tolerance)
+
     @pytest.mark.parametrize("tolerance", [np.inf, np.nan, -1.0, 0.0])
     def test_tolerance_that_cannot_gate_rejected(self, tolerance):
         config = load_scenario(SCENARIO_DIR / "fig1_left.json")
