@@ -52,21 +52,16 @@ __all__ = [
 PAULI_SYMBOLS = "IXYZ"
 
 # H is a dense 2^n x 2^n complex matrix, 256 MiB at the ceiling of 12 qubits
-# (N = 4096).  A build allocates only H, but a `compare` makes more N x N
-# arrays (read from the code, not run at N = 4096):
-# - each `require_hermitian` call (two per `compare`: the parser's and the
-#   one in `quantum.spectrum`) forms H^dag (complex) and one boolean array
-#   for an H exactly equal to H^dag, as every Pauli-built H is; only an H
-#   with a rounding residue also forms H - H^dag (complex) and |H - H^dag|
-#   and |H| (real);
-# - one `eigh`, in `quantum.spectrum`: a copy of H that becomes the
-#   eigenvectors, plus LAPACK (`heevd`) workspace of N^2 complex and 2 N^2
-#   real entries; both routes share its eigenvectors, so a `compare` holds
-#   one N x N eigenvector matrix (256 MiB at N = 4096), not one per route;
-# - the sampled states, up to 2^24 entries per trajectory, and the (S, N)
-#   phase and state stacks of `evolve_exact_grid`.
-# During the `eigh` H, the copy and the two workspaces are 256 MiB each,
-# so a 12-qubit `compare` peaks above 1 GiB.
+# (N = 4096).  Peak memory, in units of one N x N complex array:
+# - parsing a Pauli document, H and the temporaries of `build_hamiltonian`
+#   and `require_hermitian`, bounded by `_BUILD_CHUNK` entries and
+#   `_HERMITIAN_BLOCK` columns: about 1.06 (tracemalloc, 12 qubits and
+#   64 terms; 2.06 when the check formed a whole H^dag);
+# - a `compare`: about 5.3, set by the one `eigh` in `quantum.spectrum`, its
+#   copy of H, its LAPACK (`heevd`) workspace and the eigenvectors V, which
+#   both routes share (peak RSS at N = 1024); the sampled states add up to
+#   2^24 entries per trajectory.
+# Scaled to 12 qubits, a `compare` peaks near 5.3 x 256 MiB = 1.4 GiB.
 MAX_QUBITS = 12
 
 # Hermiticity is judged relative to eps N max|H|: rounding in N-term sums
@@ -182,6 +177,16 @@ def format_terms(terms: list[PauliTerm]) -> str:
 
 # (-i)^nY for nY mod 4
 _Y_PHASES = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
+# each label's bit in the flip mask f (X, Y) and the sign mask m (Y, Z)
+_FLIP_BITS = str.maketrans("IXYZ", "0110")
+_SIGN_BITS = str.maketrans("IXYZ", "0011")
+
+# Entries that `build_hamiltonian` scatters per `np.add.at` call, whole
+# terms of N entries each: its index and value arrays take about 32 bytes
+# an entry, so 2^14 entries bound its temporaries to about 0.5 MiB whatever
+# the number of terms (2^16 gave the same times, and a peak of 1.13 H.nbytes
+# at 10 qubits against 1.06).
+_BUILD_CHUNK = 1 << 14
 
 
 def build_hamiltonian(terms: list[PauliTerm]) -> np.ndarray:
@@ -194,9 +199,11 @@ def build_hamiltonian(terms: list[PauliTerm]) -> np.ndarray:
 
     The addends are exactly +-c or +-ic, and each entry receives them in the
     same order as the sum of the terms' Kronecker products, so the result is
-    that sum bit for bit; an entry that receives none stays +0.0.  An entry
-    whose sum overflows becomes inf without a warning, and
-    `require_hermitian` refuses it.
+    that sum bit for bit; an entry that receives none stays +0.0.  The terms
+    go in chunks of `_BUILD_CHUNK` entries, one `np.add.at` per chunk, which
+    adds repeated indices one by one in input order.  An entry whose sum
+    overflows becomes inf without a warning, and `require_hermitian` refuses
+    it.
 
     Raises ValueError above MAX_QUBITS qubits, before allocating H.
     """
@@ -221,18 +228,25 @@ def build_hamiltonian(terms: list[PauliTerm]) -> np.ndarray:
         odd ^= rows >> b
     odd = (odd & 1).astype(bool)
 
+    flips, signs, phases = [], [], []
+    for t in terms:
+        labels = "".join(t.labels)
+        flips.append(int(labels.translate(_FLIP_BITS), 2))
+        signs.append(int(labels.translate(_SIGN_BITS), 2))
+        phases.append(t.coefficient * _Y_PHASES[labels.count("Y") % 4])
+    # one column per term, so a chunk broadcasts against the rows
+    flips, signs = np.array(flips)[:, None], np.array(signs)[:, None]
+    phases = np.array(phases)[:, None]
+
     out = np.zeros((dim, dim), dtype=complex)
     flat = out.reshape(-1)
+    step = max(1, _BUILD_CHUNK // dim)
     with np.errstate(over="ignore"):
-        for t in terms:
-            f = m = n_y = 0
-            for s in t.labels:
-                f = (f << 1) | (s in "XY")
-                m = (m << 1) | (s in "YZ")
-                n_y += s == "Y"
-            phase = t.coefficient * _Y_PHASES[n_y % 4]
-            # one index per row, all distinct, so += adds each addend once
-            flat[row_starts + (rows ^ f)] += np.where(odd[rows & m], -phase, phase)
+        for a in range(0, len(terms), step):
+            chunk = slice(a, a + step)
+            values = np.where(odd[rows & signs[chunk]], -phases[chunk], phases[chunk])
+            index = row_starts + (rows ^ flips[chunk])
+            np.add.at(flat, index.ravel(), values.ravel())
     return out
 
 
@@ -255,11 +269,19 @@ def build_two_qubit_hamiltonian(
     )
 
 
+# Columns per block of `require_hermitian`: at N = 1024 and 4096, 32 ran
+# as fast as 16 and 64, and a block's temporaries take 32 x N entries.
+_HERMITIAN_BLOCK = 32
+
+
 def require_hermitian(H: np.ndarray, dimension: int) -> np.ndarray:
     """Validate that H is a finite N x N matrix, N = `dimension` >= 2 (the
     length of the states it acts on), with max|H - H^dag| <= HERMITIAN_RTOL
     eps N max|H| entrywise (eps the float64 epsilon); returns H as complex.
-    The entries pass `require_numbers` first."""
+    The entries pass `require_numbers` first.  H meets H^dag one block of
+    `_HERMITIAN_BLOCK` columns at a time (columns b of H^dag are rows b of
+    H, conjugated and transposed), so no N x N array is formed; both
+    maxima are those of the whole matrix."""
     H = require_numbers("operator entries", H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {H.shape}")
@@ -267,15 +289,15 @@ def require_hermitian(H: np.ndarray, dimension: int) -> np.ndarray:
         raise ValueError("operator dimension must be at least 2")
     if H.shape[0] != dimension:
         raise ValueError(f"dimension mismatch: H is {H.shape}, state has {dimension}")
-    H_dag = H.conj().T
+    n = H.shape[0]
+    blocks = [slice(a, a + _HERMITIAN_BLOCK) for a in range(0, n, _HERMITIAN_BLOCK)]
     # a Pauli-built H or an (A + A^dag)/2 is equal to H^dag, so its residue
     # is exactly 0; +0.0 == -0.0, and NaN was refused above
-    if np.array_equal(H, H_dag):
+    if all((H[:, b] == H[b].conj().T).all() for b in blocks):
         return H
-    residue = H - H_dag
-    del H_dag  # freed before |H - H^dag| is formed
-    dev = np.max(np.abs(residue))
-    bound = HERMITIAN_RTOL * np.finfo(float).eps * H.shape[0] * np.max(np.abs(H))
+    dev = max(np.max(np.abs(H[:, b] - H[b].conj().T)) for b in blocks)
+    scale = max(np.max(np.abs(H[b])) for b in blocks)
+    bound = HERMITIAN_RTOL * np.finfo(float).eps * n * scale
     if dev > bound:
         raise ValueError(
             f"operator is not Hermitian: max|H - H^dag| = {dev:.3e} exceeds "

@@ -176,11 +176,14 @@ def evolve_exact_grid(
     coeffs = spec.V.conj().T @ psi0
     times = grid.sample_times()
     # past the float range t max|lambda| would make the phases NaN: the
-    # first such sample is the failing step
+    # first such sample is the failing step, and step 1 where an eigenvalue
+    # itself is not finite (eigh of a finite H whose spectral radius
+    # overflows), as on the RK4 routes, not the t = 0 sample's 0 x inf
     with np.errstate(over="ignore", invalid="ignore"):
         bad = np.flatnonzero(~np.isfinite(times * np.max(np.abs(spec.lam))))
     if bad.size:
-        raise NumericFailure("non-finite t max|lambda|", int(grid.sample_indices()[bad[0]]))
+        step = int(grid.sample_indices()[bad[0]])
+        raise NumericFailure("non-finite t max|lambda|", max(step, 1))
     phases = np.exp(-1j * np.outer(times, spec.lam))  # (S, N)
     return QuantumTrajectory(times=times, states=(spec.V @ (phases * coeffs).T).T)
 

@@ -15,7 +15,9 @@ RK4 loops in plain form, every coefficient and array computed afresh, on
 both step paths of the classical flow.  `build_hamiltonian_reference`
 sums the dense Kronecker products of each Pauli term's 2x2 matrices.  The
 package's buffered loops, folded recurrence and signed-permutation build
-must reproduce them bit for bit.
+must reproduce them bit for bit.  `require_hermitian_reference` judges H
+against the whole of H^dag at once; the package's test by blocks must
+make the same decision with the same message.
 """
 
 import math
@@ -31,7 +33,14 @@ from cpdyn.flow import (
     FlowSettings,
 )
 from cpdyn.observables import energy
-from cpdyn.pauli import MAX_QUBITS, MixedLabelLengthError, PauliTerm, require_hermitian
+from cpdyn.pauli import (
+    HERMITIAN_RTOL,
+    MAX_QUBITS,
+    MixedLabelLengthError,
+    PauliTerm,
+    require_hermitian,
+    require_numbers,
+)
 from cpdyn.quantum import (
     NumericFailure,
     QuantumTrajectory,
@@ -317,6 +326,28 @@ def build_hamiltonian_reference(terms: list[PauliTerm]) -> np.ndarray:
     for t in terms:
         out += tensor_term_reference(t)
     return out
+
+
+def require_hermitian_reference(H: np.ndarray, dimension: int) -> np.ndarray:
+    """`pauli.require_hermitian` with H^dag, H - H^dag and |H| formed whole."""
+    H = require_numbers("operator entries", H)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"operator must be a square matrix, got shape {H.shape}")
+    if H.shape[0] < 2:
+        raise ValueError("operator dimension must be at least 2")
+    if H.shape[0] != dimension:
+        raise ValueError(f"dimension mismatch: H is {H.shape}, state has {dimension}")
+    H_dag = H.conj().T
+    if np.array_equal(H, H_dag):
+        return H
+    dev = np.max(np.abs(H - H_dag))
+    bound = HERMITIAN_RTOL * EPS * H.shape[0] * np.max(np.abs(H))
+    if dev > bound:
+        raise ValueError(
+            f"operator is not Hermitian: max|H - H^dag| = {dev:.3e} exceeds "
+            f"{bound:.3e}"
+        )
+    return H
 
 
 def evolve_rk4_reference(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajectory:

@@ -427,6 +427,30 @@ def test_overflowing_dt_h_exits_3_with_one_line(tmp_path, capsys, command):
     assert err[0].endswith(" at step 1"), err
 
 
+def test_infinite_eigenvalue_exits_3_at_step_1(tmp_path, capsys):
+    # a dense H of finite entries whose largest eigenvalue overflows: the
+    # exact route named step 0, before any step
+    path = tmp_path / "huge.json"
+    doc = minimal_doc(
+        hamiltonian={"dense": {"real": [[1e308] * 3] * 3}},
+        initial_state={"real": [1.0, 0.0, 0.0]},
+        grid={"t_end": 1.0, "dt": 1.0},
+        observables=["populations"],
+    )
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    argv = ["simulate", "--method", "quantum", "--config", str(path),
+            "--out", str(tmp_path / "out.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "numeric failure: non-finite t max|lambda| at step 1"
+    ]
+
+
 def test_missing_output_directory_exits_2_before_integrating(
     tmp_path, capsys, monkeypatch
 ):

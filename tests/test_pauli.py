@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpdyn import pauli
 from cpdyn.chart import ChartPoint, to_chart
 from cpdyn.flow import FlowSettings, classical_hamiltonian, grad_conj, hamilton_rhs
 from cpdyn.flow import integrate_classical
@@ -27,7 +28,11 @@ from cpdyn.quantum import TimeGrid, evolve_exact_grid, evolve_rk4, make_state
 from cpdyn.scenario import ConfigError, scenario_from_dict
 
 from conftest import perfbench_module, random_hermitian, random_state
-from oracles import build_hamiltonian_reference, tensor_term_reference
+from oracles import (
+    build_hamiltonian_reference,
+    require_hermitian_reference,
+    tensor_term_reference,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -308,6 +313,65 @@ def test_require_hermitian_peak_memory(rng):
     assert _peak_ratio(residue) <= 2.25
 
 
+def _verdict(check, H: np.ndarray):
+    """("passed", whether H came back as it was) or ("refused", message)."""
+    try:
+        return "passed", check(H, len(H)) is H
+    except ValueError as err:
+        return "refused", str(err)
+
+
+@pytest.mark.parametrize("n", [33, 64, 100])
+def test_require_hermitian_by_blocks_decides_as_the_whole_matrix(n, rng):
+    # one-ulp asymmetries pass through the residue path and asymmetries past
+    # the bound are refused, in the first block, in the last (partial for
+    # 33 and 100) and on the diagonal (an imaginary part), with the
+    # message of the check over the whole matrix
+    block = pauli._HERMITIAN_BLOCK
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    hermitian = (a + a.conj().T) / 2
+    bound = HERMITIAN_RTOL * np.finfo(float).eps * n * np.max(np.abs(hermitian))
+    mirrored_zeros = hermitian.copy()
+    mirrored_zeros[0, n - 1] = complex(0.0, -0.0)
+    mirrored_zeros[n - 1, 0] = complex(-0.0, 0.0)
+    cases = [(hermitian, "passed"), (mirrored_zeros, "passed")]
+    for i, j in ((0, 1), (n - 1, block - 1), (n - 2, n - 1)):
+        x = hermitian[i, j]
+        for shift, want in ((np.spacing(x.real), "passed"), (2 * bound, "refused")):
+            H = hermitian.copy()
+            H[i, j] = complex(x.real + shift, x.imag)
+            cases.append((H, want))
+    k = n - 1
+    for shift, want in ((np.spacing(hermitian[k, k].real), "passed"), (bound, "refused")):
+        H = hermitian.copy()
+        H[k, k] += 1j * shift
+        cases.append((H, want))
+    for H, want in cases:
+        got = _verdict(require_hermitian, H)
+        assert got == _verdict(require_hermitian_reference, H)
+        assert got[0] == want and got[1] is not False  # a passed H comes back
+
+
+def test_parse_peak_memory():
+    # the Pauli build and its Hermiticity check form no N x N array beside
+    # H: the build's temporaries are bounded by its chunk of entries, the
+    # check's by its block of columns (the whole-matrix check peaked at
+    # 2.07 x)
+    rng = np.random.default_rng(10)
+    labels = rng.integers(0, 4, (64, 10))
+    terms = [
+        PauliTerm(c, tuple("IXYZ"[k] for k in row))
+        for c, row in zip(rng.uniform(-1.0, 1.0, 64), labels)
+    ]
+    tracemalloc.start()
+    try:
+        H = require_hermitian(build_hamiltonian(terms), 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * H.nbytes, peak / H.nbytes
+
+
 def residue_hamiltonian(factor: float, scale: float) -> np.ndarray:
     """N=4 with max|H| = scale and max|H - H^dag| = `factor` times the
     bound; exact in float64 for a power-of-two scale."""
@@ -435,6 +499,34 @@ class TestBuildBitIdentity:
             terms = parse_hamiltonian(doc["hamiltonian"]["pauli"])
             assert len(terms) == 64 and terms[0].n_qubits == 8
             assert_same_bits(build_hamiltonian(terms), build_hamiltonian_reference(terms))
+
+    @pytest.mark.parametrize("chunk", [1, 8, 24, 100])
+    def test_across_chunk_edges(self, chunk, monkeypatch):
+        # 3 qubits, 40 terms in chunks of 1, 1, 3 and 12 terms: 24 random
+        # strings whose flip masks are not 0b101, 10 repeats of them with
+        # fresh or negated coefficients, and +c/-c pairs on the only strings
+        # with flip mask 0b101, whose entries cancel to +0.0 (dyadic c, so
+        # every partial sum is exact)
+        monkeypatch.setattr(pauli, "_BUILD_CHUNK", chunk)
+        rng = np.random.default_rng(32)
+        strings = []
+        while len(strings) < 24:
+            s = "".join(rng.choice(list("IXYZ"), 3))
+            if [c in "XY" for c in s] != [True, False, True]:
+                strings.append(s)
+        terms = [PauliTerm(c, tuple(s)) for c, s in zip(rng.uniform(-2, 2, 24), strings)]
+        for k in range(10):
+            earlier = terms[int(rng.integers(len(terms)))]
+            c = -earlier.coefficient if k % 2 else float(rng.uniform(-2, 2))
+            terms.append(PauliTerm(c, earlier.labels))
+        for at, (c, s) in zip((3, 11, 20), ((0.75, "XIY"), (-1.5, "YZX"), (3.0, "XZX"))):
+            terms[at:at] = [PauliTerm(c, tuple(s))]
+            terms.append(PauliTerm(-c, tuple(s)))
+        assert len(terms) == 40
+        H = build_hamiltonian(terms)
+        assert_same_bits(H, build_hamiltonian_reference(terms))
+        rows = np.arange(8)
+        assert not H[rows, rows ^ 0b101].view(np.uint64).any()  # +0.0, both parts
 
     @pytest.mark.parametrize("n_qubits", [1, 2, 3])
     def test_tensor_term_every_label_string(self, n_qubits):

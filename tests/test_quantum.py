@@ -15,6 +15,7 @@ from cpdyn.quantum import (
     evolve_rk4,
     make_state,
     rk4_weights,
+    spectrum,
 )
 
 from conftest import STEP_PATH_IDS, STEP_PATHS, numpy_calls, numpy_dot_calls
@@ -98,6 +99,20 @@ class TestTimeGrid:
 
 
 class TestEvolveExact:
+    def test_infinite_eigenvalue_fails_at_step_1(self):
+        # finite entries whose spectral radius overflows: eigh gives
+        # lam[-1] = inf, and the exact route named step 0 (the t = 0
+        # sample's 0 x inf) where the RK4 routes name step 1
+        H = np.full((3, 3), 1e308)
+        assert np.isinf(spectrum(H, 3).lam).any()
+        psi0 = make_state([1.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for evolve in (evolve_exact_grid, evolve_rk4):
+                with pytest.raises(NumericFailure) as err:
+                    evolve(H, psi0, TimeGrid(1.0, 1.0))
+                assert err.value.step == 1, evolve
+
     def test_time_zero_is_identity(self, rng):
         psi0 = random_state(rng, 5)
         traj = evolve_exact_grid(random_hermitian(rng, 5), psi0, TimeGrid(1.0, 0.1))
