@@ -61,4 +61,4 @@ from .scenario import (
     run,
 )
 
-__version__ = "0.27.0"
+__version__ = "0.28.0"

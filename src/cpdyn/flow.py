@@ -30,8 +30,8 @@ on N.
   [I; B; B^2; B^3; B^4], built once per run, fills K = [u; Bu; ...; B^4 u],
   and the new state is w . K: 5N^2 multiply-adds.
 * Above it the run steps the coordinates q = V^H u of the eigendecomposition
-  H = V diag(lam) V^H, a `quantum.Spectrum` that the caller passes as H or
-  the run makes with one `eigh`; in these coordinates B^j is the diagonal
+  H = V diag(lam) V^H, which the `quantum.Spectrum` of H makes with one
+  `eigh` when first read; in these coordinates B^j is the diagonal
   z^j, z = -i dt lam.  One (5, N) product (z^j V[pivot]) . q gives
   u[pivot] and the s_j, and the step is q *= sum_j w_j z^j, with w the
   weights of u / u[pivot] divided by u[pivot], so the pivot entry returns
@@ -76,9 +76,16 @@ less scalar work per step, wins while its 5N^2 multiply-adds are cheap,
 and above it the O(N) eigen-coordinate step wins.  The measurements
 behind the threshold are in CHANGES.md (0.17.0 for the step forced at
 every N, 0.20.0 for the crossover).  `eigh` is O(N^3), paid at most once
-per run, and `scenario.run` shares one with the quantum route.  A step
-allocates no array: the stack and every work buffer are built once per
-run.
+per run.  A step allocates no array: the stack and every work buffer are
+built once per run.
+
+Every function here that takes H enters through `quantum.spectrum(H, N)`:
+a matrix passes `require_hermitian` there, and a `Spectrum` comes back
+after an O(1) dimension check.  The `Spectrum` decomposes H when its `lam`
+or `V` is first read and keeps the result, so the stacked loop, which
+reads only its matrix, makes no `eigh`, and a `Spectrum` that
+`scenario.run` hands to both routes is decomposed once for the two.  A
+`Spectrum` lives for one run, as `quantum.Spectrum` says.
 
 Before the first step and after every step the integrator hops to the
 chart anchored at the largest |u_i| whenever the pivot amplitude
@@ -104,7 +111,7 @@ import numpy as np
 
 from .chart import ChartPoint, normalization, select_pivot
 from .observables import energy
-from .pauli import require_hermitian, require_real
+from .pauli import require_real
 from .quantum import NumericFailure, Spectrum, TimeGrid, rk4_weights, spectrum
 
 __all__ = [
@@ -209,22 +216,22 @@ class ClassicalTrajectory:
         return self.u / np.sqrt(self.nfac)[:, None]
 
 
-def classical_hamiltonian(H: np.ndarray, point: ChartPoint) -> float:
+def classical_hamiltonian(H: np.ndarray | Spectrum, point: ChartPoint) -> float:
     """h0 = <psi|H|psi> evaluated in chart coordinates as D/nfac.
 
-    H must pass `pauli.require_hermitian`; otherwise D would carry an
-    imaginary part that is silently discarded, so it raises instead.
+    H enters through `quantum.spectrum`, so a non-Hermitian H, whose D
+    would carry an imaginary part that is silently discarded, raises.
     """
-    return energy(require_hermitian(H, point.dimension), point)
+    return energy(spectrum(H, point.dimension).H, point)
 
 
-def grad_conj(H: np.ndarray, point: ChartPoint) -> np.ndarray:
+def grad_conj(H: np.ndarray | Spectrum, point: ChartPoint) -> np.ndarray:
     """Wirtinger gradient dh0/dxbar^k over the non-pivot indices.
 
     Closed form ((Hu)_k nfac - D x^k)/nfac^2, valid for any dimension and
-    pivot choice.  H must pass `pauli.require_hermitian`.
+    pivot choice.  H enters through `quantum.spectrum`.
     """
-    H = require_hermitian(H, point.dimension)
+    H = spectrum(H, point.dimension).H
     x = point.coords
     u = point.homogeneous()
     hu = H @ u
@@ -234,7 +241,7 @@ def grad_conj(H: np.ndarray, point: ChartPoint) -> np.ndarray:
     return (hk * nfac - d * x) / nfac**2
 
 
-def hamilton_rhs(H: np.ndarray, point: ChartPoint) -> np.ndarray:
+def hamilton_rhs(H: np.ndarray | Spectrum, point: ChartPoint) -> np.ndarray:
     """dx/dt: the inverse symplectic form contracted with grad_conj,
 
         dx^j/dt = -i nfac [ g_j + x^j sum_k xbar^k g_k ],  g = grad_conj.
@@ -278,18 +285,15 @@ def integrate_classical(
     skipped work never decides anything, so the trajectory is the same
     bits as with every step checked.
 
-    H is a matrix or its `quantum.Spectrum`.  The eigen-coordinates come
-    from `quantum.spectrum(H, N)`: H itself when it is a `Spectrum`, else
-    one `eigh` of H per run.  Up to `_STACK_MAX_N` a matrix H only passes
-    `require_hermitian`, and a `Spectrum` spares that check too.
+    H enters through `quantum.spectrum(H, N)`, the one rule for H: a
+    matrix is checked, a `quantum.Spectrum` only has its dimension
+    checked.  The loop that N selects reads what it needs of the
+    `Spectrum`: the stacked loop its matrix, the spectral loop its `lam`
+    and `V`, so only the spectral loop makes (or reuses) its one `eigh`.
     """
     settings = settings or FlowSettings()
     n = point0.dimension
-    if isinstance(H, Spectrum) or n > _STACK_MAX_N:
-        spec = spectrum(H, n)
-        H = spec.H
-    else:
-        H = require_hermitian(H, n)
+    spec = spectrum(H, n)
     usq_switch = settings.switch_level
     u = np.array(point0.homogeneous(), dtype=complex)
     pivot = point0.pivot
@@ -304,14 +308,8 @@ def integrate_classical(
     pivots = np.empty(len(samples), dtype=int)
     us[0], pivots[0] = u, pivot
 
-    if n <= _STACK_MAX_N:
-        switch_times += _stacked_steps(
-            H, u, pivot, grid, usq_switch, samples, us, pivots
-        )
-    else:
-        switch_times += _spectral_steps(
-            spec.lam, spec.V, u, pivot, grid, usq_switch, samples, us, pivots
-        )
+    steps = _stacked_steps if n <= _STACK_MAX_N else _spectral_steps
+    switch_times += steps(spec, u, pivot, grid, usq_switch, samples, us, pivots)
 
     us.setflags(write=False)
     return ClassicalTrajectory(
@@ -335,17 +333,18 @@ def _hop(u, pivot):
     return new_pivot, scale
 
 
-def _stacked_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
+def _stacked_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     """Step u from sample 0 over the grid with K = [u; Bu; ...; B^4 u] from
-    one product with [I; B; ...; B^4], writing samples 1.. into `us` and
-    `pivots`; returns the switch times.  The one skip rule of this loop is
-    the countdown of `_steps_clear`: |u|^2, the divergence guard and the
-    switch rule run only on the steps that it leaves open."""
+    one product with [I; B; ...; B^4], B = -i dt `spec.H`, writing samples
+    1.. into `us` and `pivots`; returns the switch times.  The one skip
+    rule of this loop is the countdown of `_steps_clear`: |u|^2, the
+    divergence guard and the switch rule run only on the steps that it
+    leaves open."""
     n = u.size
     # built without a numpy warning: a dt H past the float range leaves a
     # power non-finite, and K with it, so step 1 fails
     with np.errstate(over="ignore", invalid="ignore"):
-        B = (-1j * grid.dt) * H
+        B = (-1j * grid.dt) * spec.H
         B2 = B @ B
         powers = np.concatenate([np.eye(n), B, B2, B @ B2, B2 @ B2])
     if not np.isfinite(powers).all():
@@ -386,9 +385,9 @@ def _stacked_steps(H, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     return switch_times
 
 
-def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
+def _spectral_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     """`_stacked_steps` in the coordinates q = V^H u of H = V diag(lam) V^H,
-    where B^j is the diagonal z^j, z = -i dt lam.  u = V q is formed only to
+    read from `spec`, where B^j is the diagonal z^j, z = -i dt lam.  u = V q is formed only to
     sample it or to probe for a switch.
 
     The one skip rule of this loop is the probe distance: after every step
@@ -400,7 +399,7 @@ def _spectral_steps(lam, V, u, pivot, grid, usq_switch, samples, us, pivots) -> 
     finite and far below `_NSQ_GUARD`, a NaN in q fails the test, which is
     written `not dsq < slack^2` for that reason, and a probe would keep the
     pivot and leave q as it is."""
-    n = u.size
+    n, lam, V = u.size, spec.lam, spec.V
     # row j: z^j; non-finite, it fails step 1 as a power does in
     # `_stacked_steps`
     with np.errstate(over="ignore", invalid="ignore"):

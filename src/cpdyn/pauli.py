@@ -56,8 +56,8 @@ PAULI_SYMBOLS = "IXYZ"
 # - parsing a Pauli document, H and the temporaries of `build_hamiltonian`
 #   and `require_hermitian`, bounded by `_BUILD_CHUNK` entries and
 #   `_HERMITIAN_BLOCK` columns: about 1.06 (tracemalloc, 12 qubits and
-#   64 terms; 2.06 when the check formed a whole H^dag);
-# - a `compare`: about 5.3, set by the one `eigh` in `quantum.spectrum`, its
+#   64 terms);
+# - a `compare`: about 5.3, set by the one `eigh` of `quantum.Spectrum`, its
 #   copy of H, its LAPACK (`heevd`) workspace and the eigenvectors V, which
 #   both routes share (peak RSS at N = 1024); the sampled states add up to
 #   2^24 entries per trajectory.

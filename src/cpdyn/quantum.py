@@ -4,8 +4,7 @@ Two integration routes are provided on purpose:
 
 * `evolve_exact_grid`: spectral propagator exp(-iHt) via one
   eigendecomposition, sampled on a time grid and exact up to floating
-  point.  This is the trusted oracle.  H may be given as its `Spectrum`,
-  which `scenario.run` builds once and hands to the classical route too.
+  point.  This is the trusted oracle.
 * `evolve_rk4`: classical fixed-step 4th-order Runge-Kutta on the
   Schrodinger right-hand side.  Norm drift is left in, not corrected:
   `QuantumTrajectory.norm_drift` reports it as a quality signal for the
@@ -28,7 +27,9 @@ weights) and its projective form in `cpdyn.flow`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,52 +139,72 @@ def make_state(amplitudes) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """H = V diag(lam) V^H for one H that passed `require_hermitian`; made
-    by `spectrum`.  `evolve_exact_grid` and `integrate_classical` take one
-    where they take H, so the routes can share one eigh.  `lam` and `V`
-    are read-only, so the routes that share them cannot change them for
-    each other."""
+    """H = V diag(lam) V^H for one H that `spectrum` checked.  Make one
+    with `spectrum(H, N)`: the constructor `Spectrum(H)` trusts H.  Every
+    route that takes H takes a `Spectrum` in its place, so routes that are
+    handed the same one share its check and its decomposition.  `lam` and
+    `V` come from one eigh, made when either is first read and then kept,
+    so a route that reads only H (the RK4 steps, the stacked classical
+    step) makes none; they are read-only, so the routes that share them
+    cannot change them for each other.
+
+    A `Spectrum` lives for one run, made by `scenario.run` or by the route
+    itself, never kept on a `ScenarioConfig`: the decomposition holds
+    about two N x N arrays, which a parsed document would keep alive from
+    its parse to its last run."""
 
     H: np.ndarray
-    lam: np.ndarray
-    V: np.ndarray
+
+    @cached_property
+    def _eigh(self) -> tuple:
+        lam, V = np.linalg.eigh(self.H)
+        lam.setflags(write=False)
+        V.setflags(write=False)
+        return lam, V
+
+    @property
+    def lam(self) -> np.ndarray:
+        return self._eigh[0]
+
+    @property
+    def V(self) -> np.ndarray:
+        return self._eigh[1]
 
 
 def spectrum(H: np.ndarray | Spectrum, dimension: int) -> Spectrum:
-    """The decomposition of H for states of length `dimension`.  A
-    `Spectrum` is returned as it is, after an O(1) check of its dimension
-    (it passed `require_hermitian` when it was made); a matrix goes through
-    `require_hermitian(H, dimension)` and one eigh."""
+    """The one entry rule for H on states of length `dimension`: a matrix
+    goes through `require_hermitian(H, dimension)` and comes back as
+    `Spectrum(H)`; a `Spectrum` comes back as it is, after an O(1) check
+    of its dimension (its H passed the check when it was made).  No eigh
+    is made here (see `Spectrum`)."""
     if isinstance(H, Spectrum):
-        if len(H.lam) != dimension:
+        if len(H.H) != dimension:
             raise ValueError(f"dimension mismatch: H is {H.H.shape}, state has {dimension}")
         return H
-    H = require_hermitian(H, dimension)
-    lam, V = np.linalg.eigh(H)
-    lam.setflags(write=False)
-    V.setflags(write=False)
-    return Spectrum(H, lam, V)
+    return Spectrum(require_hermitian(H, dimension))
 
 
 def evolve_exact_grid(
     H: np.ndarray | Spectrum, psi0: np.ndarray, grid: TimeGrid
 ) -> QuantumTrajectory:
     """Spectral propagation sampled on a TimeGrid: rows exp(-iHt) psi0 at
-    the sample times, from `spectrum(H, N)`: H itself when it is a
-    `Spectrum`, else one eigh of H.  psi0 must pass `make_state`."""
+    the sample times, from `spectrum(H, N)`, whose eigh this route reads.
+    psi0 must pass `make_state`."""
     psi0 = make_state(psi0)
     spec = spectrum(H, psi0.size)
     coeffs = spec.V.conj().T @ psi0
     times = grid.sample_times()
-    # past the float range t max|lambda| would make the phases NaN: the
-    # first such sample is the failing step, and step 1 where an eigenvalue
-    # itself is not finite (eigh of a finite H whose spectral radius
-    # overflows), as on the RK4 routes, not the t = 0 sample's 0 x inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = np.flatnonzero(~np.isfinite(times * np.max(np.abs(spec.lam))))
-    if bad.size:
-        step = int(grid.sample_indices()[bad[0]])
-        raise NumericFailure("non-finite t max|lambda|", max(step, 1))
+    # past the float range (k dt) max|lambda| would make the phases NaN
+    # from step k on.  It does not fall as k grows, so the first such step,
+    # sampled or not, is found by bisection over the steps: step 1 where an
+    # eigenvalue itself is not finite (eigh of a finite H whose spectral
+    # radius overflows), as on the RK4 routes.  Python floats overflow to
+    # inf without a numpy warning.
+    top, dt = float(np.max(np.abs(spec.lam))), grid.dt
+    steps = range(1, grid.n_steps + 1)
+    bad = bisect_left(steps, True, key=lambda k: not math.isfinite(k * dt * top))
+    if bad < len(steps):
+        raise NumericFailure("non-finite t max|lambda|", steps[bad])
     phases = np.exp(-1j * np.outer(times, spec.lam))  # (S, N)
     return QuantumTrajectory(times=times, states=(spec.V @ (phases * coeffs).T).T)
 
@@ -232,7 +253,9 @@ def rk4_weights(s1: complex, s2: complex, s3: complex, s4: complex) -> tuple:
     )
 
 
-def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajectory:
+def evolve_rk4(
+    H: np.ndarray | Spectrum, psi0: np.ndarray, grid: TimeGrid
+) -> QuantumTrajectory:
     """Fixed-step RK4 on the Schrodinger equation.
 
     The step is psi += D psi, with D = sum_{j>=1} w_j B^j (`rk4_weights`
@@ -257,7 +280,7 @@ def evolve_rk4(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajec
     not finite.
     """
     psi = np.array(make_state(psi0))
-    H = require_hermitian(H, psi.size)
+    H = spectrum(H, psi.size).H
 
     _, w1, w2, w3, w4 = rk4_weights(0.0, 0.0, 0.0, 0.0)
     # built without a numpy warning: a dt H past the float range leaves D

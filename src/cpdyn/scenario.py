@@ -125,10 +125,10 @@ def _parse_hamiltonian(node, n: int) -> np.ndarray:
     if "pauli" in node:
         with _as_config_error("hamiltonian.pauli"):
             terms = pauli.parse_hamiltonian(node["pauli"])
-            return pauli.require_hermitian(pauli.build_hamiltonian(terms), n)
+            return quantum.spectrum(pauli.build_hamiltonian(terms), n).H
     with _as_config_error("hamiltonian.dense"):
         H = _complex_array(node["dense"], "hamiltonian.dense", ndim=2)
-        return pauli.require_hermitian(H, n)
+        return quantum.spectrum(H, n).H
 
 
 def _parse_grid(node) -> quantum.TimeGrid:
@@ -242,18 +242,16 @@ def run(config: ScenarioConfig, method: str = "both") -> RunResult:
     """Execute a scenario; deterministic for a fixed config.
 
     The classical side starts from the chart anchored at the maximum-modulus
-    initial amplitude.  H is decomposed at most once: a run with the
-    quantum route replaces H by its `quantum.Spectrum` and hands that to
-    both routes; a classical-only run hands the matrix to
-    `flow.integrate_classical`, which decomposes it only on the step path
-    that needs it.
+    initial amplitude.  H goes through `quantum.spectrum` once, and its
+    `Spectrum` goes to every route that runs, so H is checked once and
+    decomposed at most once, by the first route that reads the
+    decomposition.  The `Spectrum` lives for this run only, never on the
+    config (see `quantum.Spectrum`).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     result = RunResult(config=config)
-    H = config.hamiltonian
-    if method != "classical":
-        H = quantum.spectrum(H, config.dimension)
+    H = quantum.spectrum(config.hamiltonian, config.dimension)
     if method in ("quantum", "both"):
         result.quantum_trajectory = quantum.evolve_exact_grid(
             H, config.initial_state, config.grid

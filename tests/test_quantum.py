@@ -113,6 +113,18 @@ class TestEvolveExact:
                     evolve(H, psi0, TimeGrid(1.0, 1.0))
                 assert err.value.step == 1, evolve
 
+    @pytest.mark.parametrize("stride", [1, 7, 20])
+    def test_first_failing_step_whatever_the_stride(self, stride):
+        # (k dt) max|lambda| = k 1e307 leaves the float range at step 18;
+        # strides 7 and 20 sample steps 21 and 20 next, which the route
+        # named before it bisected over the steps
+        H = np.diag([1e307, -1e307])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure) as err:
+                evolve_exact_grid(H, make_state([1.0, 0.0]), TimeGrid(40.0, 1.0, stride))
+        assert err.value.step == 18
+
     def test_time_zero_is_identity(self, rng):
         psi0 = random_state(rng, 5)
         traj = evolve_exact_grid(random_hermitian(rng, 5), psi0, TimeGrid(1.0, 0.1))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -5,12 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cpdyn.cli
 import cpdyn.flow
 import cpdyn.quantum
 import cpdyn.scenario
 from cpdyn.chart import select_pivot, to_chart
-from cpdyn.flow import _STACK_MAX_N, integrate_classical
-from cpdyn.quantum import TimeGrid, evolve_exact_grid, make_state
+from cpdyn.flow import (
+    _STACK_MAX_N,
+    classical_hamiltonian,
+    grad_conj,
+    hamilton_rhs,
+    integrate_classical,
+)
+from cpdyn.quantum import TimeGrid, evolve_exact_grid, evolve_rk4, make_state
 from cpdyn.scenario import (
     KNOWN_OBSERVABLES,
     ConfigError,
@@ -244,6 +252,40 @@ def random_config(rng, n: int, grid: TimeGrid) -> ScenarioConfig:
     return ScenarioConfig("random", H, make_state(random_state(rng, n)), grid)
 
 
+def dense_doc(rng, n: int) -> dict:
+    """The document of a `random_config` system, H given as a dense matrix."""
+    config = random_config(rng, n, TimeGrid(0.5, 1e-2, 5))
+    H, psi0 = config.hamiltonian, config.initial_state
+    return minimal_doc(
+        hamiltonian={"dense": {"real": H.real.tolist(), "imag": H.imag.tolist()}},
+        initial_state={"real": psi0.real.tolist(), "imag": psi0.imag.tolist()},
+        grid={"t_end": 0.5, "dt": 1e-2, "output_stride": 5},
+        observables=["populations", "energy", "norm"],
+    )
+
+
+# every route that takes H, each called as (H, psi0, grid)
+_H_ROUTES = {
+    "evolve_exact_grid": evolve_exact_grid,
+    "evolve_rk4": evolve_rk4,
+    "integrate_classical": lambda H, psi0, grid: integrate_classical(
+        H, to_chart(psi0, select_pivot(psi0)), grid
+    ),
+    "classical_hamiltonian": lambda H, psi0, grid: classical_hamiltonian(
+        H, to_chart(psi0, 0)
+    ),
+    "grad_conj": lambda H, psi0, grid: grad_conj(H, to_chart(psi0, 0)),
+    "hamilton_rhs": lambda H, psi0, grid: hamilton_rhs(H, to_chart(psi0, 0)),
+}
+
+
+def _arrays(out) -> dict:
+    """The fields of a trajectory by name, or a route's value as "value"."""
+    if dataclasses.is_dataclass(out):
+        return {f.name: getattr(out, f.name) for f in dataclasses.fields(out)}
+    return {"value": out}
+
+
 def count_calls(monkeypatch, module, name: str) -> list:
     """Count the calls of `module.name` from now on; returns the counter."""
     calls, real = [], getattr(module, name)
@@ -276,16 +318,52 @@ class TestSharedSpectrum:
 
     @pytest.mark.parametrize("n", [4, 64])
     def test_one_eigh_and_one_hermiticity_check_per_compare(self, rng, monkeypatch, n):
-        # a hand-built config skips the parser, whose check is the other one
+        # a hand-built config skips the parser, whose check is the other one;
+        # `quantum.spectrum` is the one caller of the check
         config = random_config(rng, n, TimeGrid(0.5, 1e-2, 5))
         eighs = count_calls(monkeypatch, np.linalg, "eigh")
-        checks = [
-            count_calls(monkeypatch, module, "require_hermitian")
-            for module in (cpdyn.quantum, cpdyn.flow)
-        ]
+        checks = count_calls(monkeypatch, cpdyn.quantum, "require_hermitian")
         assert compare(config).passed
         assert len(eighs) == 1
-        assert sum(map(len, checks)) == 1
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_parsed_document_compare(self, rng, monkeypatch, tmp_path, n):
+        # the parser keeps the checked matrix, not its `Spectrum`, so `run`
+        # checks H a second time and decomposes it once
+        path = write_scenario(tmp_path, dense_doc(rng, n))
+        eighs = count_calls(monkeypatch, np.linalg, "eigh")
+        checks = count_calls(monkeypatch, cpdyn.quantum, "require_hermitian")
+        assert compare(load_scenario(path)).passed
+        assert len(eighs) == 1
+        assert len(checks) == 2
+
+    @pytest.mark.parametrize("n, eighs", [(4, 0), (64, 1)])
+    def test_parsed_classical_run_makes_eigh_only_above_the_stack(
+        self, rng, monkeypatch, tmp_path, n, eighs
+    ):
+        config = load_scenario(write_scenario(tmp_path, dense_doc(rng, n)))
+        calls = count_calls(monkeypatch, np.linalg, "eigh")
+        run(config, method="classical")
+        assert len(calls) == eighs
+
+    def test_validate_makes_no_eigh(self, rng, monkeypatch, tmp_path):
+        path = write_scenario(tmp_path, dense_doc(rng, 64))
+        calls = count_calls(monkeypatch, np.linalg, "eigh")
+        assert cpdyn.cli.main(["validate", "--config", str(path)]) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("route", _H_ROUTES)
+    def test_every_route_takes_a_spectrum_with_the_same_bits(self, rng, n, route):
+        config = random_config(rng, n, TimeGrid(0.5, 1e-2, 5))
+        H, psi0, grid = config.hamiltonian, config.initial_state, config.grid
+        evolve = _H_ROUTES[route]
+        want = _arrays(evolve(H, psi0, grid))
+        got = _arrays(evolve(cpdyn.quantum.spectrum(H, n), psi0, grid))
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
 
     @pytest.mark.parametrize("n, eighs", [(4, 0), (64, 1)])
     def test_classical_run_makes_eigh_only_above_the_stack(
@@ -300,16 +378,15 @@ class TestSharedSpectrum:
 
     @pytest.mark.parametrize("n", [4, 64])
     def test_spectrum_of_another_dimension_refused(self, rng, n):
-        # both routes take a `Spectrum` where they take H, and check its
-        # dimension against the state's as they check a matrix
+        # every route takes a `Spectrum` where it takes H, and checks its
+        # dimension against the state's as it checks a matrix
         config = random_config(rng, n, TimeGrid(0.5, 1e-2, 5))
         spectrum = cpdyn.quantum.spectrum(config.hamiltonian, n)
         psi0 = make_state([1.0, 0.0])
         message = re.escape(f"H is ({n}, {n}), state has 2")
-        with pytest.raises(ValueError, match=message):
-            evolve_exact_grid(spectrum, psi0, config.grid)
-        with pytest.raises(ValueError, match=message):
-            integrate_classical(spectrum, to_chart(psi0, 0), config.grid)
+        for evolve in _H_ROUTES.values():
+            with pytest.raises(ValueError, match=message):
+                evolve(spectrum, psi0, config.grid)
 
     def test_shared_spectrum_matches_eigh_free_reference(self, rng):
         # sharing makes a wrong decomposition wrong in both routes alike, so
