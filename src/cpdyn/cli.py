@@ -79,6 +79,8 @@ def main(argv=None) -> int:
         config = load_scenario(args.config)
         if out is not None and not Path(out).parent.is_dir():
             raise FileNotFoundError(f"output directory {Path(out).parent} does not exist")
+        if out is not None and Path(out).is_dir():
+            raise IsADirectoryError(f"output path {out} is a directory")
 
         if args.command == "validate":
             print(f"ok: {args.config} ({config.name}, N={config.dimension})")

@@ -80,10 +80,11 @@ per run.  A step allocates no array: the stack and every work buffer are
 built once per run.
 
 Every function here that takes H enters through `quantum.spectrum(H, N)`:
-a matrix passes `require_hermitian` there, and a `Spectrum` comes back
-after an O(1) dimension check.  The `Spectrum` decomposes H when its `lam`
-or `V` is first read and keeps the result, so the stacked loop, which
-reads only its matrix, makes no `eigh`, and a `Spectrum` that
+a matrix is made into a `Spectrum` there, which passes it through
+`require_hermitian`, and a `Spectrum`, checked when it was made, comes
+back after an O(1) dimension check.  The `Spectrum` decomposes H when its
+`lam` or `V` is first read and keeps the result, so the stacked loop,
+which reads only its matrix, makes no `eigh`, and a `Spectrum` that
 `scenario.run` hands to both routes is decomposed once for the two.  A
 `Spectrum` lives for one run, as `quantum.Spectrum` says.
 

@@ -274,10 +274,11 @@ def build_two_qubit_hamiltonian(
 _HERMITIAN_BLOCK = 32
 
 
-def require_hermitian(H: np.ndarray, dimension: int) -> np.ndarray:
+def require_hermitian(H: np.ndarray, dimension: int | None) -> np.ndarray:
     """Validate that H is a finite N x N matrix, N = `dimension` >= 2 (the
-    length of the states it acts on), with max|H - H^dag| <= HERMITIAN_RTOL
-    eps N max|H| entrywise (eps the float64 epsilon); returns H as complex.
+    length of the states it acts on; None, as `quantum.Spectrum` passes,
+    takes any N >= 2), with max|H - H^dag| <= HERMITIAN_RTOL eps N max|H|
+    entrywise (eps the float64 epsilon); returns H as complex.
     The entries pass `require_numbers` first.  H meets H^dag one block of
     `_HERMITIAN_BLOCK` columns at a time (columns b of H^dag are rows b of
     H, conjugated and transposed), so no N x N array is formed; both
@@ -287,7 +288,7 @@ def require_hermitian(H: np.ndarray, dimension: int) -> np.ndarray:
         raise ValueError(f"operator must be a square matrix, got shape {H.shape}")
     if H.shape[0] < 2:
         raise ValueError("operator dimension must be at least 2")
-    if H.shape[0] != dimension:
+    if dimension is not None and H.shape[0] != dimension:
         raise ValueError(f"dimension mismatch: H is {H.shape}, state has {dimension}")
     n = H.shape[0]
     blocks = [slice(a, a + _HERMITIAN_BLOCK) for a in range(0, n, _HERMITIAN_BLOCK)]

@@ -139,14 +139,15 @@ def make_state(amplitudes) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """H = V diag(lam) V^H for one H that `spectrum` checked.  Make one
-    with `spectrum(H, N)`: the constructor `Spectrum(H)` trusts H.  Every
-    route that takes H takes a `Spectrum` in its place, so routes that are
-    handed the same one share its check and its decomposition.  `lam` and
-    `V` come from one eigh, made when either is first read and then kept,
-    so a route that reads only H (the RK4 steps, the stacked classical
-    step) makes none; they are read-only, so the routes that share them
-    cannot change them for each other.
+    """H = V diag(lam) V^H for one H, checked when made: `Spectrum(H)`
+    passes H through `require_hermitian` for its own size, and keeps the
+    complex matrix that comes back.  `spectrum(H, N)` makes one and checks
+    its dimension.  Every route that takes H takes a `Spectrum` in its
+    place, so routes that are handed the same one share its check and its
+    decomposition.  `lam` and `V` come from one eigh, made when either is
+    first read and then kept, so a route that reads only H (the RK4 steps,
+    the stacked classical step) makes none; they are read-only, so the
+    routes that share them cannot change them for each other.
 
     A `Spectrum` lives for one run, made by `scenario.run` or by the route
     itself, never kept on a `ScenarioConfig`: the decomposition holds
@@ -154,6 +155,9 @@ class Spectrum:
     its parse to its last run."""
 
     H: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "H", require_hermitian(self.H, None))
 
     @cached_property
     def _eigh(self) -> tuple:
@@ -173,15 +177,13 @@ class Spectrum:
 
 def spectrum(H: np.ndarray | Spectrum, dimension: int) -> Spectrum:
     """The one entry rule for H on states of length `dimension`: a matrix
-    goes through `require_hermitian(H, dimension)` and comes back as
-    `Spectrum(H)`; a `Spectrum` comes back as it is, after an O(1) check
-    of its dimension (its H passed the check when it was made).  No eigh
-    is made here (see `Spectrum`)."""
-    if isinstance(H, Spectrum):
-        if len(H.H) != dimension:
-            raise ValueError(f"dimension mismatch: H is {H.H.shape}, state has {dimension}")
-        return H
-    return Spectrum(require_hermitian(H, dimension))
+    is made into a `Spectrum(H)`, which checks it, and a `Spectrum` is
+    taken as it is, since it was checked when made; then an O(1) check of
+    its dimension.  No eigh is made here (see `Spectrum`)."""
+    H = H if isinstance(H, Spectrum) else Spectrum(H)
+    if len(H.H) != dimension:
+        raise ValueError(f"dimension mismatch: H is {H.H.shape}, state has {dimension}")
+    return H
 
 
 def evolve_exact_grid(

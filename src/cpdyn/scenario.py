@@ -17,6 +17,13 @@ Hermitian matrix (``{"dense": {"real": [[..]], "imag": [[..]]}}``).
 Amplitudes and matrices carry real and imaginary parts as separate arrays so
 the file format needs no complex literals.  Every object refuses a field it
 does not know.
+
+The scenario rules (a string name, a unit initial state, the sample and
+step caps, known observables) belong to `ScenarioConfig`, which checks
+them when made, so a config built in code is refused as a document is.
+`scenario_from_dict` checks the document's structure and maps it onto a
+config; it reads the state before H, which must act on it, and checks H,
+under the key of its form.
 """
 
 from __future__ import annotations
@@ -63,20 +70,6 @@ class ConfigError(ValueError):
     violated rule."""
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    name: str
-    hamiltonian: np.ndarray
-    initial_state: np.ndarray
-    grid: quantum.TimeGrid
-    flow: flow.FlowSettings = field(default_factory=flow.FlowSettings)
-    observables: tuple[str, ...] = ("populations", "energy", "norm")
-
-    @property
-    def dimension(self) -> int:
-        return self.initial_state.shape[0]
-
-
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
@@ -92,6 +85,60 @@ def _as_config_error(key: str):
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """One scenario, checked when made by the scenario rules, whether
+    built in code or by `scenario_from_dict`: `name` is a string; the
+    initial state passes `quantum.make_state` and is kept as its read-only
+    copy; the grid stores at most 2^24 sampled amplitudes per trajectory
+    and takes at most 10^8 steps; `observables` is a non-empty list of
+    `KNOWN_OBSERVABLES`, kept as a tuple, where `z` and `concurrence` need
+    N = 4.  A rule that fails raises the ConfigError a document gets.
+
+    H is not checked here but by every route that takes it (see
+    `quantum.spectrum`), so a config built in code checks H once per run
+    and decomposes it at most once."""
+
+    name: str
+    hamiltonian: np.ndarray
+    initial_state: np.ndarray
+    grid: quantum.TimeGrid
+    flow: flow.FlowSettings = field(default_factory=flow.FlowSettings)
+    observables: tuple[str, ...] = ("populations", "energy", "norm")
+
+    def __post_init__(self):
+        _require(isinstance(self.name, str), f"name: expected a string, got {self.name!r}")
+        with _as_config_error("initial_state"):
+            object.__setattr__(self, "initial_state", quantum.make_state(self.initial_state))
+        n, grid, obs = self.dimension, self.grid, self.observables
+        _require(
+            grid.n_samples * n <= _MAX_SAMPLE_ENTRIES,
+            f"grid: {grid.n_samples} samples of {n} amplitudes exceed the cap of "
+            f"{_MAX_SAMPLE_ENTRIES} sampled entries per trajectory",
+        )
+        _require(
+            grid.n_steps <= _MAX_STEPS,
+            f"grid: t_end / dt = {grid.t_end!r} / {grid.dt!r} = {grid.n_steps} steps "
+            f"exceed the cap of {_MAX_STEPS} steps per run",
+        )
+        _require(
+            isinstance(obs, (list, tuple)) and len(obs) > 0,
+            "observables: expected a non-empty list",
+        )
+        bad = [o for o in obs if o not in KNOWN_OBSERVABLES]
+        _require(not bad, f"observables: unknown names {bad}; known: {list(KNOWN_OBSERVABLES)}")
+        for name in ("z", "concurrence"):
+            _require(
+                name not in obs or n == 4,
+                f"observables: '{name}' requires a two-qubit system (N=4), got N={n}",
+            )
+        object.__setattr__(self, "observables", tuple(obs))
+
+    @property
+    def dimension(self) -> int:
+        return self.initial_state.shape[0]
 
 
 def _fields(node, key: str, required=(), optional=()) -> None:
@@ -122,12 +169,12 @@ def _parse_hamiltonian(node, n: int) -> np.ndarray:
         len(node) == 1,
         "hamiltonian: needs exactly one of a 'pauli' string or a 'dense' matrix",
     )
-    if "pauli" in node:
-        with _as_config_error("hamiltonian.pauli"):
-            terms = pauli.parse_hamiltonian(node["pauli"])
-            return quantum.spectrum(pauli.build_hamiltonian(terms), n).H
-    with _as_config_error("hamiltonian.dense"):
-        H = _complex_array(node["dense"], "hamiltonian.dense", ndim=2)
+    kind = next(iter(node))
+    with _as_config_error(f"hamiltonian.{kind}"):
+        if kind == "pauli":
+            H = pauli.build_hamiltonian(pauli.parse_hamiltonian(node["pauli"]))
+        else:
+            H = _complex_array(node["dense"], "hamiltonian.dense", ndim=2)
         return quantum.spectrum(H, n).H
 
 
@@ -148,59 +195,25 @@ def _parse_flow(node) -> flow.FlowSettings:
 
 
 def scenario_from_dict(data, source: str = "<dict>") -> ScenarioConfig:
-    """Validate a deserialized scenario document into a ScenarioConfig."""
+    """Map a deserialized scenario document onto a ScenarioConfig, which
+    checks the scenario rules; errors name the document key."""
     _fields(
         data,
         "scenario",
         required=("hamiltonian", "initial_state", "grid"),
         optional=("name", "flow", "observables"),
     )
-    scenario_name = data.get("name", Path(source).stem)
-    _require(
-        isinstance(scenario_name, str),
-        f"name: expected a string, got {scenario_name!r}",
-    )
-
+    # the state is read first, by `make_state` as the config reads it: H must
+    # act on it, and a document with both wrong reports the state
     with _as_config_error("initial_state"):
-        psi0 = quantum.make_state(
-            _complex_array(data["initial_state"], "initial_state", ndim=1)
-        )
-    n = psi0.size
-    H = _parse_hamiltonian(data["hamiltonian"], n)
-
-    grid = _parse_grid(data["grid"])
-    _require(
-        grid.n_samples * n <= _MAX_SAMPLE_ENTRIES,
-        f"grid: {grid.n_samples} samples of {n} amplitudes exceed the cap of "
-        f"{_MAX_SAMPLE_ENTRIES} sampled entries per trajectory",
-    )
-    _require(
-        grid.n_steps <= _MAX_STEPS,
-        f"grid: t_end / dt = {grid.t_end!r} / {grid.dt!r} = {grid.n_steps} steps "
-        f"exceed the cap of {_MAX_STEPS} steps per run",
-    )
-    flow_settings = _parse_flow(data.get("flow", {}))
-
-    obs = data.get("observables", ScenarioConfig.observables)
-    _require(
-        isinstance(obs, (list, tuple)) and len(obs) > 0,
-        "observables: expected a non-empty list",
-    )
-    bad = [o for o in obs if o not in KNOWN_OBSERVABLES]
-    _require(not bad, f"observables: unknown names {bad}; known: {list(KNOWN_OBSERVABLES)}")
-    for name in ("z", "concurrence"):
-        _require(
-            name not in obs or n == 4,
-            f"observables: '{name}' requires a two-qubit system (N=4), got N={n}",
-        )
-
+        psi0 = quantum.make_state(_complex_array(data["initial_state"], "initial_state", ndim=1))
     return ScenarioConfig(
-        name=scenario_name,
-        hamiltonian=H,
+        name=data.get("name", Path(source).stem),
+        hamiltonian=_parse_hamiltonian(data["hamiltonian"], psi0.size),
         initial_state=psi0,
-        grid=grid,
-        flow=flow_settings,
-        observables=tuple(obs),
+        grid=_parse_grid(data["grid"]),
+        flow=_parse_flow(data.get("flow", {})),
+        observables=data.get("observables", ScenarioConfig.observables),
     )
 
 

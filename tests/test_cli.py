@@ -479,3 +479,20 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flag", [("simulate", "--out"), ("compare", "--report")])
+def test_output_path_that_is_a_directory_exits_2_before_integrating(
+    tmp_path, capsys, monkeypatch, command, flag
+):
+    # the write failed only after the whole run, and `compare` had printed
+    # its PASS summary by then
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated before checking the output path")
+
+    monkeypatch.setattr(cpdyn.cli, "run", integrate)
+    monkeypatch.setattr(cpdyn.cli, "compare", integrate)
+    assert main([command, "--config", FIG1_LEFT, flag, str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: output path {tmp_path} is a directory"]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cpdyn.pauli import build_two_qubit_hamiltonian
 from cpdyn.quantum import (
     NumericFailure,
+    Spectrum,
     TimeGrid,
     evolve_exact_grid,
     evolve_rk4,
@@ -96,6 +97,23 @@ class TestTimeGrid:
         idx = grid.sample_indices()
         assert idx.dtype == np.int64 and idx.tolist() == want
         assert grid.n_samples == len(want)
+
+
+class TestSpectrum:
+    def test_checked_when_made(self):
+        # `Spectrum(H)` trusted H, so a route handed one returned states for
+        # a matrix it refuses when handed the matrix itself
+        H = np.array([[0, 1], [0, 0]])
+        message = re.escape("operator is not Hermitian: max|H - H^dag| = 1.000e+00")
+        with pytest.raises(ValueError, match=message):
+            evolve_exact_grid(Spectrum(H), make_state([1, 0]), TimeGrid(1, 0.5))
+        with pytest.raises(ValueError, match=message):
+            evolve_exact_grid(H, make_state([1, 0]), TimeGrid(1, 0.5))
+
+    @pytest.mark.parametrize("H", [1.0, np.float64(1.0), np.array(1.0)])
+    def test_scalar_is_not_a_square_matrix(self, H):
+        with pytest.raises(ValueError, match="^operator must be a square matrix"):
+            spectrum(H, 2)
 
 
 class TestEvolveExact:

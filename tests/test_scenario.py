@@ -298,6 +298,67 @@ def count_calls(monkeypatch, module, name: str) -> list:
     return calls
 
 
+# each scenario rule a config checks when made: the field of a valid
+# two-level document that breaks it, and the same value for a config built
+# in code
+_TWO_LEVEL_DOC = minimal_doc(
+    hamiltonian={"dense": {"real": [[1.0, 0.0], [0.0, -1.0]]}},
+    initial_state={"real": [1.0, 0.0]},
+    observables=["populations"],
+)
+_CONFIG_RULES = {
+    "name": ({"name": 5}, {"name": 5}),
+    "state-norm": ({"initial_state": {"real": [3.0, 4.0]}}, {"initial_state": [3.0, 4.0]}),
+    "no-observables": ({"observables": []}, {"observables": ()}),
+    "unknown-observable": ({"observables": ["foo"]}, {"observables": ("foo",)}),
+    "z-at-n2": ({"observables": ["z"]}, {"observables": ("z",)}),
+    "concurrence-at-n2": ({"observables": ["concurrence"]}, {"observables": ("concurrence",)}),
+    "sample-cap": (
+        {"grid": {"t_end": 2.0**23, "dt": 1.0}},
+        {"grid": TimeGrid(2.0**23, 1.0)},
+    ),
+    "step-cap": (
+        {"grid": {"t_end": 1e8 + 1, "dt": 1.0, "output_stride": 10**8}},
+        {"grid": TimeGrid(1e8 + 1, 1.0, 10**8)},
+    ),
+}
+
+
+def _two_level_config(**fields) -> ScenarioConfig:
+    """The config of `_TWO_LEVEL_DOC`, built in code; keywords replace its
+    fields."""
+    kwargs = dict(
+        name="test",
+        hamiltonian=np.diag([1.0, -1.0]),
+        initial_state=np.array([1.0, 0.0]),
+        grid=TimeGrid(1.0, 0.01, 10),
+        observables=("populations",),
+    )
+    return ScenarioConfig(**{**kwargs, **fields})
+
+
+class TestConfigRules:
+    """A config built in code is checked by the rules a parsed one is."""
+
+    @pytest.mark.parametrize("doc_fields, config_fields", _CONFIG_RULES.values(),
+                             ids=_CONFIG_RULES)
+    def test_refused_with_the_parsers_message(self, doc_fields, config_fields):
+        with pytest.raises(ConfigError) as parsed:
+            scenario_from_dict({**_TWO_LEVEL_DOC, **doc_fields})
+        with pytest.raises(ConfigError, match="^" + re.escape(str(parsed.value)) + "$"):
+            _two_level_config(**config_fields)
+
+    def test_keeps_a_tuple_and_a_read_only_copy_of_the_state(self):
+        psi0 = np.array([1.0, 0.0])
+        config = _two_level_config(initial_state=psi0, observables=["populations"])
+        assert config.observables == ("populations",)
+        assert not config.initial_state.flags.writeable
+        psi0[:] = [0.0, 1.0]
+        assert np.array_equal(config.initial_state, [1.0, 0.0])
+        # the rows above differ from a valid document in one field
+        assert scenario_from_dict(_TWO_LEVEL_DOC).observables == ("populations",)
+
+
 class TestSharedSpectrum:
     """`run` decomposes H once and both routes use that one spectrum."""
 
