@@ -24,6 +24,9 @@ The module also holds the number rules of every entry point of the
 package: `require_real` for a scalar, `require_numbers` for an array and
 `require_integer` for an integer.  They live here, beside
 `require_hermitian`, because this module imports nothing from the package.
+`require_hermitian(H)` takes H alone, the one Hermiticity and tolerance
+rule; that H acts on states of the right length is checked by
+`quantum.spectrum(H, N)`, the one entry of H to every route.
 """
 
 from __future__ import annotations
@@ -270,33 +273,34 @@ def build_two_qubit_hamiltonian(
 
 
 # Columns per block of `require_hermitian`: at N = 1024 and 4096, 32 ran
-# as fast as 16 and 64, and a block's temporaries take 32 x N entries.
+# as fast as 16 and 64, and a block's temporaries take at most 32 x N
+# entries.
 _HERMITIAN_BLOCK = 32
 
 
-def require_hermitian(H: np.ndarray, dimension: int | None) -> np.ndarray:
-    """Validate that H is a finite N x N matrix, N = `dimension` >= 2 (the
-    length of the states it acts on; None, as `quantum.Spectrum` passes,
-    takes any N >= 2), with max|H - H^dag| <= HERMITIAN_RTOL eps N max|H|
-    entrywise (eps the float64 epsilon); returns H as complex.
-    The entries pass `require_numbers` first.  H meets H^dag one block of
-    `_HERMITIAN_BLOCK` columns at a time (columns b of H^dag are rows b of
-    H, conjugated and transposed), so no N x N array is formed; both
-    maxima are those of the whole matrix."""
+def require_hermitian(H: np.ndarray) -> np.ndarray:
+    """Validate that H is a finite N x N matrix, N >= 2, with
+    max|H - H^dag| <= HERMITIAN_RTOL eps N max|H| entrywise (eps the
+    float64 epsilon); returns H as complex.  That N is the length of the
+    states H acts on is checked by `quantum.spectrum`, not here.
+    The entries pass `require_numbers` first.  Entry (i, j) of |H - H^dag|
+    equals entry (j, i) bit for bit, so each pair i >= j is compared once:
+    the columns b of each block of `_HERMITIAN_BLOCK` columns, from its
+    diagonal block down, against the same rows of H^dag (rows b of H,
+    conjugated and transposed).  No N x N array is formed; both maxima are
+    those of the whole matrix, and max|H| reads every entry."""
     H = require_numbers("operator entries", H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {H.shape}")
     if H.shape[0] < 2:
         raise ValueError("operator dimension must be at least 2")
-    if dimension is not None and H.shape[0] != dimension:
-        raise ValueError(f"dimension mismatch: H is {H.shape}, state has {dimension}")
     n = H.shape[0]
     blocks = [slice(a, a + _HERMITIAN_BLOCK) for a in range(0, n, _HERMITIAN_BLOCK)]
     # a Pauli-built H or an (A + A^dag)/2 is equal to H^dag, so its residue
     # is exactly 0; +0.0 == -0.0, and NaN was refused above
-    if all((H[:, b] == H[b].conj().T).all() for b in blocks):
+    if all((H[b.start:, b] == H[b, b.start:].conj().T).all() for b in blocks):
         return H
-    dev = max(np.max(np.abs(H[:, b] - H[b].conj().T)) for b in blocks)
+    dev = max(np.max(np.abs(H[b.start:, b] - H[b, b.start:].conj().T)) for b in blocks)
     scale = max(np.max(np.abs(H[b])) for b in blocks)
     bound = HERMITIAN_RTOL * np.finfo(float).eps * n * scale
     if dev > bound:

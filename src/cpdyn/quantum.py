@@ -140,10 +140,11 @@ def make_state(amplitudes) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """H = V diag(lam) V^H for one H, checked when made: `Spectrum(H)`
-    passes H through `require_hermitian` for its own size, and keeps the
-    complex matrix that comes back.  `spectrum(H, N)` makes one and checks
-    its dimension.  Every route that takes H takes a `Spectrum` in its
-    place, so routes that are handed the same one share its check and its
+    passes H through `require_hermitian`, which takes any N >= 2, and keeps
+    the complex matrix that comes back.  `spectrum(H, N)` makes one and
+    checks that N is the length of the states, the one place that rule
+    lives.  Every route that takes H takes a `Spectrum` in its place, so
+    routes that are handed the same one share its check and its
     decomposition.  `lam` and `V` come from one eigh, made when either is
     first read and then kept, so a route that reads only H (the RK4 steps,
     the stacked classical step) makes none; they are read-only, so the
@@ -157,7 +158,7 @@ class Spectrum:
     H: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "H", require_hermitian(self.H, None))
+        object.__setattr__(self, "H", require_hermitian(self.H))
 
     @cached_property
     def _eigh(self) -> tuple:
@@ -179,7 +180,8 @@ def spectrum(H: np.ndarray | Spectrum, dimension: int) -> Spectrum:
     """The one entry rule for H on states of length `dimension`: a matrix
     is made into a `Spectrum(H)`, which checks it, and a `Spectrum` is
     taken as it is, since it was checked when made; then an O(1) check of
-    its dimension.  No eigh is made here (see `Spectrum`)."""
+    its dimension, the one dimension rule for H (`require_hermitian` has
+    none).  No eigh is made here (see `Spectrum`)."""
     H = H if isinstance(H, Spectrum) else Spectrum(H)
     if len(H.H) != dimension:
         raise ValueError(f"dimension mismatch: H is {H.H.shape}, state has {dimension}")

@@ -90,12 +90,14 @@ def _as_config_error(key: str):
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One scenario, checked when made by the scenario rules, whether
-    built in code or by `scenario_from_dict`: `name` is a string; the
-    initial state passes `quantum.make_state` and is kept as its read-only
-    copy; the grid stores at most 2^24 sampled amplitudes per trajectory
-    and takes at most 10^8 steps; `observables` is a non-empty list of
+    built in code or by `scenario_from_dict`: `name` is a string; `grid` is
+    a `quantum.TimeGrid` and `flow` a `flow.FlowSettings`; the initial
+    state passes `quantum.make_state` and is kept as its read-only copy;
+    the grid stores at most 2^24 sampled amplitudes per trajectory and
+    takes at most 10^8 steps; `observables` is a non-empty list of
     `KNOWN_OBSERVABLES`, kept as a tuple, where `z` and `concurrence` need
-    N = 4.  A rule that fails raises the ConfigError a document gets.
+    N = 4.  A rule that fails raises a ConfigError that names the field,
+    with the message a document gets where a document can break the rule.
 
     H is not checked here but by every route that takes it (see
     `quantum.spectrum`), so a config built in code checks H once per run
@@ -110,6 +112,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _require(isinstance(self.name, str), f"name: expected a string, got {self.name!r}")
+        for key, kind in (("grid", quantum.TimeGrid), ("flow", flow.FlowSettings)):
+            got = getattr(self, key)
+            _require(isinstance(got, kind), f"{key}: expected a {kind.__name__}, got {got!r}")
         with _as_config_error("initial_state"):
             object.__setattr__(self, "initial_state", quantum.make_state(self.initial_state))
         n, grid, obs = self.dimension, self.grid, self.observables

@@ -16,8 +16,8 @@ both step paths of the classical flow.  `build_hamiltonian_reference`
 sums the dense Kronecker products of each Pauli term's 2x2 matrices.  The
 package's buffered loops, folded recurrence and signed-permutation build
 must reproduce them bit for bit.  `require_hermitian_reference` judges H
-against the whole of H^dag at once; the package's test by blocks must
-make the same decision with the same message.
+against the whole of H^dag at once; the package's test by blocks, over
+one triangle, must make the same decision with the same message.
 """
 
 import math
@@ -245,7 +245,7 @@ def integrate_classical_reference(H: np.ndarray, point0: ChartPoint, grid: TimeG
     probe for a switch or to sample, as the integrator does."""
     settings = settings or FlowSettings()
     n = point0.dimension
-    H = require_hermitian(H, n)
+    H = require_hermitian(H)
     usq_switch = 1.0 / settings.switch_threshold**2
     spectral = n > _STACK_MAX_N
     u = np.array(point0.homogeneous(), dtype=complex)
@@ -328,15 +328,13 @@ def build_hamiltonian_reference(terms: list[PauliTerm]) -> np.ndarray:
     return out
 
 
-def require_hermitian_reference(H: np.ndarray, dimension: int) -> np.ndarray:
+def require_hermitian_reference(H: np.ndarray) -> np.ndarray:
     """`pauli.require_hermitian` with H^dag, H - H^dag and |H| formed whole."""
     H = require_numbers("operator entries", H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {H.shape}")
     if H.shape[0] < 2:
         raise ValueError("operator dimension must be at least 2")
-    if H.shape[0] != dimension:
-        raise ValueError(f"dimension mismatch: H is {H.shape}, state has {dimension}")
     H_dag = H.conj().T
     if np.array_equal(H, H_dag):
         return H
@@ -353,7 +351,7 @@ def require_hermitian_reference(H: np.ndarray, dimension: int) -> np.ndarray:
 def evolve_rk4_reference(H: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> QuantumTrajectory:
     """`quantum.evolve_rk4` with a fresh increment array in each step."""
     psi = np.array(make_state(psi0))
-    H = require_hermitian(H, psi.size)
+    H = require_hermitian(H)
 
     _, w1, w2, w3, w4 = rk4_weights(0.0, 0.0, 0.0, 0.0)
     B = (-1j * grid.dt) * H

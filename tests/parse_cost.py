@@ -4,19 +4,22 @@
 
 For seeded 8-, 10- and 12-qubit documents of 64 random Pauli strings, the
 script prints the wall time of `scenario.scenario_from_dict` (the best of
-a few runs, untraced) and its `tracemalloc` peak as a multiple of
-`H.nbytes`, the size of the dense Hamiltonian it returns.  The document
-load and Pauli build that the time covers are what the benchmark's
-`high-dim` `simulate_s` times at 8 qubits; the peak shows whether the
-parse forms an N x N temporary beside H (a multiple near 2) or not (near
-1).  `--root` (default: this file's checkout) names the checkout to
-measure, so one copy of this script measures any commit.  Not a test
+a few runs, untraced), the best time of `pauli.require_hermitian` on the
+H it built (the Hermiticity check, which the parse runs once) and that
+check's share of the parse, and the parse's `tracemalloc` peak as a
+multiple of `H.nbytes`, the size of the dense Hamiltonian it returns.  The
+document load and Pauli build that the parse time covers are what the
+benchmark's `high-dim` `simulate_s` times at 8 qubits; the peak shows
+whether the parse forms an N x N temporary beside H (a multiple near 2) or
+not (near 1).  `--root` (default: this file's checkout) names the checkout
+to measure, so one copy of this script measures any commit.  Not a test
 (pytest does not collect it); the 12-qubit document allocates a 256 MiB H.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 import tracemalloc
@@ -51,33 +54,54 @@ def pauli_document(rng, n_qubits: int) -> dict:
     }
 
 
+def best_time(f, repeats: int) -> float:
+    """The least wall time of `repeats` calls of f(), in seconds."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        f()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def hermitian_check(pauli):
+    """`pauli.require_hermitian` as a function of H alone: up to 0.29.0 it
+    also took the length of the states H acts on."""
+    check = pauli.require_hermitian
+    if len(inspect.signature(check).parameters) == 1:
+        return check
+    return lambda H: check(H, len(H))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=DEFAULT_ROOT)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.root.resolve() / "src"))
-    from cpdyn.scenario import scenario_from_dict  # the checkout's, now first on sys.path
+    from cpdyn import pauli  # the checkout's, now first on sys.path
+    from cpdyn.scenario import scenario_from_dict
 
+    check = hermitian_check(pauli)
     rng = np.random.default_rng(args.seed)
-    print(f"{'qubits':>6} {'terms':>5} {'parse ms':>9} {'peak / H.nbytes':>15} {'peak MiB':>9}")
+    print(
+        f"{'qubits':>6} {'terms':>5} {'parse ms':>9} {'check ms':>9} {'share':>6} "
+        f"{'peak / H.nbytes':>15} {'peak MiB':>9}"
+    )
     for n_qubits in QUBITS:
         doc = pauli_document(rng, n_qubits)
-        best = float("inf")
-        for _ in range(REPEATS[n_qubits]):
-            start = time.perf_counter()
-            config = scenario_from_dict(doc)
-            best = min(best, time.perf_counter() - start)
-            del config  # freed before the next parse allocates its H
+        # each parse's H is freed before the next parse allocates its own
+        parse = best_time(lambda: scenario_from_dict(doc), REPEATS[n_qubits])
         tracemalloc.start()
         try:
             H = scenario_from_dict(doc).hamiltonian
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        hermitian = best_time(lambda: check(H), REPEATS[n_qubits])
         print(
-            f"{n_qubits:>6} {TERMS:>5} {best * 1e3:>9.2f} "
-            f"{peak / H.nbytes:>15.3f} {peak / 2**20:>9.1f}"
+            f"{n_qubits:>6} {TERMS:>5} {parse * 1e3:>9.2f} {hermitian * 1e3:>9.2f} "
+            f"{hermitian / parse:>6.2f} {peak / H.nbytes:>15.3f} {peak / 2**20:>9.1f}"
         )
         del H
     return 0

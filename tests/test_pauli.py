@@ -86,7 +86,7 @@ ENTRY_POINTS = {
     "ChartPoint": (lambda v: ChartPoint(0, [v]), "chart coordinates"),
     "to_chart": (lambda v: to_chart([1.0, v], 0), "state"),
     "require_hermitian": (
-        lambda v: require_hermitian([[v, 0.0], [0.0, 1.0]], 2),
+        lambda v: require_hermitian([[v, 0.0], [0.0, 1.0]]),
         "operator entries",
     ),
     "PauliTerm": (lambda v: PauliTerm(v, ("Z", "I")), "coefficient"),
@@ -263,15 +263,15 @@ def test_build_hamiltonian_hermitian_and_parsed(rng):
 
 def test_require_hermitian_rejects_bad_input():
     with pytest.raises(ValueError, match="not Hermitian"):
-        require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), 2)
+        require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError, match="square"):
-        require_hermitian(np.zeros((2, 3)), 2)
+        require_hermitian(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="at least 2"):
-        require_hermitian(np.ones((1, 1)), 1)
+        require_hermitian(np.ones((1, 1)))
     with pytest.raises(ValueError, match="finite"):
-        require_hermitian(np.array([[np.nan, 0], [0, 1]]), 2)
+        require_hermitian(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(ValueError, match="finite"):
-        require_hermitian(np.array([[1, np.inf], [np.inf, 1]]), 2)
+        require_hermitian(np.array([[1, np.inf], [np.inf, 1]]))
 
 
 def test_require_hermitian_passes_exactly_hermitian_input(rng):
@@ -281,19 +281,19 @@ def test_require_hermitian_passes_exactly_hermitian_input(rng):
     assert np.signbit(signed_zeros[1, 0].real) != np.signbit(signed_zeros[0, 1].real)
     a = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
     for H in (np.zeros((4, 4), dtype=complex), signed_zeros, (a + a.conj().T) / 2):
-        assert require_hermitian(H, len(H)) is H
+        assert require_hermitian(H) is H
     for seed in (1, 2, 3):
         for doc in _high_dim_documents(seed):
             H = build_hamiltonian(parse_hamiltonian(doc["hamiltonian"]["pauli"]))
             assert np.array_equal(H, H.conj().T)
-            assert require_hermitian(H, len(H)) is H
+            assert require_hermitian(H) is H
 
 
 def _peak_ratio(H: np.ndarray) -> float:
     """Peak memory traced inside `require_hermitian(H)`, over H.nbytes."""
     tracemalloc.start()
     try:
-        require_hermitian(H, len(H))
+        require_hermitian(H)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -318,26 +318,31 @@ def test_require_hermitian_peak_memory(rng):
 def _verdict(check, H: np.ndarray):
     """("passed", whether H came back as it was) or ("refused", message)."""
     try:
-        return "passed", check(H, len(H)) is H
+        return "passed", check(H) is H
     except ValueError as err:
         return "refused", str(err)
 
 
-@pytest.mark.parametrize("n", [33, 64, 100])
+@pytest.mark.parametrize("n", [33, 64, 65, 100])
 def test_require_hermitian_by_blocks_decides_as_the_whole_matrix(n, rng):
     # one-ulp asymmetries pass through the residue path and asymmetries past
     # the bound are refused, in the first block, in the last (partial for
-    # 33 and 100) and on the diagonal (an imaginary part), with the
-    # message of the check over the whole matrix
+    # 33, 65 and 100; one column for 65), on either side of the first block
+    # boundary and on the diagonal (an imaginary part), with the message of
+    # the check over the whole matrix.  Mirrored +-0.0 pairs pass, in the
+    # corners and inside the first off-diagonal block
     block = pauli._HERMITIAN_BLOCK
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     hermitian = (a + a.conj().T) / 2
     bound = HERMITIAN_RTOL * np.finfo(float).eps * n * np.max(np.abs(hermitian))
-    mirrored_zeros = hermitian.copy()
-    mirrored_zeros[0, n - 1] = complex(0.0, -0.0)
-    mirrored_zeros[n - 1, 0] = complex(-0.0, 0.0)
-    cases = [(hermitian, "passed"), (mirrored_zeros, "passed")]
-    for i, j in ((0, 1), (n - 1, block - 1), (n - 2, n - 1)):
+    cases = [(hermitian, "passed")]
+    for i, j in ((0, n - 1), (min(block + block // 2, n - 1), block // 2)):
+        mirrored_zeros = hermitian.copy()
+        mirrored_zeros[i, j] = complex(0.0, -0.0)
+        mirrored_zeros[j, i] = complex(-0.0, 0.0)
+        cases.append((mirrored_zeros, "passed"))
+    for i, j in ((0, 1), (n - 1, block - 1), (n - 2, n - 1), (block, block - 1),
+                 (block - 1, block)):
         x = hermitian[i, j]
         for shift, want in ((np.spacing(x.real), "passed"), (2 * bound, "refused")):
             H = hermitian.copy()
@@ -367,7 +372,7 @@ def test_parse_peak_memory():
     ]
     tracemalloc.start()
     try:
-        H = require_hermitian(build_hamiltonian(terms), 1024)
+        H = require_hermitian(build_hamiltonian(terms))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -432,7 +437,8 @@ def test_one_hermiticity_rule(entry, rng):
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_one_dimension_rule(entry):
-    # `require_hermitian(H, n)` checks the length, with one message everywhere
+    # `quantum.spectrum(H, n)`, the one entry of H to every route, checks the
+    # length, with one message everywhere
     document = entry == "scenario_from_dict"
     message = "dimension mismatch: H is (3, 3), state has 2"
     if document:

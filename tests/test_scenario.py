@@ -348,6 +348,16 @@ class TestConfigRules:
         with pytest.raises(ConfigError, match="^" + re.escape(str(parsed.value)) + "$"):
             _two_level_config(**config_fields)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"grid": (1.0, 0.1)}, "grid: expected a TimeGrid, got (1.0, 0.1)"),
+        ({"flow": {"switch_threshold": 0.2}},
+         "flow: expected a FlowSettings, got {'switch_threshold': 0.2}"),
+    ], ids=["grid-tuple", "flow-dict"])
+    def test_refuses_a_grid_or_flow_of_another_type(self, fields, message):
+        # a document cannot give these: the parser makes both objects
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            _two_level_config(**fields)
+
     def test_keeps_a_tuple_and_a_read_only_copy_of_the_state(self):
         psi0 = np.array([1.0, 0.0])
         config = _two_level_config(initial_state=psi0, observables=["populations"])
