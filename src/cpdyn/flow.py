@@ -37,7 +37,9 @@ on N.
   weights of u / u[pivot] divided by u[pivot], so the pivot entry returns
   to 1 on every step, as it does in exact arithmetic.  |u|^2 = |q|^2, V
   being unitary, so a step is O(N).  u = V q (N^2 multiply-adds) is formed
-  at samples and at switch probes.  Each stage still evaluates the
+  at samples and at the probes that may switch; between them a few
+  watched rows of V (`_WATCH` x N multiply-adds) stand in for it on the
+  steps that come near a switch.  Each stage still evaluates the
   projective vector field Bv - (Bv)[pivot] v; only the coordinates of v
   change.
 
@@ -52,13 +54,20 @@ skip rule leaves them open:
   by more than a factor rho (`_growth_bound`), so after each |u|^2 at or
   below the switch level the next m steps, rho^m |u| < nu, cannot reach
   it (`_steps_clear`); past the level every step checks;
-* the spectral loop tests the probe distance |q - q0| after every step,
-  q0 being q where u was last formed, and a step that `_probe_slack`
-  shows cannot switch needs neither |u|^2 nor the guard nor a probe.
+* the spectral loop keeps two running bounds, dist >= |q - q0| and
+  qb >= |q|, q0 being q where u was last formed, which each step advances
+  from its own weights in a few scalar operations, and a watch list of
+  the `_WATCH` rows of V at the largest other moduli of u0 = V q0
+  (`_watch`).  V being unitary, no entry of V q moves further from u0
+  than dist: below `near` none can reach the pivot's 1, and below `far`
+  none outside the watch list can, so there the product of q with the
+  watched rows decides.  Only a step that these leave open forms |u|^2,
+  runs the guard and probes past the level.
 
 The steps that check decide as every step would, so no decision and no bit
-depends on the skipping.  CHANGES.md (0.21.0 and 0.23.0) gives the share
-of steps that form |u|^2 on the benchmark's workloads.
+depends on the skipping.  CHANGES.md (0.21.0, 0.23.0 and 0.31.0) gives the
+share of steps that form |u|^2, and the formations of u, on the
+benchmark's workloads.
 
 At N = 2..8 a step takes a few microseconds, most of it call overhead, so
 each product is the `dot` method of its fixed left operand, bound once
@@ -134,7 +143,27 @@ _NSQ_GUARD = 1e300
 # (measured, see the module docstring).
 _STACK_MAX_N = 20
 
-_EPS = np.finfo(float).eps
+# a Python float, so the per-step bound arithmetic of `_spectral_steps`
+# stays in Python floats: with the numpy scalar `np.finfo(float).eps` the
+# loop took 226-264 ms against 212-220 ms (the `_WATCH` measurement below)
+_EPS = float(np.finfo(float).eps)
+
+# Rows of V that the eigen-coordinate loop watches between formations of
+# u = V q: those at the largest moduli of u other than the pivot's
+# (`_watch`).  `integrate_classical` over the 12 seed 1-3 high-dim
+# documents (N = 256, 2,000 steps each, best of 5 per document, 2-CPU
+# x86-64 host, numpy 2.4) took in all 235 ms with 2 rows, 216 with 4, 213
+# with 8 and 240 with 16, against 249-277 ms with the probe distance of
+# 0.23.0 formed on every step.
+_WATCH = 8
+
+# Relative allowance of the two running bounds of `_spectral_steps` for
+# the rounding of one step and of the bounds themselves (see `_watch`).
+_BOUND_ROUNDING = 32 * _EPS
+
+# Bound on |q| above which the eigen-coordinate loop checks every step, so
+# that a skipped step keeps |u|^2 far below `_NSQ_GUARD` (see `_watch`).
+_QB_CAP = 0.5 * math.sqrt(_NSQ_GUARD)
 
 # Relative allowance of `_growth_bound` for the rounding of one step and of
 # the bound itself.
@@ -282,7 +311,7 @@ def integrate_classical(
     open: the growth-bound countdown of `_steps_clear` up to
     `_STACK_MAX_N` (every step checks past the switch level, with a step
     past the RK4 stability bound or with a switch radius too large for
-    the bound), the probe distance of `_probe_slack` above it.  The
+    the bound), the distance bound and watch list of `_watch` above it.  The
     skipped work never decides anything, so the trajectory is the same
     bits as with every step checked.
 
@@ -388,18 +417,26 @@ def _stacked_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> lis
 
 def _spectral_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     """`_stacked_steps` in the coordinates q = V^H u of H = V diag(lam) V^H,
-    read from `spec`, where B^j is the diagonal z^j, z = -i dt lam.  u = V q is formed only to
-    sample it or to probe for a switch.
+    read from `spec`, where B^j is the diagonal z^j, z = -i dt lam.  u = V q
+    is formed only to sample it or to probe for a switch.
 
-    The one skip rule of this loop is the probe distance: after every step
-    it tests whether q may have moved far enough from q0, the q at which u
-    was last formed, for a probe to switch (`_probe_slack`).  Only a step
-    that fails the test forms |u|^2 = |q|^2, runs the divergence guard and
-    probes when |u|^2 is past the level.  A step that passes needs none of
-    them: slack > 0 needs 8 N eps |u0| < 1, so |q| <= |q0| + slack stays
-    finite and far below `_NSQ_GUARD`, a NaN in q fails the test, which is
-    written `not dsq < slack^2` for that reason, and a probe would keep the
-    pivot and leave q as it is."""
+    The one skip rule of this loop watches for a switch with two running
+    bounds and a watch list, all set by `_watch` wherever u is formed (at
+    t = 0, at samples and at probes), q0 being q there: dist >= |q - q0|
+    and qb >= |q|, which each step advances from its own weights, and the
+    rows W of V at the largest other moduli of u0 = V q0, copied to
+    `rows`.  After a step with
+
+    * dist < near, no entry of V q can reach the pivot's 1: nothing more;
+    * near <= dist < far, no unwatched entry can: u_W = V[W] q, a (`_WATCH`,
+      N) product, decides for the watched ones, and if none is within the
+      margin of 1, near is re-based to dist plus that room;
+    * else the step forms |u|^2 = |q|^2, runs the divergence guard and
+      probes when |u|^2 is past the level.
+
+    A skipped step is one where a probe would keep the pivot and q and the
+    guard would pass (`_watch` proves it), so the trajectory is the same
+    bits as with every step checked."""
     n, lam, V = u.size, spec.lam, spec.V
     # row j: z^j; non-finite, it fails step 1 as a power does in
     # `_stacked_steps`
@@ -407,21 +444,25 @@ def _spectral_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> li
         Z = np.vander((-1j * grid.dt) * lam, 5, increasing=True).T.copy()
     if not np.isfinite(Z).all():
         raise NumericFailure("non-finite chart coordinates", 1)
+    # zeta^j = max_i |z_i^j| as rounded in Z, in Python floats
+    z1, z2, z3, z4 = np.abs(Z[1:]).max(axis=1).tolist()
     # row j of P . q is (B^j u)[pivot]: u_p itself, then s_1..s_4
     P = np.multiply(Z, V[pivot])
     q = V.conj().T @ u
     p = np.empty(5, dtype=complex)
     w = np.empty(5, dtype=complex)
     g = np.empty(n, dtype=complex)
-    # q0 is q when u was last formed, and slack how far q may move from
-    # it before a probe could switch (see `_probe_slack`)
-    q0 = q.copy()
-    dq = np.empty(n, dtype=complex)
     mag = np.empty(n)
-    slack = _probe_slack(u, pivot, mag)
+    rows = np.empty((min(_WATCH, n - 1), n), dtype=complex)
+    uw = np.empty(len(rows), dtype=complex)
+    near, far, reach, qb = _watch(u, pivot, q, V, mag, rows)
+    dist = 0.0
+    grow = 1.0 + _BOUND_ROUNDING
     # bound `ndarray.dot` methods; a switch refills P in place, so its
-    # method stays bound to the current pivot row
+    # method stays bound to the current pivot row.  The watched rows go
+    # through `np.matmul`, a ufunc, which has no Python dispatcher either
     pivot_entries, combine, form_u, vdot = P.dot, w.dot, V.dot, np.vdot
+    watched = np.matmul
     switch_times = []
 
     k = 1
@@ -433,16 +474,25 @@ def _spectral_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> li
         # divides that rounding out again
         r = 1.0 / c
         w0, w1, w2, w3, w4 = rk4_weights(s1 * r, s2 * r, s3 * r, s4 * r)
-        w[...] = (w0 * r, w1 * r, w2 * r, w3 * r, w4 * r)
+        w0, w1, w2, w3, w4 = w[...] = (w0 * r, w1 * r, w2 * r, w3 * r, w4 * r)
         combine(Z, g)
         q *= g  # u_new = sum_j w_j B^j u / u_p
+        # |g_i - w0| <= spread, so |q_new - q| <= (|w0 - 1| + spread) |q|
+        # and |q_new| <= (|w0| + spread) |q|, each up to the rounding
+        # that `_BOUND_ROUNDING` covers
+        spread = abs(w1) * z1 + abs(w2) * z2 + abs(w3) * z3 + abs(w4) * z4
+        gmax = abs(w0) + spread
+        dist += (abs(w0 - 1.0) + spread + _BOUND_ROUNDING * (gmax + 1.0)) * qb
+        qb *= gmax * grow
         probe = False
-        np.subtract(q, q0, out=dq)
-        if not slack > 0.0 or not vdot(dq, dq).real < slack * slack:
-            usq = vdot(q, q).real  # |u|^2, V being unitary
-            if not usq < _NSQ_GUARD:
-                raise NumericFailure("non-finite chart coordinates", step)
-            probe = usq > usq_switch
+        if not dist < near:
+            if dist < far and (top := max(map(abs, watched(rows, q, out=uw).tolist()))) < reach:
+                near = min(far, dist + (reach - top))
+            else:
+                usq = vdot(q, q).real  # |u|^2, V being unitary
+                if not usq < _NSQ_GUARD:
+                    raise NumericFailure("non-finite chart coordinates", step)
+                probe = usq > usq_switch
         if probe or step == samples[k]:
             form_u(q, u)
             u[pivot] = 1.0
@@ -451,8 +501,8 @@ def _spectral_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> li
                 q /= scale
                 np.multiply(Z, V[pivot], out=P)
                 switch_times.append(step * grid.dt)
-            q0[:] = q
-            slack = _probe_slack(u, pivot, mag)
+            near, far, reach, qb = _watch(u, pivot, q, V, mag, rows)
+            dist = 0.0
             if step == samples[k]:
                 us[k], pivots[k] = u, pivot
                 k += 1
@@ -513,20 +563,63 @@ def _growth_bound(beta: float, level: float) -> float:
     return (1.0 + _STEP_ROUNDING) * bound
 
 
-def _probe_slack(u, pivot, mag) -> float:
-    """How far, in 2-norm, q may move from V^H u before a switch probe
-    could pick another pivot than `pivot`; at most 0 if it may already.
+def _watch(u, pivot, q, V, mag, rows) -> tuple:
+    """The switch bounds of the eigen-coordinate loop at u0 = u, just formed
+    as V q0 from q0 = q (or the initial u, with q0 = V^H u0), u0[pivot] = 1:
+    returns (near, far, reach, qb) and copies to `rows` the rows of V at
+    the len(`rows`) largest moduli of u0 other than the pivot's, the watch
+    list W.  `mag` is an (N,) work buffer.
 
-    u is the last formed u0 = V q0 (or the initial u, with q0 = V^H u0),
-    and u0[pivot] = 1.  V being unitary, |(V q)_i - (V q0)_i| <= |q - q0|
-    for every i, so while |q - q0| < 1 - max_{i != pivot} |u0_i| no other
-    entry of V q reaches the pivot's 1 and `select_pivot` keeps the pivot.
-    The allowance 8 N eps |u0| covers the rounding of the product that
-    formed u0 and of the one a probe would form (each at most about
-    N eps |q| per entry, the rows of V having unit norm), of V's
-    orthonormality and of the moduli.  `mag` is an (N,) work buffer.
+    A probe forms V q, sets its pivot entry to 1 and keeps the pivot and
+    q unless another entry reaches modulus 1.  V being unitary,
+    |(V q)_i - (V q0)_i| <= |q - q0| <= dist.  The allowance a = 8 N eps qb
+    covers the rounding of the product that formed u0 and of the one a
+    probe would form (each at most about N eps |q| per entry, the rows of
+    V having unit norm, with |q| <= qb + 1 while dist < 1), of V's
+    orthonormality and of the moduli; reach = 1 - a.  So
+
+    * while dist < near = reach - max_{i != pivot} |u0_i|, no entry
+      reaches 1;
+    * while dist < far = reach - max |u0_i| over the rows neither watched
+      nor the pivot's, no unwatched entry does.  u_W = V[W] q rounds each
+      watched entry differently from V q, by about 2 N eps |q| <= a / 2
+      between the two, so max |u_W| < reach leaves every watched entry
+      below 1 on this step, and on each later one while dist has grown by
+      less than reach - max |u_W|: the loop re-bases near to that, at most
+      far.
+
+    A step that these rules clear skips |u|^2 and the guard too: dist <
+    far <= 1 gives |q| <= |q0| + 1, and qb < `_QB_CAP` = sqrt(`_NSQ_GUARD`)
+    / 2 here (else reach, near and far are -inf and every step checks), so
+    |u|^2 = |q|^2 stays below `_NSQ_GUARD` / 4 and finite.  A non-finite
+    weight leaves dist NaN or inf, which fails both tests, so such a step
+    is checked as every step would be.
+
+    The loop advances dist and qb from the scaled weights w of each step,
+    in Python floats.  With zeta_j the largest |z_i^j| as rounded in Z and
+    spread = sum_{j >= 1} |w_j| zeta_j, the step multiplies q entrywise by
+    g = sum_j w_j z^j, with |g_i - w0| <= spread, so
+
+        |q_new - q| <= (|w0 - 1| + spread) qb,  |q_new| <= (|w0| + spread) qb.
+
+    `_BOUND_ROUNDING` = 32 eps covers the rest, added to each dist
+    increment as 32 eps (gmax + 1) qb, gmax = |w0| + spread, and to qb's
+    factor as 1 + 32 eps: the rounding of the combine w . Z and of
+    q *= g (about 12 eps gmax |q_i| per entry: five complex products and
+    their sum, then one more product), and the float arithmetic of dist
+    and qb (a dozen roundings of non-negative terms, at most about 12 eps
+    of an increment that, on a step that can skip, is below 1, plus eps
+    dist < eps for the sum), which the 32 eps qb >= 32 eps |u_p| exceeds.
+    qb starts at |q0| (1 + N eps), which covers the rounding of |q0|^2.
     """
+    n = u.size
+    qb = math.sqrt(float(np.vdot(q, q).real)) * (1.0 + n * _EPS)
+    reach = 1.0 - 8 * n * _EPS * qb if qb < _QB_CAP else -math.inf
     np.abs(u, out=mag)
-    norm = float(np.sqrt(mag.dot(mag)))
-    mag[pivot] = 0.0
-    return 1.0 - float(mag.max()) - 8 * u.size * _EPS * norm
+    mag[pivot] = -1.0  # below every modulus, so never watched
+    unwatched = n - len(rows) - 1  # mag[order[unwatched]]: the largest unwatched
+    order = np.argpartition(mag, unwatched)
+    np.take(V, order[unwatched + 1:], axis=0, out=rows)
+    near = reach - float(mag.max())
+    far = reach - max(0.0, float(mag[order[unwatched]]))
+    return near, far, reach, qb

@@ -133,9 +133,12 @@ def parse_hamiltonian(text: str) -> list[PauliTerm]:
         term        := number '*' labels
         labels      := [IXYZ]+
 
-    Raises PauliSyntaxError (with position) on malformed input and
-    MixedLabelLengthError when terms differ in qubit count.
+    Raises PauliSyntaxError (with position) on malformed input,
+    MixedLabelLengthError when terms differ in qubit count and ValueError
+    when `text` is not a string.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"expected a string of Pauli terms, got {type(text).__name__}")
     terms: list[PauliTerm] = []
     m = _TERM_RE.match(text)
     if m.end(1) == len(text):

@@ -77,13 +77,16 @@ def _require(cond: bool, message: str):
 
 @contextmanager
 def _as_config_error(key: str):
-    """Re-raise a ValueError/TypeError from parsing or from a library
-    validator as a ConfigError naming `key`; a ConfigError passes as is."""
+    """Re-raise a ValueError from parsing or from a library validator as a
+    ConfigError naming `key`; a ConfigError passes as is.  Every error that
+    a document can cause is a ValueError where it arises, so any other
+    exception, a TypeError included, is a library defect and leaves as
+    itself rather than as a bad document."""
     try:
         yield
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 

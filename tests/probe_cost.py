@@ -1,0 +1,138 @@
+"""Print what watching for a chart switch costs the eigen-coordinate loop.
+
+    python tests/probe_cost.py [--root CHECKOUT] [--seed 1]
+
+For the four 8-qubit (N = 256) documents of the benchmark's `high-dim`
+workload of `--seed`, the script prints per document the best wall time
+of `flow.integrate_classical` over a few runs (untraced, on the
+document's decomposed `Spectrum`, so no `eigh` is timed), then, from one
+counted run:
+
+- `formed`: products u = V q over all N rows, at samples and at switch
+  probes (the t = 0 set-up of the loop's bounds is not counted);
+- `watched`: products of q with the loop's watch list of a few rows of V
+  (`flow._watch`; 0 for a checkout that has none);
+- `probes`: `select_pivot` calls, the switch rule's probes;
+- `switches`: chart switches of the trajectory.
+
+`--root` (default: this file's checkout) names the checkout to measure,
+so one copy of this script measures any commit.  A checkout that still
+tests a probe distance on every step (`flow._probe_slack`) counts its
+formations the same way, by its set-up helper's calls.  Not a test
+(pytest does not collect it); the documents take about a second.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+DEFAULT_ROOT = Path(__file__).resolve().parent.parent
+
+# untimed counted run first, then this many timed runs; the best is printed
+REPEATS = 5
+
+
+def load_workloads(root: Path):
+    """The checkout's `perfbench/workloads.py` as a module."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "probe_cost_workloads", root / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def counted(module, name: str, calls: list):
+    """Rebind `module.<name>` to a wrapper that appends to `calls`; return
+    the original."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    setattr(module, name, wrapper)
+    return original
+
+
+def counted_run(flow, run) -> dict:
+    """Counts of one `run()`: set-ups of the switch bounds, watched-row
+    products, probes."""
+    setup = "_watch" if hasattr(flow, "_watch") else "_probe_slack"
+    setups, watched, probes = [], [], []
+    saved = [
+        (flow, setup, counted(flow, setup, setups)),
+        (flow, "select_pivot", counted(flow, "select_pivot", probes)),
+    ]
+    if setup == "_watch":  # the loop binds `np.matmul` for its watched rows
+        saved.append((np, "matmul", counted(np, "matmul", watched)))
+    try:
+        traj = run()
+    finally:
+        for module, name, original in saved:
+            setattr(module, name, original)
+    return {
+        "formed": len(setups) - 1,
+        "watched": len(watched),
+        "probes": len(probes),
+        "switches": traj.n_switches,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=DEFAULT_ROOT)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path.insert(0, str(root / "src"))
+    from cpdyn import flow  # the checkout's, now first on sys.path
+    from cpdyn.chart import select_pivot, to_chart
+    from cpdyn.quantum import Spectrum
+    from cpdyn.scenario import scenario_from_dict
+
+    workloads = load_workloads(root)
+    rng = np.random.default_rng(args.seed)
+    print(
+        f"{'document':>14} {'steps':>6} {'samples':>7} {'best ms':>8} {'formed':>6} "
+        f"{'watched':>7} {'probes':>6} {'switches':>8}"
+    )
+    total = 0.0
+    for k in range(workloads.HIGH_DIM_DOCS):
+        doc = workloads.high_dim_doc(rng, f"high-dim-{args.seed}-{k}")
+        config = scenario_from_dict(doc)
+        spec = Spectrum(config.hamiltonian)
+        spec.V  # decomposed before the timer starts
+        psi0 = config.initial_state
+        point0 = to_chart(psi0, select_pivot(psi0))
+
+        def run():
+            return flow.integrate_classical(spec, point0, config.grid, config.flow)
+
+        counts = counted_run(flow, run)
+        best = float("inf")
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            run()
+            best = min(best, time.perf_counter() - start)
+        total += best
+        print(
+            f"{doc['name']:>14} {config.grid.n_steps:>6} "
+            f"{len(config.grid.sample_indices()) - 1:>7} {best * 1e3:>8.2f} "
+            f"{counts['formed']:>6} {counts['watched']:>7} {counts['probes']:>6} "
+            f"{counts['switches']:>8}"
+        )
+    print(f"{'total':>14} {'':>6} {'':>7} {total * 1e3:>8.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import cpdyn.cli
+import cpdyn.pauli
+import cpdyn.quantum
 import cpdyn.scenario
 from cpdyn import __version__
 from cpdyn.cli import main
@@ -191,6 +193,24 @@ def test_validate_malformed_field_exits_2(tmp_path, capsys, section, node, key):
     assert main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key}: "), err
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("pauli", "build_hamiltonian"), ("quantum", "make_state"), ("pauli", "require_real")],
+)
+def test_library_type_error_is_not_a_bad_document(monkeypatch, module, name):
+    # a TypeError inside a parse is a defect of the library, which no
+    # document can cause: it leaves `main` as itself, not as a ConfigError
+    # that exits 2 and blames the key being read (a `require_hermitian` of
+    # the wrong arity once read "hamiltonian.pauli: require_hermitian()
+    # takes 1 positional argument")
+    def broken(*args, **kwargs):
+        raise TypeError(f"{name}() is broken")
+
+    monkeypatch.setattr(getattr(cpdyn, module), name, broken)
+    with pytest.raises(TypeError, match=f"{name}\\(\\) is broken"):
+        main(["validate", "--config", FIG1_LEFT])
 
 
 @pytest.mark.parametrize("threshold", [1e-200, 1e-155])

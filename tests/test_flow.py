@@ -6,7 +6,7 @@ import pytest
 
 import cpdyn.flow
 from cpdyn.chart import ChartPoint, from_chart, select_pivot, to_chart
-from cpdyn.flow import _hop, _probe_slack, FlowSettings, classical_hamiltonian, grad_conj
+from cpdyn.flow import _hop, _watch, FlowSettings, classical_hamiltonian, grad_conj
 from cpdyn.flow import hamilton_rhs, integrate_classical
 from cpdyn.observables import energy
 from cpdyn.pauli import PauliTerm, build_hamiltonian, build_two_qubit_hamiltonian
@@ -221,13 +221,14 @@ class TestIntegrateClassical:
             assert_same_trajectory(H, point0, grid, settings)
 
     def test_spectral_forms_usq_only_where_the_level_is_in_reach(self, monkeypatch):
-        # the eigen-coordinate loop skips by the probe distance alone: one
-        # amplitude near 0.95 under a weak H keeps |u|^2 below 2, far below
-        # the level 25, and q stays within the slack of each sample, so no
-        # step forms |u|^2 (one `np.vdot` at t = 0 and one distance per
-        # step) and none probes.  With one sample at t = 20, q moves past
-        # the slack and |u|^2 past 2: those steps form |u|^2 and, still
-        # below the level, make no probe either
+        # the eigen-coordinate loop skips by its distance bound and watch
+        # list alone: one amplitude near 0.95 under a weak H keeps |u|^2
+        # below 2, far below the level 25, and q stays within `near` of
+        # each sample, so no step forms |u|^2 or the watched rows, and u is
+        # formed at the 100 samples after t = 0 only.  With one sample at
+        # t = 20, the bound passes `near` and then `far`: one step forms the
+        # watched rows, the steps after it |u|^2, and, still below the
+        # level, none probes
         n = 32
         rng = np.random.default_rng(3)
         psi0 = 0.3 * random_state(rng, n)
@@ -235,24 +236,24 @@ class TestIntegrateClassical:
         psi0 /= np.linalg.norm(psi0)
         H = random_hermitian(rng, n, scale=0.1 / np.sqrt(n))
         point0 = to_chart(psi0, select_pivot(psi0))
-        formed = []
+        counts = []
         for grid in (
             TimeGrid(t_end=10.0, dt=1e-3, output_stride=100),
             TimeGrid(t_end=20.0, dt=1e-3, output_stride=20_000),
         ):
             runs = []
-            probes = TestProbeSkip.count_probes(monkeypatch, cpdyn.flow)
-            calls = numpy_calls(
-                monkeypatch,
-                "vdot",
-                lambda: runs.append(integrate_classical(H, point0, grid)),
+            counts.append(
+                TestProbeSkip.loop_counts(
+                    monkeypatch, lambda: runs.append(integrate_classical(H, point0, grid))
+                )
             )
-            assert probes == [] and runs[0].n_switches == 0
+            assert counts[-1]["probes"] == 0 and runs[0].n_switches == 0
+            assert counts[-1]["formed"] == grid.n_samples - 1
             assert runs[0].nfac.max() < FlowSettings().switch_level
-            formed.append(calls - (1 + grid.n_steps))
             assert_same_trajectory(H, point0, grid)
         assert runs[0].nfac[-1] > 2.0
-        assert formed[0] == 0 and formed[1] > 1_000
+        assert counts[0]["watched"] == 0 and counts[0]["usq"] == 0
+        assert counts[1]["watched"] >= 1 and counts[1]["usq"] > 1_000
 
     def test_zero_hamiltonian_is_constant(self):
         point0 = ChartPoint(3, np.array([1.0, 0.5j, -0.25]))
@@ -449,9 +450,11 @@ class TestBitIdentity:
 
 
 class TestProbeSkip:
-    """Above `_STACK_MAX_N` a step past the switch level forms u = V q and
-    probes only when the norm bound of `flow._probe_slack` cannot rule a
-    switch out; the oracle probes on every such step."""
+    """Above `_STACK_MAX_N` a step forms the watched rows of V only when
+    the distance bound of `flow._watch` cannot rule a switch out, and
+    |u|^2, with u = V q and a probe past the switch level, only when
+    neither that bound nor the watched rows can; the oracle probes on
+    every step past the level."""
 
     @staticmethod
     def count_probes(monkeypatch, module):
@@ -465,6 +468,42 @@ class TestProbeSkip:
         return calls
 
     @staticmethod
+    def loop_counts(monkeypatch, run) -> dict:
+        """What `run()`, one `integrate_classical` above `_STACK_MAX_N`,
+        makes the eigen-coordinate loop do: `formed`, the formations of
+        u = V q (each one sets the switch bounds up again with `_watch`,
+        as t = 0 does); `watched`, the products with the watched rows (the
+        loop's one `np.matmul`); `usq`, the |u|^2 of the step checks (the
+        `np.vdot` calls less the one of the switch rule at t = 0 and the
+        one of each `_watch`); and `probes`, the `select_pivot` calls.
+        `formed` leaves out the set-up at t = 0, which forms no u."""
+        calls = {"watch": 0, "watched": 0, "vdot": 0, "probes": 0}
+        saved = []
+        for module, name, key in (
+            (cpdyn.flow, "_watch", "watch"),
+            (np, "matmul", "watched"),
+            (np, "vdot", "vdot"),
+            (cpdyn.flow, "select_pivot", "probes"),
+        ):
+            original = getattr(module, name)
+
+            def counted(*args, original=original, key=key, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            saved.append((module, name, original))
+            monkeypatch.setattr(module, name, counted)
+        run()
+        for module, name, original in saved:
+            monkeypatch.setattr(module, name, original)
+        return {
+            "formed": calls["watch"] - 1,
+            "watched": calls["watched"],
+            "usq": calls["vdot"] - 1 - calls["watch"],
+            "probes": calls["probes"],
+        }
+
+    @staticmethod
     def tied_state(rng, n, gap):
         # two amplitudes of modulus 0.6 and 0.6 (1 + gap), with other phases,
         # over a random rest of norm 0.3
@@ -475,21 +514,71 @@ class TestProbeSkip:
     @pytest.mark.parametrize("n", [32, 64, 256])
     @pytest.mark.parametrize("gap", [0.0, 1e-12, -1e-12])
     def test_near_tie_probes_at_once(self, monkeypatch, n, gap):
-        # with the two largest amplitudes equal to within 1e-12 the slack
-        # is below any distance a step moves q (and below 0 for an exact
-        # tie), so the loop probes on the first step, after the probe of
-        # the switch rule at t = 0
+        # with the two largest amplitudes equal to within 1e-12, `near` is
+        # below any distance a step moves q (and below 0 for an exact tie),
+        # so the first step cannot skip: it forms the watched rows, among
+        # them the other amplitude of the tie, and they decide.  The step
+        # probes, after the probe of the switch rule at t = 0, only where
+        # they leave a switch possible, and then the other amplitude has
+        # overtaken the pivot
         rng = np.random.default_rng(n)
         H = random_hermitian(rng, n, scale=2.0 / np.sqrt(n))
         psi0 = self.tied_state(rng, n, gap)
         point0 = to_chart(psi0, select_pivot(psi0))
-        slack = _probe_slack(point0.homogeneous(), point0.pivot, np.empty(n))
-        assert slack <= 0 if gap == 0 else slack < 1e-12
+        u = point0.homogeneous().astype(complex)
+        V = np.linalg.eigh(H)[1]
+        rows = np.empty((8, n), dtype=complex)
+        near, far, _, _ = _watch(u, point0.pivot, V.conj().T @ u, V, np.empty(n), rows)
+        assert near <= 0 if gap == 0 else near < 1e-12
+        assert far > 0.5
+        tied = 3 if point0.pivot == n - 2 else n - 2
+        assert any(np.array_equal(row, V[tied]) for row in rows)
         settings = FlowSettings(switch_threshold=0.9)  # |u|^2 >= 2 passes it
-        calls = self.count_probes(monkeypatch, cpdyn.flow)
-        integrate_classical(H, point0, TimeGrid(1e-2, 1e-2), settings)
-        assert len(calls) == 2  # at t = 0 and after the step
+        runs = []
+        counts = self.loop_counts(
+            monkeypatch,
+            lambda: runs.append(integrate_classical(H, point0, TimeGrid(1e-2, 1e-2), settings)),
+        )
+        assert counts["watched"] == 1
+        assert counts["probes"] == 1 + runs[0].n_switches
         assert_same_trajectory(H, point0, TimeGrid(0.5, 1e-2, 5), settings)
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_watch_keeps_entries_within_its_allowance(self, n):
+        # `_watch` clears no entry within its allowance a = 8 N eps qb of
+        # the pivot's 1.  Nine entries at 1 - a/2 (half of it, qb ~ |u|):
+        # the watched rows do not clear them (max |V[W] q| >= reach), and
+        # `near` and `far` (the ninth is unwatched) are below 0, so the
+        # first step checks.  At 1 - 2a all three clear them
+        rng = np.random.default_rng(n)
+        V = np.linalg.eigh(random_hermitian(rng, n))[1]
+        eps = np.finfo(float).eps
+        for allowances, cleared in ((0.5, False), (2.0, True)):
+            u = 0.01 * random_state(rng, n)
+            u[0] = 1.0
+            u[1:10] = np.exp(1j * rng.uniform(0, 2 * np.pi, 9))
+            u[1:10] *= 1 - allowances * 8 * n * eps * np.linalg.norm(u)
+            q = V.conj().T @ u
+            rows = np.empty((8, n), dtype=complex)
+            near, far, reach, qb = _watch(u, 0, q, V, np.empty(n), rows)
+            assert qb >= np.linalg.norm(q)
+            assert (np.abs(rows @ q).max() < reach) == cleared
+            assert (near > 0) == (far > 0) == cleared
+            assert near <= far < 1
+
+    def test_watch_list_of_every_other_row(self):
+        # with at most N - 1 rows to watch, every row but the pivot's is
+        # watched, and `far`, with no unwatched modulus, is `reach`
+        n = 6
+        rng = np.random.default_rng(6)
+        V = np.linalg.eigh(random_hermitian(rng, n))[1]
+        u = 0.3 * random_state(rng, n)
+        u[2] = 1.0
+        rows = np.empty((n - 1, n), dtype=complex)
+        near, far, reach, _ = _watch(u, 2, V.conj().T @ u, V, np.empty(n), rows)
+        watched = {i for i in range(n) for row in rows if np.array_equal(row, V[i])}
+        assert watched == set(range(n)) - {2}
+        assert near < far == reach
 
     @pytest.mark.parametrize("n", [32, 64, 256])
     def test_top_two_amplitudes_cross(self, monkeypatch, n):

@@ -359,6 +359,26 @@ def test_require_hermitian_by_blocks_decides_as_the_whole_matrix(n, rng):
         assert got[0] == want and got[1] is not False  # a passed H comes back
 
 
+@pytest.mark.parametrize(
+    "n, scale, bound",
+    [(4, 1.0, 1.4210854715202004e-14), (4, 2.0**20, 1.4901161193847656e-08),
+     (64, 1.0, 2.2737367544323206e-13)],
+)
+def test_hermitian_tolerance_in_numbers(n, scale, bound):
+    # the bound 16 eps N max|H| of `require_hermitian`, written out: 2^-46
+    # at N = 4 and max|H| = 1, 2^-26 at max|H| = 2^20, 2^-42 at N = 64.  A
+    # residue of half the bound passes and one of twice it is refused, so
+    # `HERMITIAN_RTOL` cannot move by 2x either way unnoticed (the residues
+    # are powers of two, exact in float64)
+    for factor, want in ((0.5, "passed"), (2.0, "refused")):
+        H = np.diag(np.resize([1.0, -1.0, 0.5, 0.0], n)).astype(complex)
+        H[0, 1] = H[1, 0] = 0.25 + 0.5j * factor * bound / scale
+        H *= scale
+        assert np.max(np.abs(H)) == scale
+        assert np.max(np.abs(H - H.conj().T)) == factor * bound
+        assert _verdict(require_hermitian, H)[0] == want
+
+
 def test_parse_peak_memory():
     # the Pauli build and its Hermiticity check form no N x N array beside
     # H: the build's temporaries are bounded by its chunk of entries, the

@@ -121,20 +121,24 @@ def test_time_reversal(seed, data):
     threshold=st.floats(min_value=0.05, max_value=0.95),
     c=st.sampled_from([1e-3, 1.0, 1e6]),
     ratio=st.floats(min_value=0.8, max_value=1.0),
+    tied=st.integers(min_value=1, max_value=16),
 )
 @settings(max_examples=25)
-def test_skipped_probes_leave_trajectory_spectral(seed, n, threshold, c, ratio):
-    # the integrator skips the probes that its norm bound rules out; the
-    # oracle probes on every step past the switch level, bit for bit alike.
-    # The second largest amplitude starts at `ratio` times the largest, so
-    # that a switch can come at any distance from the start; a spectrum
-    # of width about 3 moves q by a few percent per step, so that probes
-    # are skipped.
+def test_skipped_probes_leave_trajectory_spectral(seed, n, threshold, c, ratio, tied):
+    # the integrator skips the probes that its distance bound and watched
+    # rows rule out; the oracle probes on every step past the switch level,
+    # bit for bit alike.  The `tied` next largest amplitudes start at
+    # `ratio` times the largest, each 1% below the one before, so that a
+    # switch can come at any distance from the start.  With nine or more
+    # the largest unwatched one is among them: `far` is then close to
+    # `near`, and both it and the re-based `near` decide.  A spectrum of
+    # width about 3 moves q by a few percent per step, so that probes are
+    # skipped.
     rng = np.random.default_rng(seed)
     H = c * random_hermitian(rng, n, scale=2.0 / np.sqrt(n))
     psi0 = random_state(rng, n)
-    second, first = np.argsort(np.abs(psi0))[-2:]
-    psi0[second] *= ratio * abs(psi0[first]) / abs(psi0[second])
+    first, *rest = np.argsort(np.abs(psi0))[::-1][: tied + 1]
+    psi0[rest] *= ratio * abs(psi0[first]) * (1 - 0.01 * np.arange(tied)) / np.abs(psi0[rest])
     psi0 /= np.linalg.norm(psi0)
     assert_same_trajectory(
         H,

@@ -245,6 +245,20 @@ class TestEvolveRk4:
         H, grid = np.array([[1.0, 1.0], [1.0, -1.0]]), TimeGrid(450.0, 1.5, 20)
         assert numpy_calls(monkeypatch, "vdot", lambda: evolve_rk4(H, [1, 0], grid)) == 300
 
+    def test_stability_bound_checks_past_2_8(self, monkeypatch):
+        # `_RK4_STABLE` = 2.8 lies below RK4's 2 sqrt 2 = 2.83.  At a row sum
+        # of |dt H| of 2.9 the component at dt lambda = 2.9 grows |psi|^2 by
+        # |R(2.9i)|^2 = 1.4234 per step, so |psi|^2 leaves the float range
+        # at step 2,011 (log(1.8e308) / log(1.4234) = 2,010.4), where the
+        # run must stop; just below 2.8 no component grows and no step is
+        # checked
+        grid = TimeGrid(3000.0, 1.0, 100)
+        with pytest.raises(NumericFailure) as failure:
+            evolve_rk4(np.diag([2.9, 0.0]), [1, 0], grid)
+        assert failure.value.step == 2011
+        H = np.diag([2.7999, 0.0])
+        assert numpy_calls(monkeypatch, "vdot", lambda: evolve_rk4(H, [1, 0], grid)) == 0
+
     def test_steps_skip_numpy_dispatch(self, rng, monkeypatch):
         # the step calls D . psi as a bound `ndarray.dot` method, so the
         # `numpy.dot` calls of a run do not grow with its step count
