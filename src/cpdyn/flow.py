@@ -47,27 +47,29 @@ On either path a step makes three calls: one fill product (K, or P . q
 for u_p and the s_j), `rk4_weights`, and one combine product (w . K, or
 w . Z, which the spectral step applies as q *= g).  |u|^2, the divergence
 guard that reads it and the switch rule run only where each loop's one
-skip rule leaves them open:
+skip rule leaves them open.  Both rest on one idea: a running bound on
+|u|, set wherever |u|^2 or u was last formed and advanced by each step in
+a few scalar operations, against a reach fixed there.
 
-* the stacked loop counts down with a growth bound: with beta >= |B|_2,
-  computed once per run, no step from |u| <= nu = 1/threshold grows |u|
-  by more than a factor rho (`_growth_bound`), so after each |u|^2 at or
-  below the switch level the next m steps, rho^m |u| < nu, cannot reach
-  it (`_steps_clear`); past the level every step checks;
-* the spectral loop keeps two running bounds, dist >= |q - q0| and
-  qb >= |q|, q0 being q where u was last formed, which each step advances
-  from its own weights in a few scalar operations, and a watch list of
-  the `_WATCH` rows of V at the largest other moduli of u0 = V q0
-  (`_watch`).  V being unitary, no entry of V q moves further from u0
-  than dist: below `near` none can reach the pivot's 1, and below `far`
-  none outside the watch list can, so there the product of q with the
-  watched rows decides.  Only a step that these leave open forms |u|^2,
-  runs the guard and probes past the level.
+* The stacked loop keeps ub >= |u|: with beta >= |B|_2, computed once per
+  run, no step from |u| <= nu = 1/threshold grows |u| by more than a
+  factor rho (`_growth_bound`), so each step multiplies ub by rho, and
+  only a step that brings ub to nu, less a rounding allowance, forms
+  |u|^2 and resets ub from it; past the level every step checks.
+* The spectral loop keeps two such bounds, dist >= |q - q0| and
+  qb >= |q|, q0 being q where u was last formed, which each step
+  advances from its own weights, and a watch list of the `_WATCH` rows
+  of V at the largest other moduli of u0 = V q0 (`_watch`).  V being
+  unitary, no entry of V q moves further from u0 than dist: below `near`
+  none can reach the pivot's 1, and below `far` none outside the watch
+  list can, so there the product of q with the watched rows decides.
+  Only a step that these leave open forms |u|^2, runs the guard and
+  probes past the level.
 
 The steps that check decide as every step would, so no decision and no bit
-depends on the skipping.  CHANGES.md (0.21.0, 0.23.0 and 0.31.0) gives the
-share of steps that form |u|^2, and the formations of u, on the
-benchmark's workloads.
+depends on the skipping.  CHANGES.md (0.21.0, 0.23.0, 0.31.0 and 0.32.0)
+gives the share of steps that form |u|^2, and the formations of u, on the
+benchmark's workloads; `tests/probe_cost.py` prints both.
 
 At N = 2..8 a step takes a few microseconds, most of it call overhead, so
 each product is the `dot` method of its fixed left operand, bound once
@@ -104,7 +106,7 @@ t = 0 this keeps a caller's chart anchored at a small amplitude from
 stepping next to the pole of the Riccati equation.  The hop is written
 once, in `_hop`: `select_pivot`, the division of u by its entry at the new
 pivot and that entry set to exactly 1.  The stacked loop then re-points
-its view of the pivot entries and forms |u|^2 again for its countdown,
+its view of the pivot entries and forms |u|^2 again for its bound,
 the spectral loop divides q by the same entry and refills P, and each
 records the switch time.  Chart, pivot and switch rule act on u in the
 computational basis on both paths.  The trajectory keeps the sampled u,
@@ -143,8 +145,8 @@ _NSQ_GUARD = 1e300
 # (measured, see the module docstring).
 _STACK_MAX_N = 20
 
-# a Python float, so the per-step bound arithmetic of `_spectral_steps`
-# stays in Python floats: with the numpy scalar `np.finfo(float).eps` the
+# a Python float, so the per-step bound arithmetic of both loops stays in
+# Python floats: with the numpy scalar `np.finfo(float).eps` the spectral
 # loop took 226-264 ms against 212-220 ms (the `_WATCH` measurement below)
 _EPS = float(np.finfo(float).eps)
 
@@ -161,12 +163,13 @@ _WATCH = 8
 # the rounding of one step and of the bounds themselves (see `_watch`).
 _BOUND_ROUNDING = 32 * _EPS
 
-# Bound on |q| above which the eigen-coordinate loop checks every step, so
-# that a skipped step keeps |u|^2 far below `_NSQ_GUARD` (see `_watch`).
-_QB_CAP = 0.5 * math.sqrt(_NSQ_GUARD)
-
-# Relative allowance of `_growth_bound` for the rounding of one step and of
-# the bound itself.
+# Relative allowance of `_growth_bound` for the rounding of one step, of the
+# bound itself and of the stacked loop's running bound ub >= |u|.  No case
+# is known where rho without it lets ub fall below |u| as the loop forms
+# it: 340 runs (N = 2-4, thresholds 1e-8 to 0.95, beta 1e-22 to 1e-2, |u|
+# starting 1e-12 to 1e-5 below the switch radius and growing at nearly the
+# rate of rho, up to 200,000 steps each) kept ub above |u| on every step.
+# It stays because the proof needs a rounding term.
 _STEP_ROUNDING = 1e-10
 
 
@@ -308,12 +311,13 @@ def integrate_classical(
     step is O(N) in eigen-coordinates, plus one N x N product u = V q at
     each sample and at each switch probe.  |u|^2, the divergence guard and
     the switch rule run only where the loop's one skip rule leaves them
-    open: the growth-bound countdown of `_steps_clear` up to
-    `_STACK_MAX_N` (every step checks past the switch level, with a step
-    past the RK4 stability bound or with a switch radius too large for
-    the bound), the distance bound and watch list of `_watch` above it.  The
-    skipped work never decides anything, so the trajectory is the same
-    bits as with every step checked.
+    open.  Each keeps a running bound on |u| against a reach fixed where
+    |u|^2 or u was last formed: up to `_STACK_MAX_N` ub >= |u|, grown by
+    `_growth_bound`'s factor per step (every step checks past the switch
+    level, with a step past the RK4 stability bound or with a switch
+    radius too large for the bound), above it the distance bound and
+    watch list of `_watch`.  The skipped work never decides anything, so
+    the trajectory is the same bits as with every step checked.
 
     H enters through `quantum.spectrum(H, N)`, the one rule for H: a
     matrix is checked, a `quantum.Spectrum` only has its dimension
@@ -366,10 +370,23 @@ def _hop(u, pivot):
 def _stacked_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> list:
     """Step u from sample 0 over the grid with K = [u; Bu; ...; B^4 u] from
     one product with [I; B; ...; B^4], B = -i dt `spec.H`, writing samples
-    1.. into `us` and `pivots`; returns the switch times.  The one skip
-    rule of this loop is the countdown of `_steps_clear`: |u|^2, the
-    divergence guard and the switch rule run only on the steps that it
-    leaves open."""
+    1.. into `us` and `pivots`; returns the switch times.
+
+    The one skip rule of this loop is a running bound ub >= |u|: a step
+    multiplies ub by rho (`_growth_bound`), and forms |u|^2, runs the
+    divergence guard and applies the switch rule only once ub reaches
+    nu (1 - N eps), nu = sqrt(`usq_switch`); it then resets ub to
+    sqrt(|u|^2) (1 + N eps), |u|^2 taken after any hop.  The two N eps
+    terms cover the rounding of `np.vdot`, `_STEP_ROUNDING` the few eps
+    of the reset and of ub *= rho.  So a skipped step,
+    |u| <= ub < nu (1 - N eps), would have formed |u|^2 below the level
+    and far below `_NSQ_GUARD`: the guard would pass and no probe run.
+    rho bounds a step only from |u| <= nu, but a step from ub > nu leaves
+    ub above the reach (rho >= 1), so it checks and resets ub; this is
+    how a step past the level, where the reset leaves ub >= nu, makes the
+    next step check.  Where rho = inf (a step past the RK4 stability
+    bound, a huge switch radius) every step checks.  ub starts at inf, so
+    step 1 checks."""
     n = u.size
     # built without a numpy warning: a dt H past the float range leaves a
     # power non-finite, and K with it, so step 1 fails
@@ -386,19 +403,21 @@ def _stacked_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> lis
     s = K[1:, pivot]
     w = np.empty(5, dtype=complex)
     # |B|_2 <= sqrt(|B|_1 |B|_inf), the largest row sum of |B| (H Hermitian)
-    steps_clear = _steps_clear(float(np.abs(B).sum(axis=1).max()), usq_switch, n)
+    rho = _growth_bound(float(np.abs(B).sum(axis=1).max()), usq_switch)
+    reach = math.sqrt(usq_switch) * (1.0 - n * _EPS)
     # bound `ndarray.dot` methods of the fixed left operands (see the
     # module docstring)
     fill, combine, vdot = powers.dot, w.dot, np.vdot
     switch_times = []
 
-    k = check_at = 1
+    k, ub = 1, math.inf  # ub >= |u|; step 1 checks
     for step in range(1, grid.n_steps + 1):
         fill(u, k_all)
         w[...] = rk4_weights(*s.tolist())
         combine(K, u)  # u_new = sum_j w_j B^j u
         u[pivot] = 1.0  # the exact step keeps it at 1; rounding may not
-        if step >= check_at:
+        ub *= rho
+        if not ub < reach:
             usq = vdot(u, u).real
             if not usq < _NSQ_GUARD:
                 raise NumericFailure("non-finite chart coordinates", step)
@@ -407,8 +426,7 @@ def _stacked_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> lis
                 s = K[1:, pivot]
                 switch_times.append(step * grid.dt)
                 usq = vdot(u, u).real
-            # past the level the countdown is 0
-            check_at = step + 1 if usq > usq_switch else step + 1 + steps_clear(usq)
+            ub = math.sqrt(usq) * (1.0 + n * _EPS)
         if step == samples[k]:
             us[k], pivots[k] = u, pivot
             k += 1
@@ -509,28 +527,6 @@ def _spectral_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> li
     return switch_times
 
 
-def _steps_clear(beta: float, level: float, n: int):
-    """The countdown of the stacked loop: a function that maps an exact
-    |u|^2 = usq after a step to the number m of following steps whose |u|
-    provably stays below the switch radius nu = sqrt(`level`), so that
-    those steps need neither |u|^2 nor the divergence guard nor the switch
-    rule.  With rho from `_growth_bound`, m is the largest with
-    rho^m |u| <= nu (1 - 1e-12 - N eps), 0 for usq > `level`.  The N eps
-    covers the rounding of `np.vdot` in usq, and the 1e-12 that of the
-    logarithms and the quotient below (at most about 2,000 eps, as
-    |log nu| <= 346); the rounding of the steps themselves compounds, so
-    it is in rho.  Every step checks (m = 0) where rho is no finite bound.
-    The arithmetic is in Python floats, so an overflow gives inf rather
-    than a numpy warning.
-    """
-    rho = _growth_bound(beta, level)
-    if not 1.0 < rho < math.inf:
-        return lambda usq: 0
-    log_reach = math.log(math.sqrt(level) * (1.0 - 1e-12 - n * _EPS))
-    per_step = 1.0 / math.log(rho)
-    return lambda usq: max(0, int((log_reach - 0.5 * math.log(usq)) * per_step))
-
-
 def _growth_bound(beta: float, level: float) -> float:
     """A factor rho with |u_new| <= rho |u| for one stacked step from any u
     with u[pivot] = 1 and |u| <= nu = sqrt(`level`), for beta >= |B|_2; inf
@@ -546,8 +542,10 @@ def _growth_bound(beta: float, level: float) -> float:
     rho is raised by `_STEP_ROUNDING` = 1e-10 for the rounding of a step:
     that of the fill, the combine and the pivot reset (a few N eps |u|
     each, about N^1.5 eps for the fill at N <= `_STACK_MAX_N`), of the
-    rounded powers of B and of beta (N eps each) and of the evaluation of
-    W and rho (a few dozen eps).
+    rounded powers of B and of beta (N eps each), of the evaluation of
+    W and rho (a few dozen eps) and of the loop's running bound (the
+    rounded product ub *= rho and the reset sqrt(|u|^2) (1 + N eps), a few
+    eps each).
 
     inf where beta is not in [0, 1) (a step past the RK4 stability bound);
     rho overflows to inf, in Python floats, for a huge switch radius.  No
@@ -588,12 +586,13 @@ def _watch(u, pivot, q, V, mag, rows) -> tuple:
       less than reach - max |u_W|: the loop re-bases near to that, at most
       far.
 
-    A step that these rules clear skips |u|^2 and the guard too: dist <
-    far <= 1 gives |q| <= |q0| + 1, and qb < `_QB_CAP` = sqrt(`_NSQ_GUARD`)
-    / 2 here (else reach, near and far are -inf and every step checks), so
-    |u|^2 = |q|^2 stays below `_NSQ_GUARD` / 4 and finite.  A non-finite
-    weight leaves dist NaN or inf, which fails both tests, so such a step
-    is checked as every step would be.
+    A step that these rules clear skips |u|^2 and the guard too.  A skip
+    needs reach > 0, so qb < 1/(8 N eps) where u was formed, about 2.7e13
+    at N = 21; and dist < far <= 1 gives |q| <= |q0| + 1.  So
+    |u|^2 = |q|^2 stays below about 1e27, far below `_NSQ_GUARD`, and
+    finite.  An infinite qb gives reach = -inf, and a NaN one a NaN
+    reach, which fail both tests, as a non-finite weight, leaving dist
+    NaN or inf, does: such a step is checked as every step would be.
 
     The loop advances dist and qb from the scaled weights w of each step,
     in Python floats.  With zeta_j the largest |z_i^j| as rounded in Z and
@@ -611,10 +610,21 @@ def _watch(u, pivot, q, V, mag, rows) -> tuple:
     of an increment that, on a step that can skip, is below 1, plus eps
     dist < eps for the sum), which the 32 eps qb >= 32 eps |u_p| exceeds.
     qb starts at |q0| (1 + N eps), which covers the rounding of |q0|^2.
+
+    No test fails with qb frozen at its start (`qb *= ...` dropped).  Cases
+    tried: 51 random dense H at N = 64, 128 and 256, from a pivot
+    amplitude of 0.90-0.999 that spreads out to |u|^2 of up to 60, with one
+    sample at the end, thresholds 0.2-0.7 and dt 1e-3 to 1e-2; and about
+    9,000 parameter sets of a chain pivot - uniform leaves - hub, where the
+    leaves carry |u| and then feed the hub, searched on its three-level
+    reduction.  The |w0 - 1| term is why: |q| grows by at most a factor
+    1 + |w0 - 1| + spread per step, so even a frozen qb adds at least
+    |q0| ln(|q| / |q0|) to dist, and dist passes `far` <= 1 before |q| has
+    grown e-fold.
     """
     n = u.size
     qb = math.sqrt(float(np.vdot(q, q).real)) * (1.0 + n * _EPS)
-    reach = 1.0 - 8 * n * _EPS * qb if qb < _QB_CAP else -math.inf
+    reach = 1.0 - 8 * n * _EPS * qb
     np.abs(u, out=mag)
     mag[pivot] = -1.0  # below every modulus, so never watched
     unwatched = n - len(rows) - 1  # mag[order[unwatched]]: the largest unwatched

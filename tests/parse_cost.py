@@ -19,7 +19,6 @@ to measure, so one copy of this script measures any commit.  Not a test
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 import time
 import tracemalloc
@@ -64,15 +63,6 @@ def best_time(f, repeats: int) -> float:
     return best
 
 
-def hermitian_check(pauli):
-    """`pauli.require_hermitian` as a function of H alone: up to 0.29.0 it
-    also took the length of the states H acts on."""
-    check = pauli.require_hermitian
-    if len(inspect.signature(check).parameters) == 1:
-        return check
-    return lambda H: check(H, len(H))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=DEFAULT_ROOT)
@@ -82,7 +72,6 @@ def main(argv=None) -> int:
     from cpdyn import pauli  # the checkout's, now first on sys.path
     from cpdyn.scenario import scenario_from_dict
 
-    check = hermitian_check(pauli)
     rng = np.random.default_rng(args.seed)
     print(
         f"{'qubits':>6} {'terms':>5} {'parse ms':>9} {'check ms':>9} {'share':>6} "
@@ -98,7 +87,7 @@ def main(argv=None) -> int:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        hermitian = best_time(lambda: check(H), REPEATS[n_qubits])
+        hermitian = best_time(lambda: pauli.require_hermitian(H), REPEATS[n_qubits])
         print(
             f"{n_qubits:>6} {TERMS:>5} {parse * 1e3:>9.2f} {hermitian * 1e3:>9.2f} "
             f"{hermitian / parse:>6.2f} {peak / H.nbytes:>15.3f} {peak / 2**20:>9.1f}"

@@ -1,4 +1,4 @@
-"""Print what watching for a chart switch costs the eigen-coordinate loop.
+"""Print what watching for a chart switch costs the two classical loops.
 
     python tests/probe_cost.py [--root CHECKOUT] [--seed 1]
 
@@ -11,15 +11,19 @@ counted run:
 - `formed`: products u = V q over all N rows, at samples and at switch
   probes (the t = 0 set-up of the loop's bounds is not counted);
 - `watched`: products of q with the loop's watch list of a few rows of V
-  (`flow._watch`; 0 for a checkout that has none);
+  (`flow._watch`);
 - `probes`: `select_pivot` calls, the switch rule's probes;
 - `switches`: chart switches of the trajectory.
 
+Then, for each bundled scenario of `scenarios/` (N = 4, the stacked
+loop), it prints the `np.vdot` calls of one `flow.integrate_classical`
+from the chart that `cpdyn` starts in: the formations of |u|^2, one at
+t = 0, one on each step that the loop's skip rule leaves open and one
+after each switch, beside the step count.
+
 `--root` (default: this file's checkout) names the checkout to measure,
-so one copy of this script measures any commit.  A checkout that still
-tests a probe distance on every step (`flow._probe_slack`) counts its
-formations the same way, by its set-up helper's calls.  Not a test
-(pytest does not collect it); the documents take about a second.
+so one copy of this script measures any commit.  Not a test (pytest does
+not collect it); the documents and scenarios take a few seconds.
 """
 
 from __future__ import annotations
@@ -66,14 +70,13 @@ def counted(module, name: str, calls: list):
 def counted_run(flow, run) -> dict:
     """Counts of one `run()`: set-ups of the switch bounds, watched-row
     products, probes."""
-    setup = "_watch" if hasattr(flow, "_watch") else "_probe_slack"
     setups, watched, probes = [], [], []
     saved = [
-        (flow, setup, counted(flow, setup, setups)),
+        (flow, "_watch", counted(flow, "_watch", setups)),
         (flow, "select_pivot", counted(flow, "select_pivot", probes)),
+        # the loop binds `np.matmul` for its watched rows
+        (np, "matmul", counted(np, "matmul", watched)),
     ]
-    if setup == "_watch":  # the loop binds `np.matmul` for its watched rows
-        saved.append((np, "matmul", counted(np, "matmul", watched)))
     try:
         traj = run()
     finally:
@@ -97,7 +100,7 @@ def main(argv=None) -> int:
     from cpdyn import flow  # the checkout's, now first on sys.path
     from cpdyn.chart import select_pivot, to_chart
     from cpdyn.quantum import Spectrum
-    from cpdyn.scenario import scenario_from_dict
+    from cpdyn.scenario import load_scenario, scenario_from_dict
 
     workloads = load_workloads(root)
     rng = np.random.default_rng(args.seed)
@@ -131,6 +134,20 @@ def main(argv=None) -> int:
             f"{counts['switches']:>8}"
         )
     print(f"{'total':>14} {'':>6} {'':>7} {total * 1e3:>8.2f}")
+
+    print(f"\n{'scenario':>14} {'steps':>6} {'|u|^2':>6} {'share':>6}")
+    for path in sorted((root / "scenarios").glob("*.json")):
+        config = load_scenario(path)
+        psi0 = config.initial_state
+        point0 = to_chart(psi0, select_pivot(psi0))
+        calls = []
+        original = counted(np, "vdot", calls)
+        try:
+            flow.integrate_classical(config.hamiltonian, point0, config.grid, config.flow)
+        finally:
+            np.vdot = original
+        steps = config.grid.n_steps
+        print(f"{path.stem:>14} {steps:>6} {len(calls):>6} {len(calls) / steps:>6.1%}")
     return 0
 
 

@@ -191,32 +191,39 @@ class TestIntegrateClassical:
         assert counts[0] == counts[1], counts
 
     def test_forms_usq_only_where_the_level_is_in_reach(self, monkeypatch):
-        # between two steps that form |u|^2, the growth bound of
-        # `flow._growth_bound` keeps |u| below the switch radius, so fig1_left
-        # forms |u|^2 on few of its steps; where that bound is no finite
-        # bound (a huge switch radius, a step past the RK4 stability bound)
-        # it is formed once at t = 0, once per step and once per switch
-        config = load_scenario(SCENARIO_DIR / "fig1_left.json")
-        H, psi0, grid = config.hamiltonian, config.initial_state, config.grid
-        point0 = to_chart(psi0, select_pivot(psi0))
+        # between two steps that form |u|^2, the running bound on |u|, grown
+        # by the factor of `flow._growth_bound` on each step, stays below the
+        # switch radius, so every bundled scenario forms |u|^2 on few of its
+        # steps (fig1_right and fig3_right on the most, 465 of 10,000); each
+        # of these runs is held to the oracle bit for bit by
+        # `TestBitIdentity.test_bundled_scenarios`.  Where that bound is no
+        # finite bound (a huge switch radius, a step past the RK4 stability
+        # bound) |u|^2 is formed once at t = 0, once per step and once per
+        # switch
         runs = []
 
-        def usq_calls(grid, settings):
+        def usq_calls(H, point0, grid, settings):
             return numpy_calls(
                 monkeypatch,
                 "vdot",
                 lambda: runs.append(integrate_classical(H, point0, grid, settings)),
             )
 
-        assert grid.n_steps == 10_000
-        assert usq_calls(grid, config.flow) <= 0.05 * grid.n_steps
-        assert_same_trajectory(H, point0, grid, config.flow)
+        for path in sorted(SCENARIO_DIR.glob("*.json")):
+            config = load_scenario(path)
+            H, psi0, grid = config.hamiltonian, config.initial_state, config.grid
+            point0 = to_chart(psi0, select_pivot(psi0))
+            assert grid.n_steps >= 10_000
+            assert usq_calls(H, point0, grid, config.flow) <= 0.05 * grid.n_steps, path.stem
+        config = load_scenario(SCENARIO_DIR / "fig1_left.json")
+        H, psi0, grid = config.hamiltonian, config.initial_state, config.grid
+        point0 = to_chart(psi0, select_pivot(psi0))
         dt = 3.0 / np.linalg.norm(H, 2)  # past 2 sqrt(2), the RK4 bound
         for grid, settings in (
             (grid, FlowSettings(1e-150)),
             (TimeGrid(100 * dt, dt, 10), config.flow),
         ):
-            calls = usq_calls(grid, settings)
+            calls = usq_calls(H, point0, grid, settings)
             assert calls == 1 + grid.n_steps + runs[-1].n_switches
             assert_same_trajectory(H, point0, grid, settings)
 
@@ -441,7 +448,7 @@ class TestBitIdentity:
             assert traj.pivots[0] == select_pivot(psi0)
             # the same chart with the level a few eps above its |u|^2: no hop
             # at t = 0, and |u|^2 is formed and the chart changed after the
-            # first step, before any countdown
+            # first step, which checks on both loops
             usq0 = np.vdot(point0.homogeneous(), point0.homogeneous()).real
             settings = FlowSettings((1 - 4 * np.finfo(float).eps) / np.sqrt(usq0))
             assert usq0 < settings.switch_level < usq0 * (1 + 1e-14)
