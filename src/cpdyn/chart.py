@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 # Below this modulus a divisor is numerically unreliable in double precision.
+# It needs no scaling with ||H||, which a chart does not read, nor with N:
+# the divisor that `select_pivot` picks from a unit state is at least
+# 1/sqrt(N), above the floor for any N below 1e24, so only a pivot that a
+# caller names can reach it.
 PIVOT_FLOOR = 1e-12
 
 

@@ -54,11 +54,11 @@ a few scalar operations, against a reach fixed there.
 * The stacked loop keeps ub >= |u|: with beta >= |B|_2, computed once per
   run, no step from |u| <= nu = 1/threshold grows |u| by more than a
   factor rho (`_growth_bound`), so each step multiplies ub by rho, and
-  only a step that brings ub to nu, less a rounding allowance, forms
-  |u|^2 and resets ub from it; past the level every step checks.
-* The spectral loop keeps two such bounds, dist >= |q - q0| and
-  qb >= |q|, q0 being q where u was last formed, which each step
-  advances from its own weights, and a watch list of the `_WATCH` rows
+  only a step that brings ub to nu forms |u|^2 and resets ub to its
+  root; past the level every step checks.
+* The spectral loop keeps one such bound, dist >= |q - q0|, q0 being q
+  where u was last formed, which each step advances from its own
+  weights with |q| <= |q0| + dist, and a watch list of the `_WATCH` rows
   of V at the largest other moduli of u0 = V q0 (`_watch`).  V being
   unitary, no entry of V q moves further from u0 than dist: below `near`
   none can reach the pivot's 1, and below `far` none outside the watch
@@ -66,10 +66,12 @@ a few scalar operations, against a reach fixed there.
   Only a step that these leave open forms |u|^2, runs the guard and
   probes past the level.
 
+Both bounds carry one relative rounding allowance, `_STEP_ROUNDING`.
+
 The steps that check decide as every step would, so no decision and no bit
-depends on the skipping.  CHANGES.md (0.21.0, 0.23.0, 0.31.0 and 0.32.0)
-gives the share of steps that form |u|^2, and the formations of u, on the
-benchmark's workloads; `tests/probe_cost.py` prints both.
+depends on the skipping.  CHANGES.md (0.21.0, 0.23.0, 0.31.0, 0.32.0 and
+0.33.0) gives the share of steps that form |u|^2, and the formations of
+u, on the benchmark's workloads; `tests/probe_cost.py` prints both.
 
 At N = 2..8 a step takes a few microseconds, most of it call overhead, so
 each product is the `dot` method of its fixed left operand, bound once
@@ -159,17 +161,13 @@ _EPS = float(np.finfo(float).eps)
 # 0.23.0 formed on every step.
 _WATCH = 8
 
-# Relative allowance of the two running bounds of `_spectral_steps` for
-# the rounding of one step and of the bounds themselves (see `_watch`).
-_BOUND_ROUNDING = 32 * _EPS
-
-# Relative allowance of `_growth_bound` for the rounding of one step, of the
-# bound itself and of the stacked loop's running bound ub >= |u|.  No case
-# is known where rho without it lets ub fall below |u| as the loop forms
-# it: 340 runs (N = 2-4, thresholds 1e-8 to 0.95, beta 1e-22 to 1e-2, |u|
-# starting 1e-12 to 1e-5 below the switch radius and growing at nearly the
-# rate of rho, up to 200,000 steps each) kept ub above |u| on every step.
-# It stays because the proof needs a rounding term.
+# Relative allowance of both loops' running bounds for the rounding of one
+# step, of the bound itself and of the |u|^2 or |q0| it was set from:
+# `_growth_bound` raises rho by it, and `_spectral_steps` adds it to each
+# increment of dist.  What it covers is at most a few hundred eps (see
+# `_growth_bound` and `_watch`); 1e-10, about 4.5e5 eps, also covers the
+# 2 N eps by which `np.vdot` may move |u|^2, so the stacked loop needs no
+# margin of its own.
 _STEP_ROUNDING = 1e-10
 
 
@@ -375,18 +373,20 @@ def _stacked_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> lis
     The one skip rule of this loop is a running bound ub >= |u|: a step
     multiplies ub by rho (`_growth_bound`), and forms |u|^2, runs the
     divergence guard and applies the switch rule only once ub reaches
-    nu (1 - N eps), nu = sqrt(`usq_switch`); it then resets ub to
-    sqrt(|u|^2) (1 + N eps), |u|^2 taken after any hop.  The two N eps
-    terms cover the rounding of `np.vdot`, `_STEP_ROUNDING` the few eps
-    of the reset and of ub *= rho.  So a skipped step,
-    |u| <= ub < nu (1 - N eps), would have formed |u|^2 below the level
-    and far below `_NSQ_GUARD`: the guard would pass and no probe run.
-    rho bounds a step only from |u| <= nu, but a step from ub > nu leaves
-    ub above the reach (rho >= 1), so it checks and resets ub; this is
-    how a step past the level, where the reset leaves ub >= nu, makes the
-    next step check.  Where rho = inf (a step past the RK4 stability
-    bound, a huge switch radius) every step checks.  ub starts at inf, so
-    step 1 checks."""
+    nu = sqrt(`usq_switch`); it then resets ub to sqrt(|u|^2), |u|^2
+    taken after any hop.  `np.vdot` may round the reset below |u|, and a
+    later |u|^2 above its value, by about N eps each; but a tested ub has
+    been multiplied by rho at least once since its reset, and
+    rho >= W0 (1 + `_STEP_ROUNDING`) >= 1 + 1e-10, which exceeds those
+    2 N eps at N <= `_STACK_MAX_N` with room for the few eps of the reset
+    and of ub *= rho.  So a skipped step, ub < nu, would have formed
+    |u|^2 below the level and far below `_NSQ_GUARD`: the guard would pass
+    and no probe run.  rho bounds a step only from |u| <= nu, but a step
+    from ub >= nu leaves ub at or above nu (rho >= 1), so it checks and
+    resets ub; this is how a step past the level, where the reset leaves
+    ub >= nu, makes the next step check.  Where rho = inf (a step past the
+    RK4 stability bound, a huge switch radius) every step checks.  ub
+    starts at inf, so step 1 checks."""
     n = u.size
     # built without a numpy warning: a dt H past the float range leaves a
     # power non-finite, and K with it, so step 1 fails
@@ -403,8 +403,8 @@ def _stacked_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> lis
     s = K[1:, pivot]
     w = np.empty(5, dtype=complex)
     # |B|_2 <= sqrt(|B|_1 |B|_inf), the largest row sum of |B| (H Hermitian)
-    rho = _growth_bound(float(np.abs(B).sum(axis=1).max()), usq_switch)
-    reach = math.sqrt(usq_switch) * (1.0 - n * _EPS)
+    nu = math.sqrt(usq_switch)
+    rho = _growth_bound(float(np.abs(B).sum(axis=1).max()), nu)
     # bound `ndarray.dot` methods of the fixed left operands (see the
     # module docstring)
     fill, combine, vdot = powers.dot, w.dot, np.vdot
@@ -417,7 +417,7 @@ def _stacked_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> lis
         combine(K, u)  # u_new = sum_j w_j B^j u
         u[pivot] = 1.0  # the exact step keeps it at 1; rounding may not
         ub *= rho
-        if not ub < reach:
+        if not ub < nu:
             usq = vdot(u, u).real
             if not usq < _NSQ_GUARD:
                 raise NumericFailure("non-finite chart coordinates", step)
@@ -426,7 +426,7 @@ def _stacked_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> lis
                 s = K[1:, pivot]
                 switch_times.append(step * grid.dt)
                 usq = vdot(u, u).real
-            ub = math.sqrt(usq) * (1.0 + n * _EPS)
+            ub = math.sqrt(usq)
         if step == samples[k]:
             us[k], pivots[k] = u, pivot
             k += 1
@@ -438,12 +438,12 @@ def _spectral_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> li
     read from `spec`, where B^j is the diagonal z^j, z = -i dt lam.  u = V q
     is formed only to sample it or to probe for a switch.
 
-    The one skip rule of this loop watches for a switch with two running
-    bounds and a watch list, all set by `_watch` wherever u is formed (at
-    t = 0, at samples and at probes), q0 being q there: dist >= |q - q0|
-    and qb >= |q|, which each step advances from its own weights, and the
-    rows W of V at the largest other moduli of u0 = V q0, copied to
-    `rows`.  After a step with
+    The one skip rule of this loop watches for a switch with one running
+    bound and a watch list, both set by `_watch` wherever u is formed (at
+    t = 0, at samples and at probes), q0 being q there: dist >= |q - q0|,
+    which each step advances from its own weights with |q| <= |q0| + dist,
+    and the rows W of V at the largest other moduli of u0 = V q0, copied
+    to `rows`.  After a step with
 
     * dist < near, no entry of V q can reach the pivot's 1: nothing more;
     * near <= dist < far, no unwatched entry can: u_W = V[W] q, a (`_WATCH`,
@@ -473,9 +473,8 @@ def _spectral_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> li
     mag = np.empty(n)
     rows = np.empty((min(_WATCH, n - 1), n), dtype=complex)
     uw = np.empty(len(rows), dtype=complex)
-    near, far, reach, qb = _watch(u, pivot, q, V, mag, rows)
+    near, far, reach, q0 = _watch(u, pivot, q, V, mag, rows)
     dist = 0.0
-    grow = 1.0 + _BOUND_ROUNDING
     # bound `ndarray.dot` methods; a switch refills P in place, so its
     # method stays bound to the current pivot row.  The watched rows go
     # through `np.matmul`, a ufunc, which has no Python dispatcher either
@@ -496,12 +495,10 @@ def _spectral_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> li
         combine(Z, g)
         q *= g  # u_new = sum_j w_j B^j u / u_p
         # |g_i - w0| <= spread, so |q_new - q| <= (|w0 - 1| + spread) |q|
-        # and |q_new| <= (|w0| + spread) |q|, each up to the rounding
-        # that `_BOUND_ROUNDING` covers
+        # up to the rounding that `_STEP_ROUNDING` covers, with
+        # |q| <= |q0| + dist
         spread = abs(w1) * z1 + abs(w2) * z2 + abs(w3) * z3 + abs(w4) * z4
-        gmax = abs(w0) + spread
-        dist += (abs(w0 - 1.0) + spread + _BOUND_ROUNDING * (gmax + 1.0)) * qb
-        qb *= gmax * grow
+        dist += (abs(w0 - 1.0) + spread + _STEP_ROUNDING * (abs(w0) + spread + 1.0)) * (q0 + dist)
         probe = False
         if not dist < near:
             if dist < far and (top := max(map(abs, watched(rows, q, out=uw).tolist()))) < reach:
@@ -519,7 +516,7 @@ def _spectral_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> li
                 q /= scale
                 np.multiply(Z, V[pivot], out=P)
                 switch_times.append(step * grid.dt)
-            near, far, reach, qb = _watch(u, pivot, q, V, mag, rows)
+            near, far, reach, q0 = _watch(u, pivot, q, V, mag, rows)
             dist = 0.0
             if step == samples[k]:
                 us[k], pivots[k] = u, pivot
@@ -527,10 +524,10 @@ def _spectral_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> li
     return switch_times
 
 
-def _growth_bound(beta: float, level: float) -> float:
+def _growth_bound(beta: float, nu: float) -> float:
     """A factor rho with |u_new| <= rho |u| for one stacked step from any u
-    with u[pivot] = 1 and |u| <= nu = sqrt(`level`), for beta >= |B|_2; inf
-    where no finite bound applies.
+    with u[pivot] = 1 and |u| <= nu, the switch radius, for beta >= |B|_2;
+    inf where no finite bound applies.
 
     |s_j| = |(B^j u)[pivot]| <= beta^j |u|.  Fed the negated bounds
     -beta^j nu, every intermediate of the `rk4_weights` recurrence is >= 0
@@ -544,8 +541,9 @@ def _growth_bound(beta: float, level: float) -> float:
     each, about N^1.5 eps for the fill at N <= `_STACK_MAX_N`), of the
     rounded powers of B and of beta (N eps each), of the evaluation of
     W and rho (a few dozen eps) and of the loop's running bound (the
-    rounded product ub *= rho and the reset sqrt(|u|^2) (1 + N eps), a few
-    eps each).
+    rounded product ub *= rho, a few eps, and the reset to sqrt(|u|^2),
+    up to 2 N eps below |u| from `np.vdot`).  W0 >= 1, so rho >= 1 + 1e-10
+    whatever beta: even a zero H leaves room for that reset.
 
     inf where beta is not in [0, 1) (a step past the RK4 stability bound);
     rho overflows to inf, in Python floats, for a huge switch radius.  No
@@ -553,7 +551,6 @@ def _growth_bound(beta: float, level: float) -> float:
     """
     if not 0.0 <= beta < 1.0:
         return math.inf
-    nu = math.sqrt(level)
     b2 = beta * beta
     b3, b4 = b2 * beta, b2 * b2
     w0, w1, w2, w3, w4 = rk4_weights(-beta * nu, -b2 * nu, -b3 * nu, -b4 * nu)
@@ -564,17 +561,18 @@ def _growth_bound(beta: float, level: float) -> float:
 def _watch(u, pivot, q, V, mag, rows) -> tuple:
     """The switch bounds of the eigen-coordinate loop at u0 = u, just formed
     as V q0 from q0 = q (or the initial u, with q0 = V^H u0), u0[pivot] = 1:
-    returns (near, far, reach, qb) and copies to `rows` the rows of V at
+    returns (near, far, reach, |q0|) and copies to `rows` the rows of V at
     the len(`rows`) largest moduli of u0 other than the pivot's, the watch
-    list W.  `mag` is an (N,) work buffer.
+    list W.  |q0| is rounded up, as sqrt(|q0|^2) (1 + N eps), to cover the
+    rounding of |q0|^2.  `mag` is an (N,) work buffer.
 
     A probe forms V q, sets its pivot entry to 1 and keeps the pivot and
     q unless another entry reaches modulus 1.  V being unitary,
-    |(V q)_i - (V q0)_i| <= |q - q0| <= dist.  The allowance a = 8 N eps qb
-    covers the rounding of the product that formed u0 and of the one a
-    probe would form (each at most about N eps |q| per entry, the rows of
-    V having unit norm, with |q| <= qb + 1 while dist < 1), of V's
-    orthonormality and of the moduli; reach = 1 - a.  So
+    |(V q)_i - (V q0)_i| <= |q - q0| <= dist.  The allowance
+    a = 8 N eps |q0| covers the rounding of the product that formed u0 and
+    of the one a probe would form (each at most about N eps |q| per entry,
+    the rows of V having unit norm, with |q| <= |q0| + 1 while dist < 1),
+    of V's orthonormality and of the moduli; reach = 1 - a.  So
 
     * while dist < near = reach - max_{i != pivot} |u0_i|, no entry
       reaches 1;
@@ -587,44 +585,35 @@ def _watch(u, pivot, q, V, mag, rows) -> tuple:
       far.
 
     A step that these rules clear skips |u|^2 and the guard too.  A skip
-    needs reach > 0, so qb < 1/(8 N eps) where u was formed, about 2.7e13
-    at N = 21; and dist < far <= 1 gives |q| <= |q0| + 1.  So
+    needs reach > 0, so |q0| < 1/(8 N eps) where u was formed, about
+    2.7e13 at N = 21; and dist < far <= 1 gives |q| <= |q0| + 1.  So
     |u|^2 = |q|^2 stays below about 1e27, far below `_NSQ_GUARD`, and
-    finite.  An infinite qb gives reach = -inf, and a NaN one a NaN
+    finite.  An infinite |q0| gives reach = -inf, and a NaN one a NaN
     reach, which fail both tests, as a non-finite weight, leaving dist
     NaN or inf, does: such a step is checked as every step would be.
 
-    The loop advances dist and qb from the scaled weights w of each step,
-    in Python floats.  With zeta_j the largest |z_i^j| as rounded in Z and
+    The loop advances dist from the scaled weights w of each step, in
+    Python floats.  With zeta_j the largest |z_i^j| as rounded in Z and
     spread = sum_{j >= 1} |w_j| zeta_j, the step multiplies q entrywise by
-    g = sum_j w_j z^j, with |g_i - w0| <= spread, so
+    g = sum_j w_j z^j, with |g_i - w0| <= spread, and |q| <= |q0| + dist,
+    so
 
-        |q_new - q| <= (|w0 - 1| + spread) qb,  |q_new| <= (|w0| + spread) qb.
+        |q_new - q| <= (|w0 - 1| + spread) (|q0| + dist).
 
-    `_BOUND_ROUNDING` = 32 eps covers the rest, added to each dist
-    increment as 32 eps (gmax + 1) qb, gmax = |w0| + spread, and to qb's
-    factor as 1 + 32 eps: the rounding of the combine w . Z and of
-    q *= g (about 12 eps gmax |q_i| per entry: five complex products and
-    their sum, then one more product), and the float arithmetic of dist
-    and qb (a dozen roundings of non-negative terms, at most about 12 eps
-    of an increment that, on a step that can skip, is below 1, plus eps
-    dist < eps for the sum), which the 32 eps qb >= 32 eps |u_p| exceeds.
-    qb starts at |q0| (1 + N eps), which covers the rounding of |q0|^2.
-
-    No test fails with qb frozen at its start (`qb *= ...` dropped).  Cases
-    tried: 51 random dense H at N = 64, 128 and 256, from a pivot
-    amplitude of 0.90-0.999 that spreads out to |u|^2 of up to 60, with one
-    sample at the end, thresholds 0.2-0.7 and dt 1e-3 to 1e-2; and about
-    9,000 parameter sets of a chain pivot - uniform leaves - hub, where the
-    leaves carry |u| and then feed the hub, searched on its three-level
-    reduction.  The |w0 - 1| term is why: |q| grows by at most a factor
-    1 + |w0 - 1| + spread per step, so even a frozen qb adds at least
-    |q0| ln(|q| / |q0|) to dist, and dist passes `far` <= 1 before |q| has
-    grown e-fold.
+    `_STEP_ROUNDING` covers the rest, added to each increment as
+    1e-10 (|w0| + spread + 1) (|q0| + dist): the rounding of the combine
+    w . Z and of q *= g (about 12 eps (|w0| + spread) |q_i| per entry:
+    five complex products and their sum, then one more product), and the
+    float arithmetic of dist (a dozen roundings of non-negative terms, at
+    most about 12 eps of an increment that, on a step that can skip, is
+    below 1, plus eps dist for the sum), which 1e-10 |q0| >= 1e-10 exceeds
+    by far (|q0| = |u0| >= 1).  The `+ dist` term is kept for the proof:
+    no tested run fails without it, as |w0 - 1| alone makes dist pass
+    `far` <= 1 before |q| grows e-fold.
     """
     n = u.size
-    qb = math.sqrt(float(np.vdot(q, q).real)) * (1.0 + n * _EPS)
-    reach = 1.0 - 8 * n * _EPS * qb
+    q0 = math.sqrt(float(np.vdot(q, q).real)) * (1.0 + n * _EPS)
+    reach = 1.0 - 8 * n * _EPS * q0
     np.abs(u, out=mag)
     mag[pivot] = -1.0  # below every modulus, so never watched
     unwatched = n - len(rows) - 1  # mag[order[unwatched]]: the largest unwatched
@@ -632,4 +621,4 @@ def _watch(u, pivot, q, V, mag, rows) -> tuple:
     np.take(V, order[unwatched + 1:], axis=0, out=rows)
     near = reach - float(mag.max())
     far = reach - max(0.0, float(mag[order[unwatched]]))
-    return near, far, reach, qb
+    return near, far, reach, q0

@@ -26,6 +26,9 @@ __all__ = [
     "energy",
 ]
 
+# Concurrence below which `is_separable` calls a ray a product state.  It
+# needs no scaling with N or ||H||: concurrence is defined here for two
+# qubits only (N = 4) and is a number in [0, 1] read from the state alone.
 SEPARABILITY_EPS = 1e-8
 
 

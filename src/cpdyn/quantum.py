@@ -47,6 +47,10 @@ __all__ = [
     "spectrum",
 ]
 
+# How far from 1 `make_state` lets a state's norm lie.  It needs no
+# scaling with ||H||, which no state check reads, nor with N: the norm
+# of N amplitudes given to 16 digits rounds by about N eps, below 1e-10
+# up to N of about 4e5, far past the 4,096 levels of `pauli.MAX_QUBITS`.
 STATE_NORM_TOL = 1e-10
 
 # Largest row sum of |dt H| below which `evolve_rk4` checks no step: it
@@ -83,7 +87,10 @@ class TimeGrid:
             raise ValueError(f"t_end={self.t_end} / dt={self.dt} overflows the step count")
         if require_integer("output_stride", self.output_stride) < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
-        # tolerate t_end = k*dt held with float error, nothing more
+        # tolerate t_end = k*dt held with float error, nothing more.  The
+        # rule is relative to the step count and needs no scaling with
+        # ||H||, as t_end/dt is invariant under H -> cH, t -> t/c, nor with
+        # N, which the grid does not see
         if abs(self.t_end / self.dt - self.n_steps) > 1e-9 * self.n_steps:
             raise ValueError(
                 f"t_end={self.t_end} is not a whole number of dt={self.dt} steps"

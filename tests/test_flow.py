@@ -455,6 +455,23 @@ class TestBitIdentity:
             traj = assert_same_trajectory(H, point0, grid, settings)
             assert traj.n_switches_cum[0] == 0 and traj.switch_times[0] == grid.dt
 
+    @pytest.mark.parametrize("ulps", [2**16, 2**20])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stacked_switch_just_past_the_level(self, n, ulps):
+        # |x| starts a few ulps below the switch radius, and H = 1e-9 sigma_y
+        # on the first two levels moves weight off the pivot so slowly that
+        # |u| crosses the radius only after some steps, within a hair of
+        # the running bound: a stacked loop that let ub pass nu unchecked
+        # (by 1e-9 of nu) would skip the step that switches
+        settings = FlowSettings(0.2)
+        radius = np.sqrt(settings.switch_level - 1.0)
+        x = np.zeros(n - 1)
+        x[0] = radius - ulps * np.spacing(radius)
+        H = np.zeros((n, n), dtype=complex)
+        H[0, 1], H[1, 0] = -1e-9j, 1e-9j
+        traj = assert_same_trajectory(H, ChartPoint(0, x), TimeGrid(0.5, 1e-3, 1), settings)
+        assert traj.n_switches == 1 and traj.switch_times[0] > 1e-3
+
 
 class TestProbeSkip:
     """Above `_STACK_MAX_N` a step forms the watched rows of V only when
@@ -552,8 +569,8 @@ class TestProbeSkip:
 
     @pytest.mark.parametrize("n", [32, 256])
     def test_watch_keeps_entries_within_its_allowance(self, n):
-        # `_watch` clears no entry within its allowance a = 8 N eps qb of
-        # the pivot's 1.  Nine entries at 1 - a/2 (half of it, qb ~ |u|):
+        # `_watch` clears no entry within its allowance a = 8 N eps |q0| of
+        # the pivot's 1.  Nine entries at 1 - a/2 (half of it, |q0| = |u|):
         # the watched rows do not clear them (max |V[W] q| >= reach), and
         # `near` and `far` (the ninth is unwatched) are below 0, so the
         # first step checks.  At 1 - 2a all three clear them
@@ -567,8 +584,8 @@ class TestProbeSkip:
             u[1:10] *= 1 - allowances * 8 * n * eps * np.linalg.norm(u)
             q = V.conj().T @ u
             rows = np.empty((8, n), dtype=complex)
-            near, far, reach, qb = _watch(u, 0, q, V, np.empty(n), rows)
-            assert qb >= np.linalg.norm(q)
+            near, far, reach, q0 = _watch(u, 0, q, V, np.empty(n), rows)
+            assert q0 >= np.linalg.norm(q)
             assert (np.abs(rows @ q).max() < reach) == cleared
             assert (near > 0) == (far > 0) == cleared
             assert near <= far < 1

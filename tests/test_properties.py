@@ -177,6 +177,18 @@ def test_step_growth_bound(seed, n, threshold, c, log_beta, fill):
     dt = 10.0**log_beta / rows
     step = _stacked_step_reference(_stacked_powers_reference(H, dt), u, point.pivot)
     step[point.pivot] = 1.0
-    rho = _growth_bound(float(dt * rows), level)
-    assert 1.0 < rho < math.inf
+    rho = _growth_bound(float(dt * rows), math.sqrt(level))
+    # the 1e-10 of `flow._STEP_ROUNDING`, which covers the stacked loop's
+    # rounding, written as a number
+    assert 1 + 1e-10 <= rho < math.inf
     assert np.linalg.norm(step) <= rho * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("level", [1 + 1e-12, 4.0, 25.0, 1e4, 1e12])
+@pytest.mark.parametrize("beta", [0.0, 1e-300, 1e-16, 1e-3, 0.99])
+def test_step_growth_bound_keeps_its_rounding_allowance(beta, level):
+    # rho exceeds 1 by the 1e-10 that covers rounding at every beta, down
+    # to a zero H (beta 0), whose exact step leaves |u| where it is, and
+    # at every switch level, down to one just above the pivot entry's 1
+    rho = _growth_bound(beta, math.sqrt(level))
+    assert 1 + 1e-10 <= rho < math.inf
