@@ -61,4 +61,4 @@ from .scenario import (
     run,
 )
 
-__version__ = "0.33.0"
+__version__ = "0.34.0"

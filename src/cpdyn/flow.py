@@ -73,15 +73,21 @@ depends on the skipping.  CHANGES.md (0.21.0, 0.23.0, 0.31.0, 0.32.0 and
 0.33.0) gives the share of steps that form |u|^2, and the formations of
 u, on the benchmark's workloads; `tests/probe_cost.py` prints both.
 
-At N = 2..8 a step takes a few microseconds, most of it call overhead, so
-each product is the `dot` method of its fixed left operand, bound once
-per run and called with a positional `out` buffer (the quantum RK4 step
-does the same with D . psi).  `ndarray.dot` reaches the same C routine as
-`np.dot`, so no bit changes, without the `__array_function__` dispatcher
-that `np.dot` runs in Python on every call on numpy 2.  `np.vdot` stays:
-it has no method form, and a real dot of float views, though cheaper,
-rounds the last bit of |u|^2 differently from the conjugated complex
-product, which could move a switch decision.
+At N = 2..8 a step takes a few microseconds, most of it call overhead.
+`tests/probe_cost.py` times the parts of an N = 4 step of `fig4`, each on
+its own: the fill product about 0.38 us, the read of the s_j 0.12 us,
+`rk4_weights` 1.7 us, the store of the weights 0.26 us and the combine
+0.34 us, of 3.2 us per step (2-CPU x86-64 host, Python 3.11, numpy 2.4).
+The weights, over half the step, are Python complex arithmetic that only
+a loop over many systems at once could batch.  Each product is the `dot`
+method of its fixed left operand, bound once per run and called with a
+positional `out` buffer (the quantum RK4 step does the same with
+D . psi).  `ndarray.dot` reaches the same C routine as `np.dot`, so no
+bit changes, without the `__array_function__` dispatcher that `np.dot`
+runs in Python on every call on numpy 2.  `np.vdot` stays: it has no
+method form, and a real dot of float views, though cheaper, rounds the
+last bit of |u|^2 differently from the conjugated complex product, which
+could move a switch decision.
 
 Both paths stay because each is the faster one on its side of
 `_STACK_MAX_N`: below it the stacked step, which needs no `eigh` and
@@ -413,7 +419,8 @@ def _stacked_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> lis
     k, ub = 1, math.inf  # ub >= |u|; step 1 checks
     for step in range(1, grid.n_steps + 1):
         fill(u, k_all)
-        w[...] = rk4_weights(*s.tolist())
+        s1, s2, s3, s4 = s.tolist()
+        w[...] = rk4_weights(s1, s2, s3, s4)
         combine(K, u)  # u_new = sum_j w_j B^j u
         u[pivot] = 1.0  # the exact step keeps it at 1; rounding may not
         ub *= rho

@@ -239,27 +239,49 @@ def rk4_weights(s1: complex, s2: complex, s3: complex, s4: complex) -> tuple:
     of dt k1, ..., dt k4.  A stage point of degree m gives a dt k of degree
     m + 1; coefficients known to be 0 are left out, and the leading ones,
     known exactly (a1 = 1, y1 = b2 = 1/2, then 1/4 up to e4), are written
-    as constants.
+    as constants.  e0..e3 go straight into the weights.
+
+    The loops call this once per step, so where that changes no bit a
+    float constant c is the right operand: `x + 1.0` and `s2 * 0.5`, not
+    `1.0 + x` and `0.5 * s2`, for which `float` first answers
+    `NotImplemented`.  Every sum is written so.  Before Python 3.14 c
+    becomes complex(c, 0.0), and each part of x + c has at most one NaN
+    operand, so IEEE-754 addition gives the same bits in either order;
+    from 3.14 mixed-mode rules give (x.real + c, x.imag) for both.  A
+    product keeps `c * x` unless it is the last term of a stage's beta.
+    Before 3.14 x * c forms its imaginary part as x.real 0.0 + x.imag c,
+    the addends of c x.imag + 0.0 x.real in the other order; where both
+    are NaN, CPython on x86-64 keeps the first one's sign and payload, so
+    a weight's NaN bits can change (an s1 whose two NaN parts differ in
+    sign does it for `a0 * 0.5`).  Where the two orders differ, x.real is
+    not finite, so the term's real part is NaN too; as beta's last term it
+    makes beta's real part NaN, and beta enters every later product as its
+    left factor, whose two parts both take that NaN first.  From 3.14 each
+    part of c * x is one product, in either order.  Negations are not
+    folded: with x = -0.0 - 0.0j and beta = 0, `x + (-beta * y0)` is
+    +0.0 - 0.0j and `x - beta * y0` is -0.0 - 0.0j.
+    `tests/oracles.py::rk4_weights_reference`, the recurrence written out
+    in full, is what this must match bit for bit and type for type.
     """
     # stage 1 at y = u: a1 = 1
     a0 = -s1
     # stage 2 at y = u + dt k1 / 2: y1 = b2 = 1/2
-    y0 = 1.0 + 0.5 * a0
-    beta = y0 * s1 + 0.5 * s2
+    y0 = 0.5 * a0 + 1.0
+    beta = y0 * s1 + s2 * 0.5
     b0, b1 = -beta * y0, y0 - beta * 0.5
     # stage 3 at y = u + dt k2 / 2: y2 = c3 = 1/4
-    y0, y1 = 1.0 + 0.5 * b0, 0.5 * b1
-    beta = y0 * s1 + y1 * s2 + 0.25 * s3
+    y0, y1 = 0.5 * b0 + 1.0, 0.5 * b1
+    beta = y0 * s1 + y1 * s2 + s3 * 0.25
     c0, c1, c2 = -beta * y0, y0 - beta * y1, y1 - beta * 0.25
-    # stage 4 at y = u + dt k3 = (1 + c0, c1, c2, 1/4): e4 = 1/4
-    y0 = 1.0 + c0
-    beta = y0 * s1 + c1 * s2 + c2 * s3 + 0.25 * s4
-    e0, e1, e2, e3 = -beta * y0, y0 - beta * c1, c1 - beta * c2, c2 - beta * 0.25
+    # stage 4 at y = u + dt k3 = (1 + c0, c1, c2, 1/4): e4 = 1/4, and
+    # e0..e3 = -beta y0, y0 - beta c1, c1 - beta c2, c2 - beta / 4
+    y0 = c0 + 1.0
+    beta = y0 * s1 + c1 * s2 + c2 * s3 + s4 * 0.25
     return (
-        1.0 + (a0 + 2.0 * (b0 + c0) + e0) / 6.0,
-        (1.0 + 2.0 * (b1 + c1) + e1) / 6.0,
-        (2.0 * (0.5 + c2) + e2) / 6.0,
-        (0.5 + e3) / 6.0,
+        (a0 + 2.0 * (b0 + c0) + (-beta * y0)) / 6.0 + 1.0,
+        (2.0 * (b1 + c1) + 1.0 + (y0 - beta * c1)) / 6.0,
+        (2.0 * (c2 + 0.5) + (c1 - beta * c2)) / 6.0,
+        (c2 - beta * 0.25 + 0.5) / 6.0,
         1.0 / 24.0,
     )
 

@@ -19,7 +19,13 @@ Then, for each bundled scenario of `scenarios/` (N = 4, the stacked
 loop), it prints the `np.vdot` calls of one `flow.integrate_classical`
 from the chart that `cpdyn` starts in: the formations of |u|^2, one at
 t = 0, one on each step that the loop's skip rule leaves open and one
-after each switch, beside the step count.
+after each switch, beside the step count and the best microseconds per
+step of a few untraced runs.  Last, it prints the best time of each part
+of one stacked step at the initial state of `fig4`, each part timed on
+its own with `timeit` as `flow._stacked_steps` makes it: the fill product
+of K, the read of the pivot entries s_j, `quantum.rk4_weights`, the store
+of the weights and the combine product w . K.  Their sum falls short of
+the per-step time by the loop's own bookkeeping.
 
 `--root` (default: this file's checkout) names the checkout to measure,
 so one copy of this script measures any commit.  Not a test (pytest does
@@ -31,6 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import timeit
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +97,39 @@ def counted_run(flow, run) -> dict:
     }
 
 
+def step_parts(rk4_weights, H, u, pivot: int, dt: float) -> dict:
+    """Best microseconds of each part of one stacked step from u, with the
+    stack, K and w built as `flow._stacked_steps` builds them (the combine
+    writes to a spare buffer, so every repeat starts from u)."""
+    n = u.size
+    B = (-1j * dt) * H
+    B2 = B @ B
+    powers = np.concatenate([np.eye(n), B, B2, B @ B2, B2 @ B2])
+    K = np.empty((5, n), dtype=complex)
+    k_all, s, w = K.reshape(5 * n), K[1:, pivot], np.empty(5, dtype=complex)
+    u = np.array(u, dtype=complex)
+    powers.dot(u, k_all)
+    s1, s2, s3, s4 = s.tolist()
+    scope = {
+        "fill": powers.dot, "u": u, "k_all": k_all, "s": s,
+        "rk4_weights": rk4_weights, "s1": s1, "s2": s2, "s3": s3, "s4": s4,
+        "w": w, "weights": rk4_weights(s1, s2, s3, s4),
+        "combine": w.dot, "K": K, "out": np.empty(n, dtype=complex),
+    }
+    parts = {
+        "fill": "fill(u, k_all)",
+        "s_j": "s1, s2, s3, s4 = s.tolist()",
+        "weights": "rk4_weights(s1, s2, s3, s4)",
+        "store": "w[...] = weights",
+        "combine": "combine(K, out)",
+    }
+    number = 20000
+    return {
+        name: min(timeit.repeat(stmt, globals=scope, number=number, repeat=REPEATS)) / number * 1e6
+        for name, stmt in parts.items()
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=DEFAULT_ROOT)
@@ -99,7 +139,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(root / "src"))
     from cpdyn import flow  # the checkout's, now first on sys.path
     from cpdyn.chart import select_pivot, to_chart
-    from cpdyn.quantum import Spectrum
+    from cpdyn.quantum import Spectrum, rk4_weights
     from cpdyn.scenario import load_scenario, scenario_from_dict
 
     workloads = load_workloads(root)
@@ -135,19 +175,40 @@ def main(argv=None) -> int:
         )
     print(f"{'total':>14} {'':>6} {'':>7} {total * 1e3:>8.2f}")
 
-    print(f"\n{'scenario':>14} {'steps':>6} {'|u|^2':>6} {'share':>6}")
+    print(f"\n{'scenario':>14} {'steps':>6} {'|u|^2':>6} {'share':>6} {'us/step':>7}")
     for path in sorted((root / "scenarios").glob("*.json")):
         config = load_scenario(path)
         psi0 = config.initial_state
         point0 = to_chart(psi0, select_pivot(psi0))
+
+        def run():
+            return flow.integrate_classical(config.hamiltonian, point0, config.grid, config.flow)
+
         calls = []
         original = counted(np, "vdot", calls)
         try:
-            flow.integrate_classical(config.hamiltonian, point0, config.grid, config.flow)
+            run()
         finally:
             np.vdot = original
+        best = float("inf")
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            run()
+            best = min(best, time.perf_counter() - start)
         steps = config.grid.n_steps
-        print(f"{path.stem:>14} {steps:>6} {len(calls):>6} {len(calls) / steps:>6.1%}")
+        print(
+            f"{path.stem:>14} {steps:>6} {len(calls):>6} {len(calls) / steps:>6.1%} "
+            f"{best / steps * 1e6:>7.2f}"
+        )
+
+    config = load_scenario(root / "scenarios" / "fig4.json")
+    point0 = to_chart(config.initial_state, select_pivot(config.initial_state))
+    parts = step_parts(
+        rk4_weights, config.hamiltonian, point0.homogeneous(), point0.pivot, config.grid.dt
+    )
+    print("\nstacked step parts at fig4's initial state, best us:")
+    listed = " ".join(f"{name} {us:.2f}" for name, us in parts.items())
+    print(f"{listed}, sum {sum(parts.values()):.2f}")
     return 0
 
 
