@@ -92,14 +92,14 @@ def main(argv=None) -> int:
             print(f"wrote {args.out} ({len(result.times)} samples)")
             return EXIT_OK
 
-        if args.command == "compare":
-            report = compare(config, tolerance=args.tolerance)
-            for line in report.summary_lines():
-                print(line)
-            if args.report:
-                Path(args.report).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-                print(f"report written to {args.report}")
-            return EXIT_OK if report.passed else EXIT_TOLERANCE
+        # the subcommand is required, so the one left is compare
+        report = compare(config, tolerance=args.tolerance)
+        for line in report.summary_lines():
+            print(line)
+        if args.report:
+            Path(args.report).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+            print(f"report written to {args.report}")
+        return EXIT_OK if report.passed else EXIT_TOLERANCE
     except (ConfigError, OSError) as exc:
         # scenario files are read inside load_scenario, so an OSError here
         # comes from the output path
@@ -108,8 +108,6 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

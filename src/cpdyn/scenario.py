@@ -50,7 +50,20 @@ __all__ = [
 
 CSV_SCHEMA_VERSION = 1
 
-KNOWN_OBSERVABLES = ("populations", "z", "concurrence", "energy", "norm")
+# observable -> (stem of its columns, quantum form of H and a state stack).
+# A form f gives a `_q` column of the unit states and a `_c` column of u,
+# each f(v)/|v|^2 (the rule of `observables`, with |u|^2 = nfac); a form
+# with one value per level gives one column per level, p0 ... p{N-1}.  The
+# norm has no classical form: its one column, `norm_drift_q`, is the
+# quantum run's drift from 1.
+_OBSERVABLES = {
+    "populations": ("p", lambda H, states: observables.populations_quantum(states)),
+    "z": ("z", lambda H, states: observables.quaternionic_z_quantum(states)),
+    "concurrence": ("C", lambda H, states: observables.concurrence_quantum(states)),
+    "energy": ("E", observables.energy),
+    "norm": ("norm_drift", None),
+}
+KNOWN_OBSERVABLES = tuple(_OBSERVABLES)
 METHODS = ("quantum", "classical", "both")
 # the largest deviation `compare` passes unless told otherwise
 DEFAULT_TOLERANCE = 1e-6
@@ -287,42 +300,29 @@ def run(config: ScenarioConfig, method: str = "both") -> RunResult:
     return result
 
 
-# observable -> (prefix of its `_q`/`_c` column pair, function of H and a
-# state stack); populations are handled apart, with one column per level
-_PAIRED = {
-    "z": ("z", lambda H, states: observables.quaternionic_z_quantum(states)),
-    "concurrence": ("C", lambda H, states: observables.concurrence_quantum(states)),
-    "energy": ("E", observables.energy),
-}
-
-
-def _columns(result: RunResult, names) -> dict[str, np.ndarray]:
+def _columns(result: RunResult, names) -> tuple[dict[str, np.ndarray], dict[str, list]]:
     """The columns of the observables in `names`, in CSV order, for the
-    sides that were run.  Each observable column is f(v)/|v|^2 for one
-    quantum form f (the rule of `observables`): v is u with |u|^2 = nfac
-    on the classical side, the unit states on the quantum side."""
+    sides that were run (see `_OBSERVABLES`), and the stems of each
+    observable's `_q`/`_c` column pairs."""
     H = result.config.hamiltonian
     q, c = result.quantum_trajectory, result.classical_trajectory
-    sides = []
-    if q is not None:
-        sides.append(("q", q.states, 1.0))
+    sides = [("q", q.states, 1.0)] if q is not None else []
     if c is not None:
         sides.append(("c", c.u, c.nfac))
     cols: dict[str, np.ndarray] = {"t": result.times}
-    if "populations" in names:
-        for side, v, vsq in sides:
-            pops = observables.populations_quantum(v) / np.reshape(vsq, (-1, 1))
-            cols.update((f"p{i}_{side}", p) for i, p in enumerate(pops.T))
-    for name, (prefix, func) in _PAIRED.items():
-        if name in names:
+    stems: dict[str, list] = {}
+    for name, (stem, form) in _OBSERVABLES.items():
+        if name in names and form is not None:
             for side, v, vsq in sides:
-                cols[f"{prefix}_{side}"] = func(H, v) / vsq
+                values = form(H, v).T / vsq
+                levels = range(len(values)) if values.ndim > 1 else [""]
+                stems[name] = [f"{stem}{i}" for i in levels]
+                cols.update((f"{s}_{side}", x) for s, x in zip(stems[name], np.atleast_2d(values)))
     if "norm" in names and q is not None:
         cols["norm_drift_q"] = q.norm_drift
     if c is not None:
-        cols["pivot"] = c.pivots
-        cols["n_switches_cum"] = c.n_switches_cum
-    return cols
+        cols.update(pivot=c.pivots, n_switches_cum=c.n_switches_cum)
+    return cols, stems
 
 
 def emit_csv(result: RunResult, path) -> None:
@@ -331,7 +331,7 @@ def emit_csv(result: RunResult, path) -> None:
     First line is the schema comment ``# schema=1``; floats carry 17
     significant digits so values round-trip exactly.
     """
-    cols = _columns(result, result.config.observables)
+    cols, _ = _columns(result, result.config.observables)
     # one template per row; "%.17g" % v is the same 'g' conversion as
     # f"{v:.17g}", and "%d" % v is str(v) for an int
     row = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in cols.values())
@@ -411,14 +411,9 @@ def compare(
     qtraj = result.quantum_trajectory
     ctraj = result.classical_trajectory
 
-    cols = _columns(result, {*config.observables, "energy", "norm"})
-    # one column pair per level for populations, one for each other observable
-    levels = [f"p{i}" for i in range(config.dimension)]
+    cols, stems = _columns(result, {*config.observables, "energy", "norm"})
     deviation = {
-        name: float(np.max([
-            np.abs(cols[f"{p}_q"] - cols[f"{p}_c"])
-            for p in (levels if name == "populations" else [_PAIRED[name][0]])
-        ]))
+        name: float(np.max([np.abs(cols[f"{s}_q"] - cols[f"{s}_c"]) for s in stems[name]]))
         for name in config.observables
         if name != "norm"
     }

@@ -3,10 +3,8 @@ checkouts bit for bit.
 
     python tests/bit_digest.py [--root CHECKOUT] [--seeds 1 2]
 
-`--root` (default: this file's checkout) names the checkout to digest: its
-`src/` is imported, its `scenarios/` run and its `perfbench/workloads.py`
-read, so one copy of this script digests any commit that has those. The
-script prints
+`--root` (default: this file's checkout) names the checkout to digest, so
+one copy of this script digests any commit.  The script prints
 
 - `bundled`: the sha256 of the 14 bundled outputs (`simulate --method both
   --out` and `compare --report` on each of the 7 scenarios) concatenated in
@@ -27,14 +25,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
 import io
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-DEFAULT_ROOT = Path(__file__).resolve().parent.parent
+from harness import ROOT, perfbench_module
 
 
 def bundled_outputs(root: Path) -> list[tuple[str, bytes]]:
@@ -58,17 +55,6 @@ def bundled_outputs(root: Path) -> list[tuple[str, bytes]]:
     return out
 
 
-def load_workloads(root: Path):
-    """The checkout's `perfbench/workloads.py` as a module."""
-    spec = importlib.util.spec_from_file_location(
-        "bit_digest_workloads", root / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look the module up
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
 def high_dim_digest(root: Path, seed: int) -> str:
     """sha256 of the sampled `u`, pivots, switch times and quantum states of
     the `high-dim` documents of `seed`, in document order."""
@@ -76,7 +62,7 @@ def high_dim_digest(root: Path, seed: int) -> str:
 
     from cpdyn import scenario
 
-    workloads = load_workloads(root)
+    workloads = perfbench_module("workloads", root)
     rng = np.random.default_rng(seed)
     h = hashlib.sha256()
     for k in range(workloads.HIGH_DIM_DOCS):
@@ -94,7 +80,7 @@ def sweep_digest(root: Path, seed: int) -> str:
     import numpy as np
 
     h = hashlib.sha256()
-    for op in load_workloads(root).sweep(root, seed, None):
+    for op in perfbench_module("workloads", root).sweep(root, seed, None):
         _, (_, _, rk4) = op.run()
         h.update(np.ascontiguousarray(rk4.states).tobytes())
     return h.hexdigest()
@@ -102,7 +88,7 @@ def sweep_digest(root: Path, seed: int) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=DEFAULT_ROOT)
+    parser.add_argument("--root", type=Path, default=ROOT)
     parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2])
     args = parser.parse_args(argv)
     root = args.root.resolve()

@@ -1,7 +1,4 @@
-import importlib.util
-import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,26 +6,14 @@ from hypothesis import settings
 
 from cpdyn.flow import _STACK_MAX_N, integrate_classical
 from cpdyn.quantum import TimeGrid
+from harness import counting
 from oracles import integrate_classical_reference
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Property tests integrate trajectories: no per-example deadline (their run
 # time follows the host's load), and a fixed example sequence so that a
 # failure always reproduces.
 settings.register_profile("cpdyn", deadline=None, derandomize=True)
 settings.load_profile("cpdyn")
-
-
-def perfbench_module(name: str):
-    """`perfbench/<name>.py`, imported by path (perfbench is no package)."""
-    key = f"perfbench_{name}"
-    if key not in sys.modules:
-        spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[key] = module  # its dataclasses look the module up
-        spec.loader.exec_module(module)
-    return sys.modules[key]
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 2.0) -> np.ndarray:
@@ -61,28 +46,16 @@ def minimal_doc(**overrides):
     return doc
 
 
-def numpy_calls(monkeypatch, name: str, run) -> int:
-    """How many times `run()` calls the function `numpy.<name>`."""
-    calls = 0
-    function = getattr(np, name)
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return function(*args, **kwargs)
-
-    monkeypatch.setattr(np, name, counted)
-    run()
-    monkeypatch.setattr(np, name, function)
-    return calls
-
-
-def numpy_dot_calls(monkeypatch, run) -> list:
+def numpy_dot_calls(run) -> list:
     """How many times `run(grid)` calls the function `numpy.dot`, which goes
     through numpy's `__array_function__` dispatcher, on a grid of 100 steps
     and on one of 1,000, both with 11 samples."""
-    grids = (TimeGrid(1.0, 0.01, 10), TimeGrid(10.0, 0.01, 100))
-    return [numpy_calls(monkeypatch, "dot", lambda: run(grid)) for grid in grids]
+    calls = []
+    for grid in (TimeGrid(1.0, 0.01, 10), TimeGrid(10.0, 0.01, 100)):
+        with counting((np, "dot")) as counts:
+            run(grid)
+        calls += counts
+    return calls
 
 
 def assert_same_trajectory(H, point0, grid, settings=None):

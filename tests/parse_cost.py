@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-DEFAULT_ROOT = Path(__file__).resolve().parent.parent
+from harness import ROOT, best_time
 
 QUBITS = (8, 10, 12)
 TERMS = 64
@@ -53,19 +52,9 @@ def pauli_document(rng, n_qubits: int) -> dict:
     }
 
 
-def best_time(f, repeats: int) -> float:
-    """The least wall time of `repeats` calls of f(), in seconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        f()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=DEFAULT_ROOT)
+    parser.add_argument("--root", type=Path, default=ROOT)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.root.resolve() / "src"))

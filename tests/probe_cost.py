@@ -6,14 +6,8 @@ For the four 8-qubit (N = 256) documents of the benchmark's `high-dim`
 workload of `--seed`, the script prints per document the best wall time
 of `flow.integrate_classical` over a few runs (untraced, on the
 document's decomposed `Spectrum`, so no `eigh` is timed), then, from one
-counted run:
-
-- `formed`: products u = V q over all N rows, at samples and at switch
-  probes (the t = 0 set-up of the loop's bounds is not counted);
-- `watched`: products of q with the loop's watch list of a few rows of V
-  (`flow._watch`);
-- `probes`: `select_pivot` calls, the switch rule's probes;
-- `switches`: chart switches of the trajectory.
+counted run, the loop's `formed`, `watched` and `probes` counts of
+`harness.loop_counts` and the trajectory's chart `switches`.
 
 Then, for each bundled scenario of `scenarios/` (N = 4, the stacked
 loop), it prints the `np.vdot` calls of one `flow.integrate_classical`
@@ -36,65 +30,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-import timeit
 from pathlib import Path
 
 import numpy as np
 
-DEFAULT_ROOT = Path(__file__).resolve().parent.parent
+from harness import ROOT, best_time, counting, loop_counts, perfbench_module
 
 # untimed counted run first, then this many timed runs; the best is printed
 REPEATS = 5
-
-
-def load_workloads(root: Path):
-    """The checkout's `perfbench/workloads.py` as a module."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "probe_cost_workloads", root / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look the module up
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
-def counted(module, name: str, calls: list):
-    """Rebind `module.<name>` to a wrapper that appends to `calls`; return
-    the original."""
-    original = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-
-    setattr(module, name, wrapper)
-    return original
-
-
-def counted_run(flow, run) -> dict:
-    """Counts of one `run()`: set-ups of the switch bounds, watched-row
-    products, probes."""
-    setups, watched, probes = [], [], []
-    saved = [
-        (flow, "_watch", counted(flow, "_watch", setups)),
-        (flow, "select_pivot", counted(flow, "select_pivot", probes)),
-        # the loop binds `np.matmul` for its watched rows
-        (np, "matmul", counted(np, "matmul", watched)),
-    ]
-    try:
-        traj = run()
-    finally:
-        for module, name, original in saved:
-            setattr(module, name, original)
-    return {
-        "formed": len(setups) - 1,
-        "watched": len(watched),
-        "probes": len(probes),
-        "switches": traj.n_switches,
-    }
 
 
 def step_parts(rk4_weights, H, u, pivot: int, dt: float) -> dict:
@@ -123,16 +66,12 @@ def step_parts(rk4_weights, H, u, pivot: int, dt: float) -> dict:
         "store": "w[...] = weights",
         "combine": "combine(K, out)",
     }
-    number = 20000
-    return {
-        name: min(timeit.repeat(stmt, globals=scope, number=number, repeat=REPEATS)) / number * 1e6
-        for name, stmt in parts.items()
-    }
+    return {name: best_time(stmt, REPEATS, 20000, scope) * 1e6 for name, stmt in parts.items()}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=DEFAULT_ROOT)
+    parser.add_argument("--root", type=Path, default=ROOT)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     root = args.root.resolve()
@@ -142,7 +81,7 @@ def main(argv=None) -> int:
     from cpdyn.quantum import Spectrum, rk4_weights
     from cpdyn.scenario import load_scenario, scenario_from_dict
 
-    workloads = load_workloads(root)
+    workloads = perfbench_module("workloads", root)
     rng = np.random.default_rng(args.seed)
     print(
         f"{'document':>14} {'steps':>6} {'samples':>7} {'best ms':>8} {'formed':>6} "
@@ -160,18 +99,14 @@ def main(argv=None) -> int:
         def run():
             return flow.integrate_classical(spec, point0, config.grid, config.flow)
 
-        counts = counted_run(flow, run)
-        best = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - start)
+        traj, counts = loop_counts(run)
+        best = best_time(run, REPEATS)
         total += best
         print(
             f"{doc['name']:>14} {config.grid.n_steps:>6} "
             f"{len(config.grid.sample_indices()) - 1:>7} {best * 1e3:>8.2f} "
             f"{counts['formed']:>6} {counts['watched']:>7} {counts['probes']:>6} "
-            f"{counts['switches']:>8}"
+            f"{traj.n_switches:>8}"
         )
     print(f"{'total':>14} {'':>6} {'':>7} {total * 1e3:>8.2f}")
 
@@ -184,22 +119,11 @@ def main(argv=None) -> int:
         def run():
             return flow.integrate_classical(config.hamiltonian, point0, config.grid, config.flow)
 
-        calls = []
-        original = counted(np, "vdot", calls)
-        try:
+        with counting((np, "vdot")) as calls:
             run()
-        finally:
-            np.vdot = original
-        best = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - start)
+        usq, best = calls[0], best_time(run, REPEATS)
         steps = config.grid.n_steps
-        print(
-            f"{path.stem:>14} {steps:>6} {len(calls):>6} {len(calls) / steps:>6.1%} "
-            f"{best / steps * 1e6:>7.2f}"
-        )
+        print(f"{path.stem:>14} {steps:>6} {usq:>6} {usq / steps:>6.1%} {best / steps * 1e6:>7.2f}")
 
     config = load_scenario(root / "scenarios" / "fig4.json")
     point0 = to_chart(config.initial_state, select_pivot(config.initial_state))

@@ -10,7 +10,7 @@ as a traced pass does, and gates their output as the benchmark does.
 
 import pytest
 
-from conftest import PERFBENCH, perfbench_module
+from harness import ROOT, perfbench_module
 
 spans = perfbench_module("spans")
 workloads = perfbench_module("workloads")
@@ -18,7 +18,7 @@ workloads = perfbench_module("workloads")
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_traced_metrics_are_numbers(workload, tmp_path):
-    ops = workloads.WORKLOADS[workload](PERFBENCH.parent, 1, tmp_path)
+    ops = workloads.WORKLOADS[workload](ROOT, 1, tmp_path)
     recorder = spans.Recorder()
     with spans.installed(recorder) as missing:
         for op in ops[:2]:

@@ -127,6 +127,7 @@ class TestChartPoint:
             (np.int64(3), [1, 2], "pivot 3 out of range for dimension 3"),
             # an integer beyond the float range (numpy raised OverflowError)
             (0, [10**400], "chart coordinates must be finite"),
+            (0, [], "a chart point needs at least one coordinate"),
         ],
     )
     def test_refused_at_entry(self, pivot, coords, rule):

@@ -125,6 +125,7 @@ MALFORMED = [
         "grid.steps-over-cap",
     ),
     ("name", None, "name", "name-null"),
+    ("initial_state", {"real": [1.0]}, "initial_state", "initial_state-one-amplitude"),
 ]
 
 

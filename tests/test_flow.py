@@ -16,7 +16,8 @@ from cpdyn.scenario import load_scenario
 
 import oracles
 from conftest import STEP_PATH_IDS, STEP_PATHS, assert_same_trajectory, random_coords
-from conftest import numpy_calls, numpy_dot_calls, random_hermitian, random_state
+from conftest import numpy_dot_calls, random_hermitian, random_state
+from harness import counting, loop_counts
 from oracles import _rhs, fd_grad_conj, quotient_rule_velocity, rk4_step, taylor_expm_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -177,7 +178,7 @@ class TestIntegrateClassical:
                 )
 
     @pytest.mark.parametrize("path", STEP_PATHS, ids=STEP_PATH_IDS)
-    def test_steps_skip_numpy_dispatch(self, rng, monkeypatch, path):
+    def test_steps_skip_numpy_dispatch(self, rng, path):
         # a step calls its products as bound `ndarray.dot` methods, which
         # reach the same C routine as `numpy.dot` without its per-call
         # dispatcher, so the `numpy.dot` calls of a run do not grow with
@@ -185,12 +186,10 @@ class TestIntegrateClassical:
         n = max(path.dims)
         H, psi = random_hermitian(rng, n, scale=2 / np.sqrt(n)), random_state(rng, n)
         point0 = to_chart(psi, select_pivot(psi))
-        counts = numpy_dot_calls(
-            monkeypatch, lambda grid: integrate_classical(H, point0, grid)
-        )
+        counts = numpy_dot_calls(lambda grid: integrate_classical(H, point0, grid))
         assert counts[0] == counts[1], counts
 
-    def test_forms_usq_only_where_the_level_is_in_reach(self, monkeypatch):
+    def test_forms_usq_only_where_the_level_is_in_reach(self):
         # between two steps that form |u|^2, the running bound on |u|, grown
         # by the factor of `flow._growth_bound` on each step, stays below the
         # switch radius, so every bundled scenario forms |u|^2 on few of its
@@ -203,11 +202,9 @@ class TestIntegrateClassical:
         runs = []
 
         def usq_calls(H, point0, grid, settings):
-            return numpy_calls(
-                monkeypatch,
-                "vdot",
-                lambda: runs.append(integrate_classical(H, point0, grid, settings)),
-            )
+            with counting((np, "vdot")) as calls:
+                runs.append(integrate_classical(H, point0, grid, settings))
+            return calls[0]
 
         for path in sorted(SCENARIO_DIR.glob("*.json")):
             config = load_scenario(path)
@@ -227,7 +224,7 @@ class TestIntegrateClassical:
             assert calls == 1 + grid.n_steps + runs[-1].n_switches
             assert_same_trajectory(H, point0, grid, settings)
 
-    def test_spectral_forms_usq_only_where_the_level_is_in_reach(self, monkeypatch):
+    def test_spectral_forms_usq_only_where_the_level_is_in_reach(self):
         # the eigen-coordinate loop skips by its distance bound and watch
         # list alone: one amplitude near 0.95 under a weak H keeps |u|^2
         # below 2, far below the level 25, and q stays within `near` of
@@ -248,17 +245,13 @@ class TestIntegrateClassical:
             TimeGrid(t_end=10.0, dt=1e-3, output_stride=100),
             TimeGrid(t_end=20.0, dt=1e-3, output_stride=20_000),
         ):
-            runs = []
-            counts.append(
-                TestProbeSkip.loop_counts(
-                    monkeypatch, lambda: runs.append(integrate_classical(H, point0, grid))
-                )
-            )
-            assert counts[-1]["probes"] == 0 and runs[0].n_switches == 0
-            assert counts[-1]["formed"] == grid.n_samples - 1
-            assert runs[0].nfac.max() < FlowSettings().switch_level
+            traj, count = loop_counts(lambda: integrate_classical(H, point0, grid))
+            counts.append(count)
+            assert count["probes"] == 0 and traj.n_switches == 0
+            assert count["formed"] == grid.n_samples - 1
+            assert traj.nfac.max() < FlowSettings().switch_level
             assert_same_trajectory(H, point0, grid)
-        assert runs[0].nfac[-1] > 2.0
+        assert traj.nfac[-1] > 2.0
         assert counts[0]["watched"] == 0 and counts[0]["usq"] == 0
         assert counts[1]["watched"] >= 1 and counts[1]["usq"] > 1_000
 
@@ -481,53 +474,6 @@ class TestProbeSkip:
     every step past the level."""
 
     @staticmethod
-    def count_probes(monkeypatch, module):
-        calls = []
-
-        def counted(u):
-            calls.append(None)
-            return select_pivot(u)
-
-        monkeypatch.setattr(module, "select_pivot", counted)
-        return calls
-
-    @staticmethod
-    def loop_counts(monkeypatch, run) -> dict:
-        """What `run()`, one `integrate_classical` above `_STACK_MAX_N`,
-        makes the eigen-coordinate loop do: `formed`, the formations of
-        u = V q (each one sets the switch bounds up again with `_watch`,
-        as t = 0 does); `watched`, the products with the watched rows (the
-        loop's one `np.matmul`); `usq`, the |u|^2 of the step checks (the
-        `np.vdot` calls less the one of the switch rule at t = 0 and the
-        one of each `_watch`); and `probes`, the `select_pivot` calls.
-        `formed` leaves out the set-up at t = 0, which forms no u."""
-        calls = {"watch": 0, "watched": 0, "vdot": 0, "probes": 0}
-        saved = []
-        for module, name, key in (
-            (cpdyn.flow, "_watch", "watch"),
-            (np, "matmul", "watched"),
-            (np, "vdot", "vdot"),
-            (cpdyn.flow, "select_pivot", "probes"),
-        ):
-            original = getattr(module, name)
-
-            def counted(*args, original=original, key=key, **kwargs):
-                calls[key] += 1
-                return original(*args, **kwargs)
-
-            saved.append((module, name, original))
-            monkeypatch.setattr(module, name, counted)
-        run()
-        for module, name, original in saved:
-            monkeypatch.setattr(module, name, original)
-        return {
-            "formed": calls["watch"] - 1,
-            "watched": calls["watched"],
-            "usq": calls["vdot"] - 1 - calls["watch"],
-            "probes": calls["probes"],
-        }
-
-    @staticmethod
     def tied_state(rng, n, gap):
         # two amplitudes of modulus 0.6 and 0.6 (1 + gap), with other phases,
         # over a random rest of norm 0.3
@@ -537,7 +483,7 @@ class TestProbeSkip:
 
     @pytest.mark.parametrize("n", [32, 64, 256])
     @pytest.mark.parametrize("gap", [0.0, 1e-12, -1e-12])
-    def test_near_tie_probes_at_once(self, monkeypatch, n, gap):
+    def test_near_tie_probes_at_once(self, n, gap):
         # with the two largest amplitudes equal to within 1e-12, `near` is
         # below any distance a step moves q (and below 0 for an exact tie),
         # so the first step cannot skip: it forms the watched rows, among
@@ -558,13 +504,11 @@ class TestProbeSkip:
         tied = 3 if point0.pivot == n - 2 else n - 2
         assert any(np.array_equal(row, V[tied]) for row in rows)
         settings = FlowSettings(switch_threshold=0.9)  # |u|^2 >= 2 passes it
-        runs = []
-        counts = self.loop_counts(
-            monkeypatch,
-            lambda: runs.append(integrate_classical(H, point0, TimeGrid(1e-2, 1e-2), settings)),
+        traj, counts = loop_counts(
+            lambda: integrate_classical(H, point0, TimeGrid(1e-2, 1e-2), settings)
         )
         assert counts["watched"] == 1
-        assert counts["probes"] == 1 + runs[0].n_switches
+        assert counts["probes"] == 1 + traj.n_switches
         assert_same_trajectory(H, point0, TimeGrid(0.5, 1e-2, 5), settings)
 
     @pytest.mark.parametrize("n", [32, 256])
@@ -605,7 +549,7 @@ class TestProbeSkip:
         assert near < far == reach
 
     @pytest.mark.parametrize("n", [32, 64, 256])
-    def test_top_two_amplitudes_cross(self, monkeypatch, n):
+    def test_top_two_amplitudes_cross(self, n):
         # a strong coupling of the two largest amplitudes moves the weight
         # of entry 3 to entry 7 over t = 2
         rng = np.random.default_rng(5)
@@ -617,13 +561,13 @@ class TestProbeSkip:
         H[7, 3] += 1.0
         grid = TimeGrid(t_end=2.0, dt=1e-2, output_stride=10)
         settings = FlowSettings(switch_threshold=0.9)
-        calls = self.count_probes(monkeypatch, cpdyn.flow)
-        traj = assert_same_trajectory(H, to_chart(psi0, 3), grid, settings)
+        with counting((cpdyn.flow, "select_pivot")) as probes:
+            traj = assert_same_trajectory(H, to_chart(psi0, 3), grid, settings)
         assert traj.pivots[0] == 3 and traj.pivots[-1] == 7
         assert traj.n_switches >= 1
-        assert len(calls) < grid.n_steps
+        assert probes[0] < grid.n_steps
 
-    def test_probes_at_most_a_quarter_of_the_steps(self, monkeypatch):
+    def test_probes_at_most_a_quarter_of_the_steps(self):
         # N = 256 with every amplitude below the default threshold 0.2: the
         # oracle probes at t = 0 and after each of the 2,000 steps, the
         # integrator only where the bound allows a switch
@@ -633,12 +577,12 @@ class TestProbeSkip:
         psi0 = random_state(rng, n)
         point0 = to_chart(psi0, select_pivot(psi0))
         grid = TimeGrid(t_end=2.0, dt=1e-3, output_stride=20)
-        probes = self.count_probes(monkeypatch, cpdyn.flow)
-        oracle_probes = self.count_probes(monkeypatch, oracles)
-        traj = assert_same_trajectory(H, point0, grid)
-        assert len(oracle_probes) == grid.n_steps + 1 == 2001
+        with counting((cpdyn.flow, "select_pivot"), (oracles, "select_pivot")) as calls:
+            traj = assert_same_trajectory(H, point0, grid)
+        probes, oracle_probes = calls
+        assert oracle_probes == grid.n_steps + 1 == 2001
         assert traj.n_switches > 0
-        assert len(probes) <= grid.n_steps // 4
+        assert probes <= grid.n_steps // 4
 
 
 class TestHop:
@@ -694,23 +638,26 @@ class TestHop:
 def test_overflowing_dt_h_fails_at_the_oracles_step(n_qubits):
     # finite entries, but dt H past the float range: every route raises
     # NumericFailure at step 1, where the oracles fail, and no numpy warning
-    # comes first (the exact grid returned NaN states)
+    # comes first (the exact grid returned NaN states).  At 1e60 the powers
+    # of dt H stay finite and the first step's weights overflow, so the
+    # classical loops fail by their in-loop guard, not their set-up check
     rest = "I" * (n_qubits - 2)
-    H = build_hamiltonian(parse_hamiltonian(f"1e308*ZI{rest} + 1e308*XX{rest}"))
     psi0 = np.zeros(2**n_qubits)
     psi0[:2] = 0.6, 0.8
     point0 = to_chart(psi0, select_pivot(psi0))
     grid = TimeGrid(4.0, 2.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for oracle, start in ((oracles.evolve_rk4_reference, psi0),
-                              (oracles.integrate_classical_reference, point0)):
-            with pytest.raises(NumericFailure) as err:
-                oracle(H, start, grid)
+    quantum = ((oracles.evolve_rk4_reference, evolve_exact_grid, evolve_rk4), psi0)
+    classical = ((oracles.integrate_classical_reference, integrate_classical), point0)
+    for coefficient, cases in (("1e308", (quantum, classical)), ("1e60", (classical,))):
+        H = build_hamiltonian(parse_hamiltonian(f"{coefficient}*ZI{rest} + {coefficient}*XX{rest}"))
+        for (oracle, *routes), start in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericFailure) as err:
+                    oracle(H, start, grid)
             assert err.value.step == 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for route, start in ((evolve_exact_grid, psi0), (evolve_rk4, psi0),
-                             (integrate_classical, point0)):
-            with pytest.raises(NumericFailure) as err:
-                route(H, start, grid)
-            assert err.value.step == 1, route
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for route in routes:
+                    with pytest.raises(NumericFailure) as err:
+                        route(H, start, grid)
+                    assert err.value.step == 1, (coefficient, route)

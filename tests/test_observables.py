@@ -117,6 +117,8 @@ class TestRepresentationAgreement:
         H = np.diag([1.0, 1.0, -1.0, -1.0])
         assert energy(H, np.array([0.5, 0.5, 0.5, 0.5])) == pytest.approx(0.0)
         assert energy(np.eye(4), ChartPoint(3, np.ones(3))) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match=r"^dimension mismatch: H is \(3, 3\), state has 4$"):
+            energy(np.eye(3), np.full(4, 0.5))
 
 
 class TestSeparability:

@@ -27,7 +27,8 @@ from cpdyn.pauli import (
 from cpdyn.quantum import TimeGrid, evolve_exact_grid, evolve_rk4, make_state
 from cpdyn.scenario import ConfigError, scenario_from_dict
 
-from conftest import perfbench_module, random_hermitian, random_state
+from conftest import random_hermitian, random_state
+from harness import perfbench_module
 from oracles import (
     build_hamiltonian_reference,
     require_hermitian_reference,
@@ -77,6 +78,14 @@ def test_tensor_term_qubit_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_build_refuses_zero_terms_and_mixed_lengths():
+    # `parse_hamiltonian` refuses both first, so only a direct call gets here
+    with pytest.raises(ValueError, match="^cannot build a Hamiltonian from zero terms$"):
+        build_hamiltonian([])
+    with pytest.raises(MixedLabelLengthError):
+        build_hamiltonian([PauliTerm(1.0, ("Z",)), PauliTerm(1.0, ("X", "X"))])
 
 
 # every entry point that takes a number, with the number in one place, and

@@ -20,8 +20,9 @@ from cpdyn.quantum import (
     spectrum,
 )
 
-from conftest import STEP_PATH_IDS, STEP_PATHS, numpy_calls, numpy_dot_calls
+from conftest import STEP_PATH_IDS, STEP_PATHS, numpy_dot_calls
 from conftest import random_hermitian, random_state
+from harness import counting
 from oracles import evolve_rk4_reference, rk4_step, rk4_weights_reference, taylor_expm_reference
 
 # pivot entries s_j = (B^j u)[pivot]: complex as the classical loops pass
@@ -215,7 +216,8 @@ class TestEvolveExact:
     ([1e200, 1e200], "state norm is inf"),
     # a column is not flattened into a state
     ([[1.0], [0.0]], "1-D"),
-], ids=["nan", "norm-5", "norm-overflow", "column"])
+    ([1.0], "state must have >= 2 amplitudes, got shape (1,)"),
+], ids=["nan", "norm-5", "norm-overflow", "column", "one-amplitude"])
 def test_initial_state_refused_at_entry(evolve, psi0, message):
     # both integrators take psi0 through `make_state`, the parser's rule
     H = np.array([[1.0, 0.5], [0.5, -1.0]])
@@ -255,17 +257,18 @@ class TestRk4Weights:
 
 
 class TestEvolveRk4:
-    def test_stable_run_checks_no_step(self, rng, monkeypatch):
+    def test_stable_run_checks_no_step(self, rng):
         # below the stability bound no step can grow the state, so the run
         # forms no |psi|^2; above it (row sum 3.0) every step is checked,
         # here on a system that stays stable (dt max|lambda| = 2.12)
         H, psi0 = random_hermitian(rng, 4), random_state(rng, 4)
-        grid = TimeGrid(10.0, 1e-3, 20)
-        assert numpy_calls(monkeypatch, "vdot", lambda: evolve_rk4(H, psi0, grid)) == 0
-        H, grid = np.array([[1.0, 1.0], [1.0, -1.0]]), TimeGrid(450.0, 1.5, 20)
-        assert numpy_calls(monkeypatch, "vdot", lambda: evolve_rk4(H, [1, 0], grid)) == 300
+        with counting((np, "vdot")) as stable:
+            evolve_rk4(H, psi0, TimeGrid(10.0, 1e-3, 20))
+        with counting((np, "vdot")) as checked:
+            evolve_rk4(np.array([[1.0, 1.0], [1.0, -1.0]]), [1, 0], TimeGrid(450.0, 1.5, 20))
+        assert stable == [0] and checked == [300]
 
-    def test_stability_bound_checks_past_2_8(self, monkeypatch):
+    def test_stability_bound_checks_past_2_8(self):
         # `_RK4_STABLE` = 2.8 lies below RK4's 2 sqrt 2 = 2.83.  At a row sum
         # of |dt H| of 2.9 the component at dt lambda = 2.9 grows |psi|^2 by
         # |R(2.9i)|^2 = 1.4234 per step, so |psi|^2 leaves the float range
@@ -276,14 +279,15 @@ class TestEvolveRk4:
         with pytest.raises(NumericFailure) as failure:
             evolve_rk4(np.diag([2.9, 0.0]), [1, 0], grid)
         assert failure.value.step == 2011
-        H = np.diag([2.7999, 0.0])
-        assert numpy_calls(monkeypatch, "vdot", lambda: evolve_rk4(H, [1, 0], grid)) == 0
+        with counting((np, "vdot")) as calls:
+            evolve_rk4(np.diag([2.7999, 0.0]), [1, 0], grid)
+        assert calls == [0]
 
-    def test_steps_skip_numpy_dispatch(self, rng, monkeypatch):
+    def test_steps_skip_numpy_dispatch(self, rng):
         # the step calls D . psi as a bound `ndarray.dot` method, so the
         # `numpy.dot` calls of a run do not grow with its step count
         H, psi0 = random_hermitian(rng, 8, scale=0.5), random_state(rng, 8)
-        counts = numpy_dot_calls(monkeypatch, lambda grid: evolve_rk4(H, psi0, grid))
+        counts = numpy_dot_calls(lambda grid: evolve_rk4(H, psi0, grid))
         assert counts[0] == counts[1], counts
 
     def test_matches_stage_form(self, rng):

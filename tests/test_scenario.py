@@ -34,10 +34,10 @@ from conftest import (
     STEP_PATH_IDS,
     STEP_PATHS,
     minimal_doc,
-    perfbench_module,
     random_hermitian,
     random_state,
 )
+from harness import counting, perfbench_module
 from oracles import taylor_expm_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -286,18 +286,6 @@ def _arrays(out) -> dict:
     return {"value": out}
 
 
-def count_calls(monkeypatch, module, name: str) -> list:
-    """Count the calls of `module.name` from now on; returns the counter."""
-    calls, real = [], getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 # each scenario rule a config checks when made: the field of a valid
 # two-level document that breaks it, and the same value for a config built
 # in code
@@ -388,41 +376,37 @@ class TestSharedSpectrum:
             assert np.array_equal(c.switch_times, alone_c.switch_times)
 
     @pytest.mark.parametrize("n", [4, 64])
-    def test_one_eigh_and_one_hermiticity_check_per_compare(self, rng, monkeypatch, n):
+    def test_one_eigh_and_one_hermiticity_check_per_compare(self, rng, n):
         # a hand-built config skips the parser, whose check is the other one;
         # `quantum.spectrum` is the one caller of the check
         config = random_config(rng, n, TimeGrid(0.5, 1e-2, 5))
-        eighs = count_calls(monkeypatch, np.linalg, "eigh")
-        checks = count_calls(monkeypatch, cpdyn.quantum, "require_hermitian")
-        assert compare(config).passed
-        assert len(eighs) == 1
-        assert len(checks) == 1
+        with counting((np.linalg, "eigh"), (cpdyn.quantum, "require_hermitian")) as calls:
+            assert compare(config).passed
+        assert calls == [1, 1]
 
     @pytest.mark.parametrize("n", [4, 64])
-    def test_parsed_document_compare(self, rng, monkeypatch, tmp_path, n):
+    def test_parsed_document_compare(self, rng, tmp_path, n):
         # the parser keeps the checked matrix, not its `Spectrum`, so `run`
         # checks H a second time and decomposes it once
         path = write_scenario(tmp_path, dense_doc(rng, n))
-        eighs = count_calls(monkeypatch, np.linalg, "eigh")
-        checks = count_calls(monkeypatch, cpdyn.quantum, "require_hermitian")
-        assert compare(load_scenario(path)).passed
-        assert len(eighs) == 1
-        assert len(checks) == 2
+        with counting((np.linalg, "eigh"), (cpdyn.quantum, "require_hermitian")) as calls:
+            assert compare(load_scenario(path)).passed
+        assert calls == [1, 2]
 
     @pytest.mark.parametrize("n, eighs", [(4, 0), (64, 1)])
     def test_parsed_classical_run_makes_eigh_only_above_the_stack(
-        self, rng, monkeypatch, tmp_path, n, eighs
+        self, rng, tmp_path, n, eighs
     ):
         config = load_scenario(write_scenario(tmp_path, dense_doc(rng, n)))
-        calls = count_calls(monkeypatch, np.linalg, "eigh")
-        run(config, method="classical")
-        assert len(calls) == eighs
+        with counting((np.linalg, "eigh")) as calls:
+            run(config, method="classical")
+        assert calls == [eighs]
 
-    def test_validate_makes_no_eigh(self, rng, monkeypatch, tmp_path):
+    def test_validate_makes_no_eigh(self, rng, tmp_path):
         path = write_scenario(tmp_path, dense_doc(rng, 64))
-        calls = count_calls(monkeypatch, np.linalg, "eigh")
-        assert cpdyn.cli.main(["validate", "--config", str(path)]) == 0
-        assert calls == []
+        with counting((np.linalg, "eigh")) as calls:
+            assert cpdyn.cli.main(["validate", "--config", str(path)]) == 0
+        assert calls == [0]
 
     @pytest.mark.parametrize("n", [4, 64])
     @pytest.mark.parametrize("route", _H_ROUTES)
@@ -438,14 +422,14 @@ class TestSharedSpectrum:
 
     @pytest.mark.parametrize("n, eighs", [(4, 0), (64, 1)])
     def test_classical_run_makes_eigh_only_above_the_stack(
-        self, rng, monkeypatch, n, eighs
+        self, rng, n, eighs
     ):
         # a classical-only run leaves the decomposition to the flow, which
         # makes one only on the eigen-coordinate path
         config = random_config(rng, n, TimeGrid(0.5, 1e-2, 5))
-        calls = count_calls(monkeypatch, np.linalg, "eigh")
-        run(config, method="classical")
-        assert len(calls) == eighs
+        with counting((np.linalg, "eigh")) as calls:
+            run(config, method="classical")
+        assert calls == [eighs]
 
     @pytest.mark.parametrize("n", [4, 64])
     def test_spectrum_of_another_dimension_refused(self, rng, n):
