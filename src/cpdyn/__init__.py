@@ -61,4 +61,4 @@ from .scenario import (
     run,
 )
 
-__version__ = "0.35.0"
+__version__ = "0.36.0"

@@ -26,49 +26,25 @@ in span{u, Bu, ..., B^4 u} and a step is exactly sum_j w_j B^j u:
 the weights w_j.  How a step gets the s_j and applies the weights depends
 on N.
 
-* Up to `_STACK_MAX_N` one product with the stacked matrix
-  [I; B; B^2; B^3; B^4], built once per run, fills K = [u; Bu; ...; B^4 u],
-  and the new state is w . K: 5N^2 multiply-adds.
-* Above it the run steps the coordinates q = V^H u of the eigendecomposition
-  H = V diag(lam) V^H, which the `quantum.Spectrum` of H makes with one
-  `eigh` when first read; in these coordinates B^j is the diagonal
-  z^j, z = -i dt lam.  One (5, N) product (z^j V[pivot]) . q gives
-  u[pivot] and the s_j, and the step is q *= sum_j w_j z^j, with w the
-  weights of u / u[pivot] divided by u[pivot], so the pivot entry returns
-  to 1 on every step, as it does in exact arithmetic.  |u|^2 = |q|^2, V
-  being unitary, so a step is O(N).  u = V q (N^2 multiply-adds) is formed
-  at samples and at the probes that may switch; between them a few
-  watched rows of V (`_WATCH` x N multiply-adds) stand in for it on the
-  steps that come near a switch.  Each stage still evaluates the
-  projective vector field Bv - (Bv)[pivot] v; only the coordinates of v
-  change.
+* Up to `_STACK_MAX_N` (`_stacked_steps`) one product with the stacked
+  matrix [I; B; B^2; B^3; B^4], built once per run, fills
+  K = [u; Bu; ...; B^4 u], and the new state is w . K: 5N^2 multiply-adds.
+* Above it (`_spectral_steps`) the run steps the coordinates q = V^H u of
+  H = V diag(lam) V^H, in which B^j is the diagonal z^j, z = -i dt lam.
+  One (5, N) product gives u[pivot] and the s_j, and the step is
+  q *= sum_j w_j z^j, with the weights scaled so that the pivot entry
+  returns to 1: O(N) per step, plus u = V q (N^2) at samples and probes.
+  Each stage still evaluates the projective vector field; only the
+  coordinates change.
 
-On either path a step makes three calls: one fill product (K, or P . q
-for u_p and the s_j), `rk4_weights`, and one combine product (w . K, or
-w . Z, which the spectral step applies as q *= g).  |u|^2, the divergence
-guard that reads it and the switch rule run only where each loop's one
-skip rule leaves them open.  Both rest on one idea: a running bound on
-|u|, set wherever |u|^2 or u was last formed and advanced by each step in
-a few scalar operations, against a reach fixed there.
-
-* The stacked loop keeps ub >= |u|: with beta >= |B|_2, computed once per
-  run, no step from |u| <= nu = 1/threshold grows |u| by more than a
-  factor rho (`_growth_bound`), so each step multiplies ub by rho, and
-  only a step that brings ub to nu forms |u|^2 and resets ub to its
-  root; past the level every step checks.
-* The spectral loop keeps one such bound, dist >= |q - q0|, q0 being q
-  where u was last formed, which each step advances from its own
-  weights with |q| <= |q0| + dist, and a watch list of the `_WATCH` rows
-  of V at the largest other moduli of u0 = V q0 (`_watch`).  V being
-  unitary, no entry of V q moves further from u0 than dist: below `near`
-  none can reach the pivot's 1, and below `far` none outside the watch
-  list can, so there the product of q with the watched rows decides.
-  Only a step that these leave open forms |u|^2, runs the guard and
-  probes past the level.
-
-Both bounds carry one relative rounding allowance, `_STEP_ROUNDING`.
-
-The steps that check decide as every step would, so no decision and no bit
+On either path a step makes three calls: one fill product, `rk4_weights`
+and one combine product.  |u|^2, the divergence guard and the switch rule
+run only where the loop's one skip rule leaves them open: a running bound
+(on |u|, or on how far q has moved), set wherever |u|^2 or u was last
+formed and advanced by each step in a few scalar operations, against a
+reach fixed there.  `_stacked_steps` with `_growth_bound`, and
+`_spectral_steps` with `_watch`, state each rule and its proof.  The
+steps that check decide as every step would, so no decision and no bit
 depends on the skipping.  CHANGES.md (0.21.0, 0.23.0, 0.31.0, 0.32.0 and
 0.33.0) gives the share of steps that form |u|^2, and the formations of
 u, on the benchmark's workloads; `tests/probe_cost.py` prints both.
@@ -98,25 +74,12 @@ every N, 0.20.0 for the crossover).  `eigh` is O(N^3), paid at most once
 per run.  A step allocates no array: the stack and every work buffer are
 built once per run.
 
-Every function here that takes H enters through `quantum.spectrum(H, N)`:
-a matrix is made into a `Spectrum` there, which passes it through
-`require_hermitian`, and a `Spectrum`, checked when it was made, comes
-back after an O(1) dimension check.  The `Spectrum` decomposes H when its
-`lam` or `V` is first read and keeps the result, so the stacked loop,
-which reads only its matrix, makes no `eigh`, and a `Spectrum` that
-`scenario.run` hands to both routes is decomposed once for the two.  A
-`Spectrum` lives for one run, as `quantum.Spectrum` says.
+H enters every function here through `quantum.spectrum(H, N)`, whose rule
+`quantum.Spectrum` states.
 
-Before the first step and after every step the integrator hops to the
-chart anchored at the largest |u_i| whenever the pivot amplitude
-1/|u| = 1/sqrt(nfac) is below a threshold (see `integrate_classical`); at
-t = 0 this keeps a caller's chart anchored at a small amplitude from
-stepping next to the pole of the Riccati equation.  The hop is written
-once, in `_hop`: `select_pivot`, the division of u by its entry at the new
-pivot and that entry set to exactly 1.  The stacked loop then re-points
-its view of the pivot entries and forms |u|^2 again for its bound,
-the spectral loop divides q by the same entry and refills P, and each
-records the switch time.  Chart, pivot and switch rule act on u in the
+At t = 0 and after every step the integrator hops to the chart anchored
+at the largest |u_i| when the pivot amplitude 1/|u| is below the switch
+threshold.  The hop is written once, in `_hop`, and acts on u in the
 computational basis on both paths.  The trajectory keeps the sampled u,
 with u[pivot] = 1 exactly; everything else it reports (coordinates,
 nfac = |u|^2, states) is read from them.
@@ -171,9 +134,7 @@ _WATCH = 8
 # step, of the bound itself and of the |u|^2 or |q0| it was set from:
 # `_growth_bound` raises rho by it, and `_spectral_steps` adds it to each
 # increment of dist.  What it covers is at most a few hundred eps (see
-# `_growth_bound` and `_watch`); 1e-10, about 4.5e5 eps, also covers the
-# 2 N eps by which `np.vdot` may move |u|^2, so the stacked loop needs no
-# margin of its own.
+# `_stacked_steps`, `_growth_bound` and `_watch`); 1e-10 is about 4.5e5 eps.
 _STEP_ROUNDING = 1e-10
 
 
@@ -300,34 +261,17 @@ def integrate_classical(
     grid: TimeGrid,
     settings: FlowSettings | None = None,
 ) -> ClassicalTrajectory:
-    """Fixed-step RK4 on the homogeneous vector u with automatic chart
-    switching.
+    """Fixed-step RK4 on the homogeneous vector u over `grid` from
+    `point0`, with automatic chart switching.
 
     At t = 0 and after every step, if the implied pivot amplitude 1/|u| is
     below settings.switch_threshold, the state hops to the chart anchored
-    at the maximum-modulus amplitude (`_hop`, the one hop at t = 0 and in
-    both step loops) and integration continues.  A hop at t = 0 is
-    recorded as a switch at time 0, and sample 0 is taken after it.  Chart
-    switches happen between steps, never inside RK4 stages.  Raises
-    NumericFailure on the first non-finite step.
-
-    Up to N = `_STACK_MAX_N` a step costs one 5N x N product; above it a
-    step is O(N) in eigen-coordinates, plus one N x N product u = V q at
-    each sample and at each switch probe.  |u|^2, the divergence guard and
-    the switch rule run only where the loop's one skip rule leaves them
-    open.  Each keeps a running bound on |u| against a reach fixed where
-    |u|^2 or u was last formed: up to `_STACK_MAX_N` ub >= |u|, grown by
-    `_growth_bound`'s factor per step (every step checks past the switch
-    level, with a step past the RK4 stability bound or with a switch
-    radius too large for the bound), above it the distance bound and
-    watch list of `_watch`.  The skipped work never decides anything, so
-    the trajectory is the same bits as with every step checked.
-
-    H enters through `quantum.spectrum(H, N)`, the one rule for H: a
-    matrix is checked, a `quantum.Spectrum` only has its dimension
-    checked.  The loop that N selects reads what it needs of the
-    `Spectrum`: the stacked loop its matrix, the spectral loop its `lam`
-    and `V`, so only the spectral loop makes (or reuses) its one `eigh`.
+    at the maximum-modulus amplitude and integration continues.  A hop at
+    t = 0 is recorded as a switch at time 0, and sample 0 is taken after
+    it.  Chart switches happen between steps, never inside RK4 stages.
+    Raises NumericFailure on the first non-finite step.  The trajectory
+    is the same bits as with every step checked.  H enters through
+    `quantum.spectrum(H, N)` (see `quantum.Spectrum`).
     """
     settings = settings or FlowSettings()
     n = point0.dimension
@@ -383,16 +327,16 @@ def _stacked_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> lis
     taken after any hop.  `np.vdot` may round the reset below |u|, and a
     later |u|^2 above its value, by about N eps each; but a tested ub has
     been multiplied by rho at least once since its reset, and
-    rho >= W0 (1 + `_STEP_ROUNDING`) >= 1 + 1e-10, which exceeds those
-    2 N eps at N <= `_STACK_MAX_N` with room for the few eps of the reset
-    and of ub *= rho.  So a skipped step, ub < nu, would have formed
-    |u|^2 below the level and far below `_NSQ_GUARD`: the guard would pass
-    and no probe run.  rho bounds a step only from |u| <= nu, but a step
-    from ub >= nu leaves ub at or above nu (rho >= 1), so it checks and
-    resets ub; this is how a step past the level, where the reset leaves
-    ub >= nu, makes the next step check.  Where rho = inf (a step past the
-    RK4 stability bound, a huge switch radius) every step checks.  ub
-    starts at inf, so step 1 checks."""
+    rho >= 1 + `_STEP_ROUNDING` = 1 + 1e-10 (even for a zero H), which
+    exceeds those 2 N eps at N <= `_STACK_MAX_N` with room for the few eps
+    of the reset and of ub *= rho.  So a skipped step, ub < nu, would have
+    formed |u|^2 below the level and far below `_NSQ_GUARD`: the guard
+    would pass and no probe run.  rho bounds a step only from |u| <= nu,
+    but a step from ub >= nu leaves ub at or above nu (rho >= 1), so it
+    checks and resets ub; this is how a step past the level, where the
+    reset leaves ub >= nu, makes the next step check.  Where rho = inf (a
+    step past the RK4 stability bound, a huge switch radius) every step
+    checks.  ub starts at inf, so step 1 checks."""
     n = u.size
     # built without a numpy warning: a dt H past the float range leaves a
     # power non-finite, and K with it, so step 1 fails
@@ -448,9 +392,9 @@ def _spectral_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> li
     The one skip rule of this loop watches for a switch with one running
     bound and a watch list, both set by `_watch` wherever u is formed (at
     t = 0, at samples and at probes), q0 being q there: dist >= |q - q0|,
-    which each step advances from its own weights with |q| <= |q0| + dist,
-    and the rows W of V at the largest other moduli of u0 = V q0, copied
-    to `rows`.  After a step with
+    which each step advances from its own weights (the increment is
+    derived in `_watch`), and the rows W of V at the largest other moduli
+    of u0 = V q0, copied to `rows`.  After a step with
 
     * dist < near, no entry of V q can reach the pivot's 1: nothing more;
     * near <= dist < far, no unwatched entry can: u_W = V[W] q, a (`_WATCH`,
@@ -501,9 +445,7 @@ def _spectral_steps(spec, u, pivot, grid, usq_switch, samples, us, pivots) -> li
         w0, w1, w2, w3, w4 = w[...] = (w0 * r, w1 * r, w2 * r, w3 * r, w4 * r)
         combine(Z, g)
         q *= g  # u_new = sum_j w_j B^j u / u_p
-        # |g_i - w0| <= spread, so |q_new - q| <= (|w0 - 1| + spread) |q|
-        # up to the rounding that `_STEP_ROUNDING` covers, with
-        # |q| <= |q0| + dist
+        # dist += a bound on |q_new - q| (`_watch`)
         spread = abs(w1) * z1 + abs(w2) * z2 + abs(w3) * z3 + abs(w4) * z4
         dist += (abs(w0 - 1.0) + spread + _STEP_ROUNDING * (abs(w0) + spread + 1.0)) * (q0 + dist)
         probe = False
@@ -547,10 +489,8 @@ def _growth_bound(beta: float, nu: float) -> float:
     that of the fill, the combine and the pivot reset (a few N eps |u|
     each, about N^1.5 eps for the fill at N <= `_STACK_MAX_N`), of the
     rounded powers of B and of beta (N eps each), of the evaluation of
-    W and rho (a few dozen eps) and of the loop's running bound (the
-    rounded product ub *= rho, a few eps, and the reset to sqrt(|u|^2),
-    up to 2 N eps below |u| from `np.vdot`).  W0 >= 1, so rho >= 1 + 1e-10
-    whatever beta: even a zero H leaves room for that reset.
+    W and rho (a few dozen eps) and of the loop's running bound (see
+    `_stacked_steps`).  W0 >= 1, so rho >= 1 + 1e-10 whatever beta.
 
     inf where beta is not in [0, 1) (a step past the RK4 stability bound);
     rho overflows to inf, in Python floats, for a huge switch radius.  No

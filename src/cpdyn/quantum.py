@@ -57,6 +57,10 @@ STATE_NORM_TOL = 1e-10
 # bounds dt max|lambda|, and 2.8 lies below RK4's 2 sqrt(2) = 2.828...
 _RK4_STABLE = 2.8
 
+# `Spectrum`'s check of its eigh, in units of N eps ||H|| |x|: a valid
+# one stays below about 2 (see `Spectrum`), so 64 leaves a margin of 30
+_EIGH_RESIDUAL = 64
+
 
 class NumericFailure(RuntimeError):
     """NaN/Inf encountered during integration; `step` is the failing index."""
@@ -146,16 +150,31 @@ def make_state(amplitudes) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """H = V diag(lam) V^H for one H, checked when made: `Spectrum(H)`
-    passes H through `require_hermitian`, which takes any N >= 2, and keeps
-    the complex matrix that comes back.  `spectrum(H, N)` makes one and
-    checks that N is the length of the states, the one place that rule
-    lives.  Every route that takes H takes a `Spectrum` in its place, so
-    routes that are handed the same one share its check and its
-    decomposition.  `lam` and `V` come from one eigh, made when either is
-    first read and then kept, so a route that reads only H (the RK4 steps,
-    the stacked classical step) makes none; they are read-only, so the
-    routes that share them cannot change them for each other.
+    """H = V diag(lam) V^H for one H, and the one rule for H on every route.
+
+    `Spectrum(H)` passes H through `require_hermitian`, which takes any
+    N >= 2, and keeps the complex matrix that comes back; `spectrum(H, N)`
+    makes one from a matrix, or takes a `Spectrum` as it is, and checks
+    that N is the length of the states.  Every route that takes H takes a
+    `Spectrum` in its place and enters through `spectrum`, so routes that
+    are handed the same one share its check and its decomposition.
+
+    `lam` and `V` come from one `eigh`, made when either is first read and
+    then kept, so a route that reads only H (the RK4 steps, the stacked
+    classical step) makes none.  They are read-only, so the routes that
+    share them cannot change them for each other.  Above N = 20 both
+    routes of a `compare` read them, where a wrong decomposition would be
+    wrong in both alike, so the `eigh` is checked where it is made
+    (Freivalds' check; R. Freivalds, IFIP Congress 1977).  For two
+    fixed-seed real vectors x, a residual |H x - V diag(lam) V^H x| past
+    `_EIGH_RESIDUAL` N eps ||H|| |x| raises NumericFailure at step 1, in
+    max norms, ||H|| being the largest row sum of |H| plus the smallest
+    normal float (so that a subnormal H cannot fail by underflow).  A
+    valid `eigh` leaves at most about 2 N eps ||H|| |x| (N = 2..1024, H
+    scaled from 1e-320 to 1e300); the `eigh` of H + 1e-3 ||H||_2 G, with
+    G Hermitian and ||G||_2 = 1, leaves over 1e8 N eps ||H|| |x|.  A
+    non-finite `lam` or an overflowing product leaves the residual NaN or
+    the bound infinite, which passes; the routes then fail at step 1.
 
     A `Spectrum` lives for one run, made by `scenario.run` or by the route
     itself, never kept on a `ScenarioConfig`: the decomposition holds
@@ -169,7 +188,18 @@ class Spectrum:
 
     @cached_property
     def _eigh(self) -> tuple:
-        lam, V = np.linalg.eigh(self.H)
+        H = self.H
+        lam, V = np.linalg.eigh(H)
+        x = np.random.default_rng(0).standard_normal((len(H), 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # V^H x = conj(V^T x) for a real x, with no conjugated copy of V
+            residual = np.abs(H @ x - V @ (lam[:, None] * (V.T @ x).conj())).max(axis=0)
+            scale = np.linalg.norm(H, np.inf) + np.finfo(float).tiny
+            bound = _EIGH_RESIDUAL * len(H) * np.finfo(float).eps * np.abs(x).max(axis=0) * scale
+        if np.any(residual > bound):
+            raise NumericFailure(
+                f"eigh residual {residual.max():.3e} past {bound.min():.3e}", 1
+            )
         lam.setflags(write=False)
         V.setflags(write=False)
         return lam, V
@@ -184,11 +214,9 @@ class Spectrum:
 
 
 def spectrum(H: np.ndarray | Spectrum, dimension: int) -> Spectrum:
-    """The one entry rule for H on states of length `dimension`: a matrix
-    is made into a `Spectrum(H)`, which checks it, and a `Spectrum` is
-    taken as it is, since it was checked when made; then an O(1) check of
-    its dimension, the one dimension rule for H (`require_hermitian` has
-    none).  No eigh is made here (see `Spectrum`)."""
+    """H as a `Spectrum` on states of length `dimension`, the one entry
+    rule for H (see `Spectrum`): a matrix is checked, a `Spectrum` is taken
+    as it is, and either has its dimension checked.  No eigh is made here."""
     H = H if isinstance(H, Spectrum) else Spectrum(H)
     if len(H.H) != dimension:
         raise ValueError(f"dimension mismatch: H is {H.H.shape}, state has {dimension}")

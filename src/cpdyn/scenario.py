@@ -115,9 +115,7 @@ class ScenarioConfig:
     N = 4.  A rule that fails raises a ConfigError that names the field,
     with the message a document gets where a document can break the rule.
 
-    H is not checked here but by every route that takes it (see
-    `quantum.spectrum`), so a config built in code checks H once per run
-    and decomposes it at most once."""
+    H is not checked here but by each run (see `quantum.Spectrum`)."""
 
     name: str
     hamiltonian: np.ndarray
@@ -276,11 +274,8 @@ def run(config: ScenarioConfig, method: str = "both") -> RunResult:
     """Execute a scenario; deterministic for a fixed config.
 
     The classical side starts from the chart anchored at the maximum-modulus
-    initial amplitude.  H goes through `quantum.spectrum` once, and its
-    `Spectrum` goes to every route that runs, so H is checked once and
-    decomposed at most once, by the first route that reads the
-    decomposition.  The `Spectrum` lives for this run only, never on the
-    config (see `quantum.Spectrum`).
+    initial amplitude.  Every route that runs shares one
+    `quantum.spectrum` of H, made for this run (see `quantum.Spectrum`).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")

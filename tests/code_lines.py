@@ -18,7 +18,7 @@ import io
 import tokenize
 from pathlib import Path
 
-DEFAULT_ROOT = Path(__file__).resolve().parent.parent
+from harness import ROOT
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -61,7 +61,7 @@ def code_lines(source: str) -> int:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=DEFAULT_ROOT)
+    parser.add_argument("--root", type=Path, default=ROOT)
     args = parser.parse_args()
     total = 0
     for path in sorted((args.root / "src" / "cpdyn").glob("*.py")):

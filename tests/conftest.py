@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from cpdyn.chart import select_pivot, to_chart
 from cpdyn.flow import _STACK_MAX_N, integrate_classical
-from cpdyn.quantum import TimeGrid
+from cpdyn.quantum import TimeGrid, evolve_exact_grid
 from harness import counting
 from oracles import integrate_classical_reference
 
@@ -31,6 +32,26 @@ def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_coords(rng: np.random.Generator, m: int, radius: float = 1.0) -> np.ndarray:
     """Complex chart coordinates with entries of typical size `radius`."""
     return radius * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+
+
+def exact_and_classical(H, psi0, grid, settings=None) -> tuple:
+    """The exact quantum trajectory from psi0 and the classical one from
+    psi0's own chart (the largest amplitude's), as `scenario.run` starts
+    it."""
+    quantum = evolve_exact_grid(H, psi0, grid)
+    classical = integrate_classical(H, to_chart(psi0, select_pivot(psi0)), grid, settings)
+    return quantum, classical
+
+
+def gap_and_residual(q: np.ndarray, c: np.ndarray) -> tuple[float, float]:
+    """How far apart two (S, N) stacks of unit states lie, worst over the
+    samples: the fidelity gap max_k 1 - |<q_k, c_k>|, and the residual
+    max_k ||c_k - <q_k, c_k> q_k||, the part of c_k orthogonal to q_k (the
+    gap is about half its square)."""
+    overlaps = np.sum(q.conj() * c, axis=1)
+    gap = float(np.max(1.0 - np.abs(overlaps)))
+    residual = float(np.max(np.linalg.norm(c - overlaps[:, None] * q, axis=1)))
+    return gap, residual
 
 
 def minimal_doc(**overrides):

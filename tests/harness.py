@@ -1,6 +1,7 @@
 """What the tests and the scripts of `tests/` share, each written once: the
-loader of `perfbench/` files, a call counter, the counts of the
-eigen-coordinate loop and a best-of timer.
+checkout's root and its `scenarios/`, the loader of `perfbench/` files, a
+call counter, the counts of the eigen-coordinate loop, a best-of timer and
+a random Pauli sum.
 
 Not a test (pytest does not collect it).  It imports nothing from `cpdyn`
 at module level, so a script that puts another checkout's `src/` first on
@@ -15,7 +16,9 @@ import timeit
 from contextlib import contextmanager
 from pathlib import Path
 
+# the checkout this file is in; a script's `--root` defaults to it
 ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 def perfbench_module(name: str, root: Path = ROOT):
@@ -89,3 +92,14 @@ def best_time(stmt, repeats: int, number: int = 1, scope=None) -> float:
     times)."""
     rounds = timeit.repeat(stmt, globals=scope, number=number, repeat=repeats)
     return min(rounds) / number
+
+
+def random_pauli_text(rng, n_qubits: int, terms: int = 64) -> str:
+    """A Pauli sum of `terms` random strings on `n_qubits`, each with a
+    coefficient uniform in [-1, 1]/8, written with 17 significant digits."""
+    labels = rng.integers(0, 4, (terms, n_qubits))
+    coeffs = rng.uniform(-1.0, 1.0, terms) / 8.0
+    return " ".join(
+        f"{'-' if c < 0 else '+'} {abs(float(c))!r}*{''.join('IXYZ'[k] for k in row)}"
+        for c, row in zip(coeffs, labels)
+    )

@@ -1,8 +1,10 @@
-"""Print which one-line mutants of `quantum.rk4_weights` the tests kill.
+"""Print which one-line mutants of `quantum.rk4_weights` and of the named
+tolerances and caps the tests kill.
 
     python tests/mutants.py [--root CHECKOUT] [--list]
 
-Each mutant changes one line of the recurrence in `src/cpdyn/quantum.py`:
+A mutant of `rk4_weights` changes one line of the recurrence in
+`src/cpdyn/quantum.py`:
 
 - `scale`: one constant 0.5, 0.25, 2.0, 6.0 or 1/24 multiplied by
   1 + 2^-40 (each occurrence on its own);
@@ -12,15 +14,18 @@ Each mutant changes one line of the recurrence in `src/cpdyn/quantum.py`:
   can change a weight's NaN bits where x.imag is NaN and x.real is not
   finite (see the `rk4_weights` docstring).
 
+A mutant of a constant of `CONSTANTS` multiplies its value by 10 (`x10`)
+or by 0.1 (`x0.1`; an integer is floor-divided by 10).
+
 For each mutant the script copies the checkout's `src/` and `tests/` (and
 `pyproject.toml`, for the pytest settings) to a temporary directory,
-applies the mutant there, runs `python -m pytest tests/test_quantum.py -x
--q` on the copy and prints `killed` (a test failed), `survived` (all
-passed) or `error` (pytest could not run).  A survivor marks a rule that no
-test of `quantum` pins.  `--root` (default: this file's checkout) names the
-checkout to mutate, which is never written; `--list` prints the mutants
-without running them.  Not a test (pytest does not collect it); each
-mutant takes a few seconds.
+applies the mutant there, runs `python -m pytest tests/test_<module>.py -x
+-q` on the copy, for the module the mutant changes, and prints `killed` (a
+test failed), `survived` (all passed) or `error` (pytest could not run).
+A survivor marks a rule that no test of its module pins.  `--root`
+(default: this file's checkout) names the checkout to mutate, which is
+never written; `--list` prints the mutants without running them.  Not a
+test (pytest does not collect it); each mutant takes a few seconds.
 """
 
 from __future__ import annotations
@@ -34,16 +39,29 @@ import sys
 import tempfile
 from pathlib import Path
 
-DEFAULT_ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src/cpdyn/quantum.py")
-FUNCTION = "rk4_weights"
-TESTS = "tests/test_quantum.py"
+from harness import ROOT
+
+FUNCTION = "rk4_weights"  # of `quantum`
 SCALE = 1.0 + 2.0**-40
+# each named tolerance and cap, as (module, name)
+CONSTANTS = (
+    ("quantum", "STATE_NORM_TOL"),
+    ("quantum", "_EIGH_RESIDUAL"),
+    ("chart", "PIVOT_FLOOR"),
+    ("observables", "SEPARABILITY_EPS"),
+    ("flow", "_NSQ_GUARD"),
+    ("scenario", "_MAX_STEPS"),
+    ("scenario", "_MAX_SAMPLE_ENTRIES"),
+)
+
+
+def source_path(module: str) -> Path:
+    return Path("src/cpdyn") / f"{module}.py"
 
 
 def mutants(source: str) -> list[tuple[str, int, str]]:
-    """(kind, line number, mutated line) for each mutant of `FUNCTION` in
-    `source`."""
+    """(kind, line number, mutated line) for each mutant of `rk4_weights`
+    in `source`."""
     lines = source.splitlines()
     tree = ast.parse(source)
     func = next(
@@ -97,16 +115,45 @@ def mutants(source: str) -> list[tuple[str, int, str]]:
     return out
 
 
-def run_mutant(root: Path, lineno: int, new: str) -> str:
-    """killed, survived or error: `TESTS` on a copy of `root` with line
-    `lineno` of `TARGET` replaced by `new` (re-indented as the old one)."""
+def constant_mutants(source: str, name: str) -> list[tuple[str, int, str]]:
+    """(kind, line number, mutated line) for the x10 and x0.1 mutants of
+    the module-level one-line assignment of `name` in `source`."""
+    node = next(
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]
+    )
+    value = node.value
+    if isinstance(value, ast.Constant) and type(value.value) is float:
+        texts = repr(value.value * 10), repr(value.value / 10)
+    else:
+        text = ast.get_source_segment(source, value)
+        texts = f"({text}) * 10", f"({text}) // 10"
+    return [(kind, node.lineno, f"{name} = {text}") for kind, text in zip(("x10", "x0.1"), texts)]
+
+
+def all_mutants(root: Path) -> list[tuple[str, str, int, str]]:
+    """(module, kind, line number, mutated line) for every mutant."""
+    source = (root / source_path("quantum")).read_text()
+    found = [("quantum", kind, lineno, new) for kind, lineno, new in mutants(source)]
+    for module, name in CONSTANTS:
+        source = (root / source_path(module)).read_text()
+        for kind, lineno, new in constant_mutants(source, name):
+            found.append((module, kind, lineno, new))
+    return found
+
+
+def run_mutant(root: Path, module: str, lineno: int, new: str) -> str:
+    """killed, survived or error: the tests of `module` on a copy of
+    `root` with line `lineno` of the module replaced by `new` (re-indented
+    as the old one)."""
     with tempfile.TemporaryDirectory(prefix="cpdyn-mutant-") as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for name in ("src", "tests"):
             shutil.copytree(root / name, copy / name, ignore=ignore)
         shutil.copy(root / "pyproject.toml", copy / "pyproject.toml")
-        path = copy / TARGET
+        path = copy / source_path(module)
         lines = path.read_text().splitlines(keepends=True)
         old = lines[lineno - 1]
         indent = old[: len(old) - len(old.lstrip())]
@@ -114,7 +161,7 @@ def run_mutant(root: Path, lineno: int, new: str) -> str:
         path.write_text("".join(lines))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         result = subprocess.run(
-            [sys.executable, "-m", "pytest", TESTS, "-x", "-q", "-p", "no:cacheprovider"],
+            [sys.executable, "-m", "pytest", f"tests/test_{module}.py", "-x", "-q", "-p", "no:cacheprovider"],
             cwd=copy, env=env, capture_output=True, text=True,
         )
     # pytest exits 0 when every test passed and 1 when one failed
@@ -123,16 +170,16 @@ def run_mutant(root: Path, lineno: int, new: str) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=DEFAULT_ROOT)
+    parser.add_argument("--root", type=Path, default=ROOT)
     parser.add_argument("--list", action="store_true", help="print the mutants only")
     args = parser.parse_args(argv)
     root = args.root.resolve()
-    found = mutants((root / TARGET).read_text())
+    found = all_mutants(root)
     survivors = 0
-    for kind, lineno, new in found:
-        verdict = "" if args.list else run_mutant(root, lineno, new)
+    for module, kind, lineno, new in found:
+        verdict = "" if args.list else run_mutant(root, module, lineno, new)
         survivors += verdict == "survived"
-        print(f"{verdict:>8} {kind:>6} line {lineno}: {new}", flush=True)
+        print(f"{verdict:>8} {kind:>6} {module}.py:{lineno}: {new}", flush=True)
     if not args.list:
         print(f"{len(found)} mutants, {survivors} survived")
     return 0

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from harness import ROOT, best_time
+from harness import ROOT, best_time, random_pauli_text
 
 QUBITS = (8, 10, 12)
 TERMS = 64
@@ -34,14 +34,9 @@ REPEATS = {8: 20, 10: 5, 12: 3}
 
 
 def pauli_document(rng, n_qubits: int) -> dict:
-    """`TERMS` random Pauli strings on `n_qubits` with coefficients uniform
-    in [-1, 1]/8, and a random initial state."""
-    labels = rng.integers(0, 4, (TERMS, n_qubits))
-    coeffs = rng.uniform(-1.0, 1.0, TERMS) / 8.0
-    text = " ".join(
-        f"{'-' if c < 0 else '+'} {abs(float(c))!r}*{''.join('IXYZ'[k] for k in row)}"
-        for c, row in zip(coeffs, labels)
-    )
+    """`random_pauli_text` of `TERMS` strings on `n_qubits`, and a random
+    initial state."""
+    text = random_pauli_text(rng, n_qubits, TERMS)
     psi0 = rng.standard_normal(2**n_qubits) + 1j * rng.standard_normal(2**n_qubits)
     psi0 /= np.linalg.norm(psi0)
     return {

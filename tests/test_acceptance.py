@@ -2,8 +2,6 @@
 PASS line with the measured worst-case numbers (run with -s to see them
 on passing runs)."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -11,12 +9,10 @@ from cpdyn.chart import (
     ChartPoint,
     from_chart,
     fubini_study_metric,
-    select_pivot,
     symplectic_form,
     symplectic_inverse,
-    to_chart,
 )
-from cpdyn.flow import grad_conj, hamilton_rhs, integrate_classical
+from cpdyn.flow import grad_conj, hamilton_rhs
 from cpdyn.observables import (
     concurrence_classical,
     concurrence_quantum,
@@ -26,7 +22,7 @@ from cpdyn.observables import (
     quaternionic_z_classical,
     quaternionic_z_quantum,
 )
-from cpdyn.quantum import TimeGrid, evolve_exact_grid, evolve_rk4, make_state
+from cpdyn.quantum import TimeGrid, evolve_rk4, make_state
 from cpdyn.scenario import (
     ScenarioConfig,
     compare,
@@ -35,17 +31,15 @@ from cpdyn.scenario import (
     scenario_from_dict,
 )
 
-from conftest import random_coords, random_hermitian, random_state
+from conftest import (
+    exact_and_classical,
+    gap_and_residual,
+    random_coords,
+    random_hermitian,
+    random_state,
+)
+from harness import SCENARIO_DIR
 from oracles import count_zero_crossings, fd_grad_conj, fd_kahler_hessian
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-
-
-def max_fidelity_gap(H, psi0, grid):
-    quantum = evolve_exact_grid(H, psi0, grid)
-    classical = integrate_classical(H, to_chart(psi0, select_pivot(psi0)), grid)
-    overlaps = np.sum(quantum.states.conj() * classical.states(), axis=1)
-    return float(np.max(1.0 - np.abs(overlaps))), classical
 
 
 def test_criterion_1_exact_equivalence_random_systems():
@@ -58,7 +52,8 @@ def test_criterion_1_exact_equivalence_random_systems():
         for _ in range(50):
             H = random_hermitian(rng, n, scale=2.0)
             psi0 = random_state(rng, n)
-            gap, _ = max_fidelity_gap(H, psi0, grid)
+            quantum, classical = exact_and_classical(H, psi0, grid)
+            gap, _ = gap_and_residual(quantum.states, classical.states())
             worst = max(worst, gap)
             assert gap < 1e-6, f"fidelity gap {gap:.3e} for N={n}"
     print(f"\nCRITERION 1: PASS: worst fidelity gap {worst:.3e} (< 1e-6)")
@@ -174,7 +169,7 @@ def test_criterion_5_conservation():
         H = random_hermitian(rng, 4, scale=2.0)
         psi0 = random_state(rng, 4)
 
-        classical = integrate_classical(H, to_chart(psi0, select_pivot(psi0)), grid)
+        exact, classical = exact_and_classical(H, psi0, grid)
         h0 = energy(H, classical.u) / classical.nfac
         drift = float(np.max(np.abs(h0 - h0[0])))
         worst_energy = max(worst_energy, drift)
@@ -184,7 +179,6 @@ def test_criterion_5_conservation():
         worst_norm = max(worst_norm, float(np.max(rk4.norm_drift)))
         assert worst_norm < 1e-8, f"RK4 norm drift {worst_norm:.3e}"
 
-        exact = evolve_exact_grid(H, psi0, grid)
         worst_exact = max(worst_exact, float(np.max(exact.norm_drift)))
         assert worst_exact < 1e-10, f"spectral norm error {worst_exact:.3e}"
     print(
@@ -265,7 +259,8 @@ def test_criterion_7_chart_switch_robustness():
     H = build_two_qubit_hamiltonian(0.0, 1.0, 0.0, 0.0, 0.0)
     psi0 = np.array([0.0, 0.0, 0.0, 1.0])
     grid = TimeGrid(t_end=10.0, dt=1e-3, output_stride=20)
-    gap, classical = max_fidelity_gap(H, psi0, grid)
+    quantum, classical = exact_and_classical(H, psi0, grid)
+    gap, _ = gap_and_residual(quantum.states, classical.states())
     assert classical.n_switches >= 1, "expected at least one chart switch"
     assert gap < 1e-6, f"fidelity gap {gap:.3e} across switches"
     print(
@@ -312,11 +307,9 @@ def test_criterion_9_exact_equivalence_on_both_step_paths():
         H = random_hermitian(rng, n, scale=scale)
         psi0 = make_state(random_state(rng, n))
         result = run(ScenarioConfig("random", H, psi0, grid))
-        q = result.quantum_trajectory.states
-        c = result.classical_trajectory.states()
-        overlaps = np.sum(q.conj() * c, axis=1)
-        gap = float(np.max(1.0 - np.abs(overlaps)))
-        residual = float(np.max(np.linalg.norm(c - overlaps[:, None] * q, axis=1)))
+        gap, residual = gap_and_residual(
+            result.quantum_trajectory.states, result.classical_trajectory.states()
+        )
         worst_gap = max(worst_gap, gap)
         worst_residual = max(worst_residual, residual)
         assert gap < 1e-6, f"fidelity gap {gap:.3e} for N={n}, scale {scale:.3g}"

@@ -54,6 +54,13 @@ class TestToFromChart:
         with pytest.raises(ZeroPivotError):
             to_chart(np.array([1.0, 0, 0, 0]), pivot=2)
 
+    def test_pivot_floor_is_1e_12(self):
+        # `PIVOT_FLOOR`: a divisor half a decade above it is taken, one half
+        # a decade below it refused
+        assert to_chart(np.array([1.0, 5e-12]), pivot=1).coords[0] == 1.0 / 5e-12
+        with pytest.raises(ZeroPivotError, match="below floor 1e-12"):
+            to_chart(np.array([1.0, 5e-13]), pivot=1)
+
     def test_out_of_range_pivot_rejected(self):
         psi = np.array([0.5, 0.5, 0.5, 0.5])
         for pivot in (4, -1):

@@ -1,6 +1,5 @@
 import json
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +12,8 @@ from cpdyn import __version__
 from cpdyn.cli import main
 
 from conftest import minimal_doc, random_hermitian, random_state
+from harness import SCENARIO_DIR, random_pauli_text
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FIG1_LEFT = str(SCENARIO_DIR / "fig1_left.json")
 
 # (section, malformed value, key the error names[, test id]): each escaped
@@ -300,12 +299,7 @@ def test_validate_over_qubit_cap_exits_2(tmp_path, capsys, n_qubits):
 def test_validate_ten_qubit_pauli_document(tmp_path, rng, capsys):
     # the parse path at N = 1024: build H and check it, nothing more; a run
     # at this size would make an eigh and N x N eigenvectors
-    labels = rng.integers(0, 4, (64, 10))
-    coeffs = rng.uniform(-1.0, 1.0, 64) / 8.0
-    pauli = " ".join(
-        f"{'-' if c < 0 else '+'} {abs(float(c))!r}*{''.join('IXYZ'[k] for k in row)}"
-        for c, row in zip(coeffs, labels)
-    )
+    pauli = random_pauli_text(rng, 10)
     psi0 = random_state(rng, 1024)
     path = tmp_path / "ten_qubits.json"
     path.write_text(json.dumps(minimal_doc(

@@ -1,5 +1,4 @@
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +15,10 @@ from cpdyn.scenario import load_scenario
 
 import oracles
 from conftest import STEP_PATH_IDS, STEP_PATHS, assert_same_trajectory, random_coords
-from conftest import numpy_dot_calls, random_hermitian, random_state
-from harness import counting, loop_counts
+from conftest import exact_and_classical, gap_and_residual, numpy_dot_calls
+from conftest import random_hermitian, random_state
+from harness import SCENARIO_DIR, counting, loop_counts
 from oracles import _rhs, fd_grad_conj, quotient_rule_velocity, rk4_step, taylor_expm_reference
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestClassicalHamiltonian:
@@ -193,7 +191,7 @@ class TestIntegrateClassical:
         # between two steps that form |u|^2, the running bound on |u|, grown
         # by the factor of `flow._growth_bound` on each step, stays below the
         # switch radius, so every bundled scenario forms |u|^2 on few of its
-        # steps (fig1_right and fig3_right on the most, 465 of 10,000); each
+        # steps (fig1_right on the most, 465 of 10,000); each
         # of these runs is held to the oracle bit for bit by
         # `TestBitIdentity.test_bundled_scenarios`.  Where that bound is no
         # finite bound (a huge switch radius, a step past the RK4 stability
@@ -333,8 +331,7 @@ class TestIntegrateClassical:
         # against the spectral route and the eigh-free Taylor oracle
         for quantum in (evolve_exact_grid(H, psi0, grid).states,
                         taylor_expm_reference(H, psi0, grid.sample_times())):
-            gaps = 1 - np.abs(np.sum(quantum.conj() * traj.states(), axis=1))
-            assert np.max(gaps) < 1e-6
+            assert gap_and_residual(quantum, traj.states())[0] < 1e-6
         # the trajectory never lingers in a badly anchored chart
         nfacs = 1 + np.sum(np.abs(traj.coords) ** 2, axis=1)
         assert np.all(1 / np.sqrt(nfacs) > 0.2 * 0.9)
@@ -378,10 +375,8 @@ class TestIntegrateClassical:
         assert np.array_equal(H, H.conj().T)
         psi0 = random_state(rng, 8)
         grid = TimeGrid(t_end=1e-5, dt=1e-9, output_stride=20)
-        traj = integrate_classical(H, to_chart(psi0, select_pivot(psi0)), grid)
-        quantum = evolve_exact_grid(H, psi0, grid)
-        overlaps = np.sum(quantum.states.conj() * traj.states(), axis=1)
-        assert np.max(1.0 - np.abs(overlaps)) < 1e-6
+        quantum, traj = exact_and_classical(H, psi0, grid)
+        assert gap_and_residual(quantum.states, traj.states())[0] < 1e-6
 
     def test_rejects_non_hermitian(self):
         # every function of this module that takes H applies the same rule

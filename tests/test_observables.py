@@ -128,6 +128,15 @@ class TestSeparability:
     def test_bell_point_is_not(self):
         assert not is_separable(ChartPoint(3, np.array([1.0, 0, 0])))
 
+    def test_witness_threshold_is_1e_8(self):
+        # `SEPARABILITY_EPS`: (cos t, 0, 0, sin t) has concurrence sin 2t,
+        # separable half a decade below the threshold and not above it
+        for concurrence, separable in ((5e-9, True), (5e-8, False)):
+            t = np.arcsin(concurrence) / 2
+            point = to_chart(np.array([np.cos(t), 0.0, 0.0, np.sin(t)]), 0)
+            assert concurrence_classical(point) == pytest.approx(concurrence)
+            assert is_separable(point) == separable
+
     def test_kronecker_products_are_separable(self, rng):
         for _ in range(100):
             q1 = random_state(rng, 2)

@@ -2,7 +2,6 @@ import itertools
 import json
 import re
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,14 +27,12 @@ from cpdyn.quantum import TimeGrid, evolve_exact_grid, evolve_rk4, make_state
 from cpdyn.scenario import ConfigError, scenario_from_dict
 
 from conftest import random_hermitian, random_state
-from harness import perfbench_module
+from harness import SCENARIO_DIR, perfbench_module
 from oracles import (
     build_hamiltonian_reference,
     require_hermitian_reference,
     tensor_term_reference,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_pauli_matrix_standard_convention():
@@ -524,7 +521,7 @@ class TestBuildBitIdentity:
         assert_same_bits(build_hamiltonian(terms), build_hamiltonian_reference(terms))
 
     @pytest.mark.parametrize(
-        "path", sorted((ROOT / "scenarios").glob("*.json")), ids=lambda p: p.stem
+        "path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem
     )
     def test_bundled_scenarios(self, path):
         terms = parse_hamiltonian(json.loads(path.read_text())["hamiltonian"]["pauli"])

@@ -48,6 +48,12 @@ class TestMakeState:
         with pytest.raises(ValueError, match="norm"):
             make_state([1.0, 1.0, 0.0, 0.0])
 
+    def test_norm_tolerance_is_1e_10(self):
+        # `STATE_NORM_TOL`: a norm half of it from 1 passes, twice it fails
+        make_state([1.0 + 5e-11, 0.0])
+        with pytest.raises(ValueError, match="norm"):
+            make_state([1.0 + 2e-10, 0.0])
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             make_state([np.nan, 0.0])
@@ -118,6 +124,38 @@ class TestSpectrum:
             evolve_exact_grid(Spectrum(H), make_state([1, 0]), TimeGrid(1, 0.5))
         with pytest.raises(ValueError, match=message):
             evolve_exact_grid(H, make_state([1, 0]), TimeGrid(1, 0.5))
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_valid_decomposition_passes_its_check(self, rng, n, scale):
+        # the check's bound scales with ||H||, and the smallest normal float
+        # keeps a subnormal H from failing it by underflow
+        H = random_hermitian(rng, n) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = spectrum(H, n).lam
+        assert np.isfinite(lam).all()
+
+    @pytest.mark.parametrize("shift, refused", [(16, False), (128, True)])
+    def test_decomposition_residual_bound_is_64(self, rng, monkeypatch, shift, refused):
+        # `_EIGH_RESIDUAL`: an eigh whose every eigenvalue is off by d
+        # leaves the residual d x, up to the few units of a valid one, so
+        # d = 16 N eps ||H|| passes and d = 128 N eps ||H|| fails
+        n = 64
+        H = random_hermitian(rng, n)
+        d = shift * n * np.finfo(float).eps * np.linalg.norm(H, np.inf)
+        eigh = np.linalg.eigh
+
+        def shifted(H):
+            lam, V = eigh(H)
+            return lam + d, V
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        if refused:
+            with pytest.raises(NumericFailure, match="^eigh residual .* at step 1$"):
+                spectrum(H, n).lam
+        else:
+            spectrum(H, n).lam
 
     @pytest.mark.parametrize("H", [1.0, np.float64(1.0), np.array(1.0)])
     def test_scalar_is_not_a_square_matrix(self, H):

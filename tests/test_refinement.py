@@ -4,20 +4,18 @@ empirical-order check (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed.,
 Springer 1993)."""
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cpdyn.chart import select_pivot, to_chart
-from cpdyn.flow import FlowSettings, integrate_classical
+from cpdyn.flow import FlowSettings
 from cpdyn.pauli import build_two_qubit_hamiltonian
-from cpdyn.quantum import TimeGrid, evolve_exact_grid
+from cpdyn.quantum import TimeGrid
 from cpdyn.scenario import load_scenario
 
-from conftest import random_hermitian, random_state
+from conftest import exact_and_classical, gap_and_residual, random_hermitian, random_state
+from harness import SCENARIO_DIR
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 T_END = 2.0
 EPS = np.finfo(float).eps
 
@@ -45,12 +43,10 @@ def start_dt(H) -> float:
 
 
 def residual(H, psi0, grid, settings=None) -> float:
-    """max_k ||c_k - <q_k, c_k> q_k||: the part of the classical state c
-    orthogonal to the exact quantum state q, worst over the samples."""
-    q = evolve_exact_grid(H, psi0, grid).states
-    c = integrate_classical(H, to_chart(psi0, select_pivot(psi0)), grid, settings).states()
-    overlap = np.sum(q.conj() * c, axis=1)
-    return float(np.max(np.linalg.norm(c - overlap[:, None] * q, axis=1)))
+    """The part of the classical state orthogonal to the exact quantum
+    state, worst over the samples (`gap_and_residual`)."""
+    quantum, classical = exact_and_classical(H, psi0, grid, settings)
+    return gap_and_residual(quantum.states, classical.states())[1]
 
 
 @pytest.mark.parametrize("name, H, psi0", SYSTEMS, ids=[s[0] for s in SYSTEMS])

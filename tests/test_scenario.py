@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,14 +32,13 @@ from cpdyn.scenario import (
 from conftest import (
     STEP_PATH_IDS,
     STEP_PATHS,
+    gap_and_residual,
     minimal_doc,
     random_hermitian,
     random_state,
 )
-from harness import counting, perfbench_module
+from harness import SCENARIO_DIR, counting, perfbench_module
 from oracles import taylor_expm_reference
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_scenario(tmp_path, doc, name="scn.json"):
@@ -54,6 +52,16 @@ class TestLoadScenario:
         for path in sorted(SCENARIO_DIR.glob("*.json")):
             config = load_scenario(path)
             assert config.dimension == 4
+
+    def test_bundled_files_are_distinct(self):
+        # each bundled scenario adds a system of its own: the fig3_* files
+        # once repeated the fig1_* ones but for their names
+        seen = {}
+        for path in sorted(SCENARIO_DIR.glob("*.json")):
+            config = load_scenario(path)
+            key = (config.hamiltonian.tobytes(), config.initial_state.tobytes())
+            assert key not in seen, f"{path.stem} repeats {seen.get(key)}"
+            seen[key] = path.stem
 
     def test_documented_examples_are_valid(self):
         readme = (SCENARIO_DIR.parent / "README.md").read_text()
@@ -443,6 +451,26 @@ class TestSharedSpectrum:
             with pytest.raises(ValueError, match=message):
                 evolve(spectrum, psi0, config.grid)
 
+    def test_wrong_decomposition_fails_at_step_1(self, rng, tmp_path, monkeypatch, capsys):
+        # above N = 20 both routes read one eigh, so a wrong one would be
+        # wrong in both alike and pass the comparison; `Spectrum` checks the
+        # eigh where it is made.  The wrong one decomposes H + delta ||H||_2 G
+        n, delta = 64, 1e-3
+        doc = dense_doc(rng, n)
+        config = scenario_from_dict(doc)
+        assert compare(config).passed
+        H, G = config.hamiltonian, random_hermitian(rng, n)
+        wrong = H + delta * np.linalg.norm(H, 2) * G / np.linalg.norm(G, 2)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda _: eigh(wrong))
+        with pytest.raises(cpdyn.quantum.NumericFailure) as failure:
+            run(config)
+        assert failure.value.step == 1
+        path = write_scenario(tmp_path, doc)
+        assert cpdyn.cli.main(["compare", "--config", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: eigh residual"), err
+
     def test_shared_spectrum_matches_eigh_free_reference(self, rng):
         # sharing makes a wrong decomposition wrong in both routes alike, so
         # `compare` alone would miss it; the Taylor oracle has no eigh
@@ -457,8 +485,7 @@ class TestSharedSpectrum:
             result.quantum_trajectory.states, want, rtol=0, atol=bound
         )
         states = result.classical_trajectory.states()
-        gaps = 1 - np.abs(np.sum(want.conj() * states, axis=1))
-        assert np.max(gaps) < 1e-6
+        assert gap_and_residual(want, states)[0] < 1e-6
 
     @pytest.mark.parametrize("method", ["both", "quantum", "classical"])
     @pytest.mark.parametrize("n", [4, 64])
